@@ -83,10 +83,8 @@ from .sectors import (
     QuadraticOracle,
     SectorClass,
     SeparableOracle,
-    grad,
     oracle_from_json,
     parse_oracle,
-    plant_apply,
     random_rotation,
     sector_check,
     sector_membership_sampled,
@@ -124,8 +122,8 @@ __all__ = [
     "Polynomial", "poly_add", "poly_arg_scale", "poly_eval",
     "poly_from_roots", "poly_mul", "poly_roots", "poly_scale", "poly_sub",
     "GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle",
-    "SectorClass", "SeparableOracle", "grad", "oracle_from_json",
-    "parse_oracle", "plant_apply", "random_rotation", "sector_check",
+    "SectorClass", "SeparableOracle", "oracle_from_json",
+    "parse_oracle", "random_rotation", "sector_check",
     "sector_membership_sampled", "shifted_plant_apply",
     "NoiseRobustnessReport", "RateEstimate", "Trajectory", "estimate_rate",
     "noise_robustness_experiment", "simulate_run", "simulate_shifted_run",

@@ -13,11 +13,19 @@ closed-form-checked stepsize search, and a two-parameter grid search.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ImproperShiftError, InvalidParameterError, NoCertificateError
-from .lti import RationalTF, hinf_peak, stability_radius, tf_arg_scale, tf_reduce
+from .lti import (
+    RationalTF,
+    golden_section,
+    hinf_peak,
+    stability_radius,
+    tf_arg_scale,
+    tf_reduce,
+)
 from .methods import Family, MethodSpec, build_controller
 from .polynomials import poly_scale, poly_sub
 from .sectors import SectorClass
@@ -140,10 +148,14 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
     return _bisect_shifted(shifted, spec.label, sector, tol)
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _bisect_shifted(shifted: RationalTF, label: str, sector: SectorClass,
                     tol: float) -> RateSearchResult:
-    if tol <= 0.0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     radius = stability_radius(shifted)
     evaluations = 0
     hi = 1.0 - STABILITY_SLACK
@@ -180,34 +192,22 @@ def _bisect_shifted(shifted: RationalTF, label: str, sector: SectorClass,
     return RateSearchResult(hi, cert_hi, evaluations, tuple(history))
 
 
-def _make_spec(family: Family, alpha: float, beta: float | None) -> MethodSpec:
-    if family is Family.GRADIENT:
-        return MethodSpec(family, alpha=alpha)
-    return MethodSpec(family, alpha=alpha, beta=beta)
-
-
 def certified_rate_curve(sector: SectorClass, alpha_grid, family: Family = Family.GRADIENT,
-                         beta: float | None = None, tol: float = 1e-6,
-                         workers: int | None = None) -> list[tuple[float, float | None]]:
-    """Best certifiable rate per stepsize; None marks stepsizes with no
-    certificate.  Results are assembled in grid order regardless of worker
-    scheduling."""
+                         beta: float | None = None,
+                         tol: float = 1e-6) -> list[tuple[float, float | None]]:
+    """Best certifiable rate per stepsize, in grid order; None marks
+    stepsizes with no certificate."""
     alphas = [float(a) for a in alpha_grid]
     if any(a <= 0.0 for a in alphas):
         raise InvalidParameterError("stepsize grid must be positive")
 
     def solve(alpha: float) -> float | None:
         try:
-            return bisect_rate(_make_spec(family, alpha, beta), sector, tol).rho_star
+            return bisect_rate(MethodSpec(family, alpha=alpha, beta=beta), sector, tol).rho_star
         except NoCertificateError:
             return None
 
-    if workers is not None and workers > 1 and len(alphas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rhos = list(pool.map(solve, alphas))
-    else:
-        rhos = [solve(a) for a in alphas]
-    return list(zip(alphas, rhos))
+    return [(a, solve(a)) for a in alphas]
 
 
 def search_stepsize(sector: SectorClass, tol: float = 1e-6) -> tuple[float, float]:
@@ -218,8 +218,7 @@ def search_stepsize(sector: SectorClass, tol: float = 1e-6) -> tuple[float, floa
     alpha L - 1), a max of two affine functions, so it is unimodal and
     golden-section applies.  Uncertifiable stepsizes count as +inf.
     """
-    if tol <= 0.0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     inner_tol = min(tol, 1e-6)
 
     def value(alpha: float) -> float:
@@ -228,24 +227,7 @@ def search_stepsize(sector: SectorClass, tol: float = 1e-6) -> tuple[float, floa
         except NoCertificateError:
             return math.inf
 
-    a, b = 0.0, 2.0 / sector.L
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = value(x1), value(x2)
-    best_alpha, best_rho = (x1, f1) if f1 <= f2 else (x2, f2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = value(x2)
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx < best_rho:
-                best_alpha, best_rho = x, fx
+    _, (best_alpha, best_rho) = golden_section(value, 0.0, 2.0 / sector.L, tol)
     if not math.isfinite(best_rho):
         raise NoCertificateError(
             f"no gradient stepsize in (0, {2.0 / sector.L:g}) certifies on this sector"
@@ -308,27 +290,14 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
         if alpha_span == 0.0 and beta_span == 0.0:
             break
         a0, b0, _ = best
-        a_list = (
-            [a0] if alpha_span == 0.0
-            else list(_linspace(max(a0 - alpha_span, alpha_span * 1e-6), a0 + alpha_span, len(alphas)))
-        )
-        b_list = (
-            [b0] if beta_span == 0.0
-            else list(_linspace(max(b0 - beta_span, 0.0), min(b0 + beta_span, 1.0 - 1e-12), len(betas)))
-        )
+        a_list = [a0] if alpha_span == 0.0 else np.linspace(
+            max(a0 - alpha_span, alpha_span * 1e-6), a0 + alpha_span, len(alphas)).tolist()
+        b_list = [b0] if beta_span == 0.0 else np.linspace(
+            max(b0 - beta_span, 0.0), min(b0 + beta_span, 1.0 - 1e-12), len(betas)).tolist()
         sweep(a_list, b_list)
         alpha_span /= max(len(alphas) - 1, 1)
         beta_span /= max(len(betas) - 1, 1)
     return TwoParamResult(best[0], best[1], best[2], evaluations)
-
-
-def _linspace(lo: float, hi: float, n: int):
-    if n == 1:
-        yield 0.5 * (lo + hi)
-        return
-    step = (hi - lo) / (n - 1)
-    for i in range(n):
-        yield lo + i * step
 
 
 def complementary_sensitivity(controller: RationalTF, sector: SectorClass,

@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import tempfile
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -51,9 +52,7 @@ from .simulate import (
     trajectory_csv_text,
 )
 
-COMMANDS = ("bode", "certify", "rate", "curve", "search", "simulate", "robustness", "report")
-
-_TUPLE_FIELDS = ("methods", "x0")
+_SEARCH_FAMILIES = tuple(f.value for f in Family if f is not Family.CUSTOM)
 
 
 @dataclass
@@ -90,19 +89,40 @@ class RunConfig:
     svg_out: str | None = None
 
     def to_json(self) -> dict:
-        out = asdict(self)
-        for key in _TUPLE_FIELDS:
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        for key in _TUPLE_FIELDS:
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        """Build a config, checking every field against its annotation:
+        floats must be finite real numbers (not bools), ints must be ints,
+        and sequences become tuples.  Raises InvalidParameterError."""
+        hints = typing.get_type_hints(cls)
+        unknown = set(data) - set(hints)
+        if unknown:
+            raise InvalidParameterError(f"unknown config fields: {sorted(unknown)}")
+        return cls(**{name: _typed(name, hints[name], value) for name, value in data.items()})
+
+
+def _typed(name: str, hint, value):
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(name, typing.get_args(hint)[0], v) for v in value)
+        expected = "a list"
+    elif hint is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and math.isfinite(value):
+            return float(value)
+        expected = "a finite number"
+    else:
+        if isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
+            return value
+        expected = f"of type {hint.__name__}"
+    raise InvalidParameterError(f"{name} must be {expected}, got {value!r}")
 
 
 def _csv_floats(text: str) -> tuple[float, ...]:
@@ -167,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="best certifiable parameters")
     add_sector(p)
-    p.add_argument("--family", default="gradient", choices=[f.value for f in Family if f is not Family.CUSTOM])
+    p.add_argument("--family", default="gradient", choices=_SEARCH_FAMILIES)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--alpha-min", type=float, dest="alpha_min")
     p.add_argument("--alpha-max", type=float, dest="alpha_max")
@@ -221,38 +241,32 @@ def parse_args(argv=None) -> RunConfig:
     module preconditions before anything runs (usage errors exit 2)."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    data = {k: v for k, v in vars(ns).items() if k in fields and v is not None}
+    data = {k: v for k, v in vars(ns).items()
+            if k in RunConfig.__dataclass_fields__ and v is not None}
     if ns.command == "bode":
-        data["methods"] = tuple(split_method_list(ns.methods))
-        data.pop("method", None)
-    config = RunConfig(**data)
-    config_path = getattr(ns, "config", None)
-    if config_path:
+        data["methods"] = split_method_list(ns.methods)
+    if ns.config:
         try:
-            overrides = json.loads(Path(config_path).read_text())
+            overrides = json.loads(Path(ns.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file {config_path}: {exc}")
-        merged = config.to_json()
-        unknown = set(overrides) - set(merged)
-        if unknown:
-            parser.error(f"unknown config fields: {sorted(unknown)}")
-        merged.update(overrides)
-        config = RunConfig.from_json(merged)
+            parser.error(f"cannot read config file {ns.config}: {exc}")
+        if not isinstance(overrides, dict):
+            parser.error(f"config file {ns.config} must hold a JSON object")
+        if "command" in overrides:
+            parser.error("a config file cannot set the command")
+        data.update(overrides)
+    try:
+        config = RunConfig.from_json(data)
+    except InvalidParameterError as exc:
+        parser.error(str(exc))
     _validate(config, parser)
     return config
 
 
 def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
-    sector = None
-    if config.m is not None or config.L is not None:
-        if config.m is None or config.L is None:
-            parser.error("--m and --L must be given together")
-        try:
-            sector = SectorClass(config.m, config.L)
-        except InvalidParameterError as exc:
-            parser.error(str(exc))
-    elif config.command not in ("simulate", "bode"):
+    if (config.m is None) != (config.L is None):
+        parser.error("--m and --L must be given together")
+    if config.m is None and config.command not in ("simulate", "bode"):
         parser.error("--m and --L are required")
     if config.command in ("certify", "rate", "simulate") and \
             config.method is None and config.method_json is None:
@@ -276,46 +290,23 @@ def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
         parser.error("--f-min must lie in (0, 0.5)")
     if config.n_freq < 2:
         parser.error("--n must be >= 2")
-    method_strings = list(config.methods) if config.command == "bode" else (
-        [config.method] if config.method and config.method_json is None else []
-    )
-    for text in method_strings:
-        try:
-            parse_method(text, config.m, config.L)
-        except LoopShiftError as exc:
-            parser.error(f"bad method {text!r}: {exc}")
-    if config.method_json is not None:
-        try:
-            method_from_json(config.method_json, config.m, config.L)
-        except LoopShiftError as exc:
-            parser.error(f"bad method_json block: {exc}")
-    if config.oracle_json is not None:
-        try:
-            oracle_from_json(config.oracle_json)
-        except LoopShiftError as exc:
-            parser.error(f"bad oracle_json block: {exc}")
-    elif config.oracle:
-        try:
-            parse_oracle(config.oracle)
-        except LoopShiftError as exc:
-            parser.error(f"bad oracle {config.oracle!r}: {exc}")
-    if config.command in ("curve", "search") and sector is not None:
-        lo = config.alpha_min if config.alpha_min is not None else 0.1 / sector.L
-        hi = config.alpha_max if config.alpha_max is not None else 1.9 / sector.L
-        if not 0.0 < lo <= hi:
-            parser.error("need 0 < alpha-min <= alpha-max")
-        if not (0.0 <= config.beta_min <= config.beta_max < 1.0):
-            parser.error("need 0 <= beta-min <= beta-max < 1")
-
-
-def _workers() -> int:
-    raw = os.environ.get("LOOPSHIFT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
+    if config.family not in _SEARCH_FAMILIES:
+        parser.error(f"--family must be one of {', '.join(_SEARCH_FAMILIES)}")
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        if config.m is not None:
+            sector = _sector(config)
+            if config.command in ("curve", "search", "report"):
+                _alpha_grid(config, sector)
+            if config.command == "search":
+                _beta_grid(config)
+        if config.command == "bode":
+            _resolve_methods(config)
+        elif config.method is not None or config.method_json is not None:
+            _resolve_method(config)
+        if config.oracle is not None or config.oracle_json is not None:
+            _resolve_oracle(config)
+    except LoopShiftError as exc:
+        parser.error(str(exc))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -333,14 +324,22 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json_safe(obj):
+    """Non-finite floats become null, so artifacts stay strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return obj
 
 
 def _emit(config: RunConfig, payload: dict, summary: str) -> None:
     print(summary)
     if config.json_out:
-        _write_text(config.json_out, _json_text(payload))
+        payload = _json_safe(payload)
+        _write_text(config.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         print(json.dumps(payload, sort_keys=True))
 
 
@@ -354,6 +353,10 @@ def _resolve_method(config: RunConfig):
     return parse_method(config.method, config.m, config.L)
 
 
+def _resolve_methods(config: RunConfig):
+    return [parse_method(text, config.m, config.L) for text in config.methods]
+
+
 def _resolve_oracle(config: RunConfig):
     if config.oracle_json is not None:
         return oracle_from_json(config.oracle_json)
@@ -363,7 +366,15 @@ def _resolve_oracle(config: RunConfig):
 def _alpha_grid(config: RunConfig, sector: SectorClass) -> list[float]:
     lo = config.alpha_min if config.alpha_min is not None else 0.1 / sector.L
     hi = config.alpha_max if config.alpha_max is not None else 1.9 / sector.L
+    if not 0.0 < lo <= hi:
+        raise InvalidParameterError("need 0 < alpha-min <= alpha-max")
     return list(np.linspace(lo, hi, config.alpha_steps))
+
+
+def _beta_grid(config: RunConfig) -> list[float]:
+    if not 0.0 <= config.beta_min <= config.beta_max < 1.0:
+        raise InvalidParameterError("need 0 <= beta-min <= beta-max < 1")
+    return list(np.linspace(config.beta_min, config.beta_max, config.beta_steps))
 
 
 def _cmd_certify(config: RunConfig) -> int:
@@ -412,7 +423,7 @@ def _cmd_rate(config: RunConfig) -> int:
 def _cmd_curve(config: RunConfig) -> int:
     sector = _sector(config)
     alphas = _alpha_grid(config, sector)
-    rows = certified_rate_curve(sector, alphas, tol=config.tol, workers=_workers())
+    rows = certified_rate_curve(sector, alphas, tol=config.tol)
     if config.csv_out:
         lines = ["alpha,rho_star"]
         lines += [f"{a!r},{'' if r is None else repr(r)}" for a, r in rows]
@@ -446,16 +457,14 @@ def _cmd_search(config: RunConfig) -> int:
         _emit(config, payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}")
         return 0
     alphas = _alpha_grid(config, sector)
-    betas = list(np.linspace(config.beta_min, config.beta_max, config.beta_steps))
-    result = search_two_param(sector, alphas, betas, Family(config.family), config.tol)
+    result = search_two_param(sector, alphas, _beta_grid(config), Family(config.family),
+                              config.tol)
     if result is None:
         _emit(config, {"family": config.family, "alpha": None, "beta": None,
                        "rho_star": None},
               f"{config.family} search: nothing on the grid certifies")
         return 0
-    payload = {"family": config.family, "m": config.m, "L": config.L,
-               "alpha": result.alpha, "beta": result.beta,
-               "rho_star": result.rho_star, "evaluations": result.evaluations}
+    payload = {"family": config.family, "m": config.m, "L": config.L, **asdict(result)}
     summary = (
         f"{config.family} search: alpha={result.alpha:.6g} beta={result.beta:.6g} "
         f"rho_star={result.rho_star:.6g}"
@@ -479,19 +488,18 @@ def _cmd_simulate(config: RunConfig) -> int:
         "noise_sigma": config.noise_sigma,
         "final_residual": float(traj.residuals[-1]),
     }
+    bad_step = traj.first_nonfinite
+    if bad_step is not None:
+        payload.update({"diverged": True, "first_nonfinite_step": bad_step})
     try:
         est = estimate_rate(traj)
-        payload.update({
-            "rho_hat": est.rho_hat,
-            "c_hat": est.c_hat,
-            "r_squared": est.r_squared,
-            "fit_window": list(est.fit_window),
-            "diverged": est.diverged,
-        })
+        payload.update(asdict(est))
         fitted = f"rho_hat={est.rho_hat:.6g} (r2={est.r_squared:.4g})"
     except LoopShiftError as exc:
         payload.update({"rho_hat": None, "fit_note": str(exc)})
         fitted = "no rate fit (too few usable residuals)"
+    if bad_step is not None:
+        fitted += f", diverged (non-finite from step {bad_step})"
     summary = (
         f"{spec.label} on {traj.oracle_id}: {config.iters} steps, "
         f"final residual={traj.residuals[-1]:.6g}, {fitted}"
@@ -520,21 +528,12 @@ def _slug(label: str) -> str:
 
 
 def _cmd_bode(config: RunConfig) -> int:
-    specs = [parse_method(text, config.m, config.L) for text in config.methods]
     curves = []
     infos = []
-    for spec in specs:
+    for spec in _resolve_methods(config):
         tf = build_controller(spec)
-        rows = bode_table(tf, config.f_min, config.n_freq)
-        curves.append((spec.label, rows))
-        metrics = gain_metrics(tf)
-        infos.append({
-            "method": spec.label,
-            "crossover_hz": metrics.crossover_hz,
-            "low_gain_db": metrics.low_gain_db,
-            "high_gain_db": metrics.high_gain_db,
-            "slope_at_crossover_db_per_decade": metrics.slope_at_crossover_db_per_decade,
-        })
+        curves.append((spec.label, bode_table(tf, config.f_min, config.n_freq)))
+        infos.append({"method": spec.label, **asdict(gain_metrics(tf))})
     if config.csv_out:
         if len(curves) == 1:
             _write_text(config.csv_out, bode_csv_text(curves[0][1]))
@@ -593,10 +592,7 @@ def _cmd_report(config: RunConfig) -> int:
             entry.update({"rho_star": None})
         entries.append(entry)
     alpha_star, rho_star = search_stepsize(sector, config.tol)
-    curve = certified_rate_curve(
-        sector, np.linspace(0.1 / sector.L, 1.9 / sector.L, config.alpha_steps),
-        tol=config.tol, workers=_workers(),
-    )
+    curve = certified_rate_curve(sector, _alpha_grid(config, sector), tol=config.tol)
     soundness = []
     all_sound = True
     for spec, rho in certified_entries:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class LoopShiftError(Exception):
     """Base class for every error raised by this package."""
@@ -35,3 +37,21 @@ class NoCertificateError(LoopShiftError):
 
 class InsufficientDataError(LoopShiftError, ValueError):
     """Too few usable residuals to fit a convergence rate."""
+
+
+@contextmanager
+def json_block(block, what: str):
+    """Check that ``block`` is a JSON object, and report a missing field or
+    a wrongly typed value inside the ``with`` body as
+    :class:`InvalidParameterError` rather than a bare KeyError, TypeError or
+    ValueError."""
+    if not isinstance(block, dict):
+        raise InvalidParameterError(f"{what} must be a JSON object, got {block!r}")
+    try:
+        yield
+    except LoopShiftError:
+        raise
+    except KeyError as exc:
+        raise InvalidParameterError(f"{what} is missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed {what}: {exc}") from exc

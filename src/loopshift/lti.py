@@ -32,8 +32,9 @@ from .polynomials import (
 CANCEL_TOL = 1e-8
 
 # H-infinity evaluation: fixed angle grid on [0, pi] plus golden-section
-# refinement around the grid argmax.  The systems handled here have degree
-# <= 3, so 4096 points isolate every peak basin with a wide margin.
+# refinement around the grid argmax.  A peak basin narrower than the grid
+# spacing can be missed: custom controllers of order 4 and above have
+# resonances that 4096 points skip (ROADMAP open item 1).
 HINF_GRID = 4096
 _THETA = np.linspace(0.0, math.pi, HINF_GRID)
 _ZGRID = np.exp(1j * _THETA)
@@ -212,21 +213,26 @@ def _mag_on_grid(t: RationalTF, zs: np.ndarray) -> np.ndarray:
     return np.abs(vals)
 
 
-def _golden_max(f, a: float, b: float, tol: float):
+def golden_section(f, a: float, b: float, tol: float):
+    """Minimise ``f`` on ``[a, b]`` by golden-section search down to bracket
+    width ``tol``; returns ``((a, b), (x_best, f_best))``, the final bracket
+    and the first evaluated point with the smallest value."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
+    x_best, f_best = (x1, f1) if f1 <= f2 else (x2, f2)
     while b - a > tol:
-        if f1 >= f2:
+        if f1 <= f2:
             b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
+            x = x1 = b - _INVPHI * (b - a)
+            fx = f1 = f(x1)
         else:
             a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    mid = 0.5 * (a + b)
-    return mid, f(mid)
+            x = x2 = a + _INVPHI * (b - a)
+            fx = f2 = f(x2)
+        if fx < f_best:
+            x_best, f_best = x, fx
+    return (a, b), (x_best, f_best)
 
 
 def hinf_peak(t: RationalTF) -> tuple[float, float]:
@@ -247,9 +253,11 @@ def hinf_peak(t: RationalTF) -> tuple[float, float]:
     i = int(np.argmax(mags))
     lo = _THETA[max(i - 1, 0)]
     hi = _THETA[min(i + 1, HINF_GRID - 1)]
-    theta, mag = _golden_max(
-        lambda th: abs(_eval_tf(t, cmath.exp(1j * th))), lo, hi, 1e-10 * math.pi
+    (lo, hi), _ = golden_section(
+        lambda th: -abs(_eval_tf(t, cmath.exp(1j * th))), lo, hi, 1e-10 * math.pi
     )
+    theta = 0.5 * (lo + hi)
+    mag = abs(_eval_tf(t, cmath.exp(1j * theta)))
     if mag < mags[i]:
         theta, mag = float(_THETA[i]), float(mags[i])
     return float(mag), theta / (2.0 * math.pi)

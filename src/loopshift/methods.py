@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedFactorizationError,
     UnsupportedPresetError,
+    json_block,
 )
 from .lti import RationalTF, tf_allclose, tf_mul
 from .polynomials import poly_eval
@@ -57,6 +58,8 @@ class MethodSpec:
             if self.alpha is not None or self.beta is not None:
                 raise InvalidParameterError("custom method takes no alpha/beta")
             den = self.custom_tf.den
+            if not all(map(math.isfinite, self.custom_tf.num.coeffs + den.coeffs)):
+                raise InvalidParameterError("custom controller coefficients must be finite")
             scale = max(abs(c) for c in den.coeffs)
             if abs(poly_eval(den, 1.0)) > 1e-9 * scale:
                 raise InvalidParameterError(
@@ -266,15 +269,15 @@ def method_from_json(obj: dict, m: float | None = None, L: float | None = None) 
     "num": [..]?, "den": [..]?} with num/den coefficient lists (ascending
     degree) for custom controllers.
     """
-    family = _FAMILY_NAMES.get(obj.get("family"))
-    if family is None:
-        raise InvalidParameterError(f"unknown method family {obj.get('family')!r}")
-    if "preset" in obj:
-        if m is None or L is None:
-            raise InvalidParameterError("preset method forms need m and L")
-        return preset(family, m, L, obj["preset"])
-    if family is Family.CUSTOM:
-        if "num" not in obj or "den" not in obj:
-            raise InvalidParameterError("custom method needs num and den coefficient lists")
-        return MethodSpec(Family.CUSTOM, custom_tf=RationalTF(tuple(obj["num"]), tuple(obj["den"])))
-    return MethodSpec(family, alpha=obj.get("alpha"), beta=obj.get("beta"))
+    with json_block(obj, "method_json block"):
+        family = _FAMILY_NAMES.get(obj.get("family"))
+        if family is None:
+            raise InvalidParameterError(f"unknown method family {obj.get('family')!r}")
+        if "preset" in obj:
+            if m is None or L is None:
+                raise InvalidParameterError("preset method forms need m and L")
+            return preset(family, m, L, obj["preset"])
+        if family is Family.CUSTOM:
+            tf = RationalTF(tuple(obj["num"]), tuple(obj["den"]))
+            return MethodSpec(Family.CUSTOM, custom_tf=tf)
+        return MethodSpec(family, alpha=obj.get("alpha"), beta=obj.get("beta"))

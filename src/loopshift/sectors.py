@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, json_block
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ class QuadraticOracle(GradientOracle):
 
     def __init__(self, eigenvalues, rotation: np.ndarray | None = None, xstar=None):
         eigs = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-        if eigs.ndim != 1 or eigs.size == 0 or np.any(eigs <= 0.0):
-            raise InvalidParameterError("eigenvalues must be a nonempty positive vector")
+        if eigs.ndim != 1 or eigs.size == 0 or not np.all((eigs > 0.0) & np.isfinite(eigs)):
+            raise InvalidParameterError("eigenvalues must be a nonempty positive finite vector")
         self._eigs = eigs
         if rotation is not None:
             rotation = np.asarray(rotation, dtype=float)
@@ -182,8 +182,8 @@ class PiecewiseLinearOracle(GradientOracle):
             raise InvalidParameterError("breakpoints must start at 0")
         if bp.size != sl.size:
             raise InvalidParameterError("need one slope per breakpoint")
-        if np.any(np.diff(bp) <= 0.0):
-            raise InvalidParameterError("breakpoints must be strictly increasing")
+        if not np.all(np.diff(bp) > 0.0) or not np.isfinite(bp[-1]):
+            raise InvalidParameterError("breakpoints must be finite and strictly increasing")
         if np.any(sl <= 0.0) or not np.all(np.isfinite(sl)):
             raise InvalidParameterError("slopes must be positive and finite")
         self._bp = bp
@@ -273,11 +273,6 @@ class SeparableOracle(GradientOracle):
         return "sep(" + ";".join(c.describe() for c in self._components) + ")"
 
 
-def grad(oracle: GradientOracle, x) -> np.ndarray:
-    """Exact gradient of the represented function at ``x``."""
-    return oracle.grad(x)
-
-
 def sector_check(u, v, sector: SectorClass) -> bool:
     """Membership test for the pair (u, v): (v - m u) . (L u - v) >= -tol with
     a tolerance that scales with the squared magnitudes, since an absolute
@@ -288,15 +283,6 @@ def sector_check(u, v, sector: SectorClass) -> bool:
         raise InvalidParameterError("sector check needs equal-dimension points")
     tol = 1e-9 * (1.0 + float(u @ u) + float(v @ v))
     return bool(float((v - sector.m * u) @ (sector.L * u - v)) >= -tol)
-
-
-def plant_apply(oracle: GradientOracle, u) -> np.ndarray:
-    """Gradient evaluated at ``u + xstar``; maps 0 to 0 exactly, so the plant
-    is a bounded operator."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (oracle.dim,):
-        raise InvalidParameterError(f"expected shape ({oracle.dim},), got {u.shape}")
-    return oracle.centered_grad(u)
 
 
 def shifted_plant_apply(oracle: GradientOracle, sector: SectorClass, u) -> np.ndarray:
@@ -350,16 +336,17 @@ def oracle_from_json(obj: dict) -> GradientOracle:
     "slopes": [..], "xstar": num?}, and {"kind": "separable",
     "components": [..], "xstar": [..]?}.
     """
-    kind = obj.get("kind")
-    if kind == "quadratic":
-        eigs = obj["eigenvalues"]
-        rotation = None
-        if "rotation_seed" in obj:
-            rotation = random_rotation(len(eigs), int(obj["rotation_seed"]))
-        return QuadraticOracle(eigs, rotation, obj.get("xstar"))
-    if kind == "pwl":
-        return PiecewiseLinearOracle(obj["breakpoints"], obj["slopes"], obj.get("xstar"))
-    if kind == "separable":
-        comps = [oracle_from_json(c) for c in obj["components"]]
-        return SeparableOracle(comps, obj.get("xstar"))
-    raise InvalidParameterError(f"unknown oracle kind {kind!r}")
+    with json_block(obj, "oracle_json block"):
+        kind = obj.get("kind")
+        if kind == "quadratic":
+            eigs = obj["eigenvalues"]
+            rotation = None
+            if "rotation_seed" in obj:
+                rotation = random_rotation(len(eigs), int(obj["rotation_seed"]))
+            return QuadraticOracle(eigs, rotation, obj.get("xstar"))
+        if kind == "pwl":
+            return PiecewiseLinearOracle(obj["breakpoints"], obj["slopes"], obj.get("xstar"))
+        if kind == "separable":
+            comps = [oracle_from_json(c) for c in obj["components"]]
+            return SeparableOracle(comps, obj.get("xstar"))
+        raise InvalidParameterError(f"unknown oracle kind {kind!r}")

@@ -42,6 +42,12 @@ class Trajectory:
     def iters(self) -> int:
         return len(self.residuals) - 1
 
+    @property
+    def first_nonfinite(self) -> int | None:
+        """First step whose residual overflowed to inf or nan, if any."""
+        bad = np.flatnonzero(~np.isfinite(self.residuals))
+        return int(bad[0]) if bad.size else None
+
 
 def _check_x0(x0, dim: int) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -142,19 +148,22 @@ def estimate_rate(traj: Trajectory) -> RateEstimate:
     residual[0].
 
     The window start discards the transient where that constant dominates.
-    Growth past a factor of 1e6 sets the diverged flag.
+    Growth past a factor of 1e6, or a non-finite residual, sets the diverged
+    flag; non-finite residuals are left out of the fit.
     """
     r = traj.residuals
     iters = len(r) - 1
     start = iters // 4
     ks = np.arange(start, iters + 1)
-    usable = ks[r[ks] > RESIDUAL_FLOOR]
+    finite = np.isfinite(r)
+    usable = ks[finite[ks] & (r[ks] > RESIDUAL_FLOOR)]
     if usable.size < 10:
         raise InsufficientDataError(
             f"only {usable.size} usable residuals above {RESIDUAL_FLOOR:g} "
             "in the fit window; need at least 10"
         )
-    diverged = bool(r[0] > 0.0 and float(np.max(r)) > DIVERGENCE_FACTOR * r[0])
+    diverged = bool(not finite.all() or
+                    (r[0] > 0.0 and float(np.max(r)) > DIVERGENCE_FACTOR * r[0]))
     y = np.log(r[usable])
     slope, intercept = np.polyfit(usable.astype(float), y, 1)
     fitted = intercept + slope * usable

@@ -158,9 +158,24 @@ def test_curve_rejects_nonpositive_grid():
         certified_rate_curve(SEC, [-0.1, 0.1])
 
 
-def test_curve_parallel_matches_serial():
-    alphas = np.linspace(0.05, 0.18, 8)
-    assert certified_rate_curve(SEC, alphas, workers=4) == certified_rate_curve(SEC, alphas)
+def test_curve_rows_match_bisection_in_grid_order():
+    alphas = [0.15, 0.05, 2.0 / 11.0, 0.25, 0.1]  # 0.25 lies past 2/L
+    expected = []
+    for alpha in alphas:
+        try:
+            expected.append((alpha, bisect_rate(gradient(alpha), SEC).rho_star))
+        except NoCertificateError:
+            expected.append((alpha, None))
+    assert expected[3] == (0.25, None)
+    assert certified_rate_curve(SEC, alphas) == expected
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_bisect_and_search_reject_bad_tolerance(tol):
+    with pytest.raises(InvalidParameterError):
+        bisect_rate(gradient(0.1), SEC, tol=tol)
+    with pytest.raises(InvalidParameterError):
+        search_stepsize(SEC, tol=tol)
 
 
 def test_search_stepsize_finds_sector_optimum():

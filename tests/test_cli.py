@@ -126,11 +126,16 @@ def test_simulate_writes_trajectory_csv(tmp_path, capsys):
 
 
 def test_artifacts_are_byte_identical_across_runs(tmp_path):
-    args = ["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10"]
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    main(args + ["--json", str(out1)])
-    main(args + ["--json", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
+    cases = [
+        (["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10"], "--json"),
+        (["curve", "--m", "1", "--L", "10", "--alpha-min", "0.05",
+          "--alpha-max", "0.21", "--alpha-steps", "6"], "--csv"),
+    ]
+    for args, flag in cases:
+        out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
+        main(args + [flag, str(out1)])
+        main(args + [flag, str(out2)])
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_bode_writes_svg_and_per_method_csv(tmp_path):
@@ -226,17 +231,6 @@ def test_config_file_rejects_unknown_fields(tmp_path):
     assert err.value.code == 2
 
 
-def test_thread_cap_env_var_keeps_results_deterministic(tmp_path, monkeypatch):
-    args = ["curve", "--m", "1", "--L", "10", "--alpha-min", "0.05",
-            "--alpha-max", "0.19", "--alpha-steps", "6"]
-    serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    monkeypatch.setenv("LOOPSHIFT_THREADS", "1")
-    main(args + ["--csv", str(serial)])
-    monkeypatch.setenv("LOOPSHIFT_THREADS", "4")
-    main(args + ["--csv", str(threaded)])
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_report_command(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["report", "--m", "1", "--L", "10", "--alpha-steps", "5",
@@ -249,3 +243,45 @@ def test_report_command(tmp_path, capsys):
     hb = next(p for p in data["presets"] if p["family"] == "heavyball")
     assert hb["available"] is False
     assert "report for S(1,10)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [
+    {"m": "abc"},
+    {"iters": "many"},
+    {"tol": None},
+    {"x0": 5},
+    {"m": True},
+    {"command": "nope"},
+    [1],
+    {"oracle_json": {"kind": "quadratic"}},
+    {"method_json": {"family": "custom", "num": ["a"], "den": [-1, 1]}},
+    {"method_json": [1, 2]},
+    {"method_json": {"family": "custom", "num": [float("nan")], "den": [-1, 1]}},
+    {"tol": float("nan")},
+    {"family": "custom"},
+])
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    with pytest.raises(SystemExit) as err:
+        main(["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10",
+              "--config", str(cfg)])
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("loopshift: error: ")
+
+
+def test_diverging_simulation_writes_strict_json(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    code = main(["simulate", "--method", "gradient:alpha=5", "--oracle", "quadratic:1,10",
+                 "--json", str(out)])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["diverged"] is True
+    assert data["final_residual"] is None
+    assert 0 < data["first_nonfinite_step"] <= 500
+    json.loads(capsys.readouterr().out.splitlines()[-1], parse_constant=reject)

@@ -92,6 +92,8 @@ def test_method_spec_validation():
 def test_custom_spec_needs_integrator_pole():
     with pytest.raises(InvalidParameterError):
         MethodSpec(Family.CUSTOM, custom_tf=RationalTF((1.0,), (-0.5, 1.0)))
+    with pytest.raises(InvalidParameterError):
+        MethodSpec(Family.CUSTOM, custom_tf=RationalTF((float("nan"),), (-1.0, 1.0)))
     ok = MethodSpec(Family.CUSTOM, custom_tf=RationalTF((1.0,), (-1.0, 1.0)))
     assert ok.label == "custom"
 

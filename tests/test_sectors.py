@@ -7,10 +7,8 @@ from loopshift import (
     QuadraticOracle,
     SectorClass,
     SeparableOracle,
-    grad,
     oracle_from_json,
     parse_oracle,
-    plant_apply,
     random_rotation,
     sector_check,
     sector_membership_sampled,
@@ -57,16 +55,16 @@ def test_sector_check_arithmetic():
 
 def test_quadratic_gradient():
     oracle = QuadraticOracle([1.0, 10.0])
-    assert np.allclose(grad(oracle, [1.0, 1.0]), [1.0, 10.0])
-    assert np.all(grad(oracle, oracle.xstar) == 0.0)
+    assert np.allclose(oracle.grad([1.0, 1.0]), [1.0, 10.0])
+    assert np.all(oracle.grad(oracle.xstar) == 0.0)
 
 
 def test_piecewise_linear_gradient_accumulates_slopes():
     oracle = PiecewiseLinearOracle([0.0, 1.0], [1.0, 10.0])
-    assert grad(oracle, [2.0])[0] == pytest.approx(11.0)
-    assert grad(oracle, [0.5])[0] == pytest.approx(0.5)
-    assert grad(oracle, [-2.0])[0] == pytest.approx(-11.0)
-    assert grad(oracle, [0.0])[0] == 0.0
+    assert oracle.grad([2.0])[0] == pytest.approx(11.0)
+    assert oracle.grad([0.5])[0] == pytest.approx(0.5)
+    assert oracle.grad([-2.0])[0] == pytest.approx(-11.0)
+    assert oracle.grad([0.0])[0] == 0.0
 
 
 def test_piecewise_linear_gradient_is_continuous():
@@ -83,18 +81,20 @@ def test_pwl_validation():
     with pytest.raises(InvalidParameterError):
         PiecewiseLinearOracle([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(InvalidParameterError):
+        PiecewiseLinearOracle([0.0, float("inf")], [1.0, 2.0])
+    with pytest.raises(InvalidParameterError):
         PiecewiseLinearOracle([0.0], [-1.0])
 
 
 def test_plant_apply_examples():
     oracle = QuadraticOracle([2.0], xstar=[3.0])
-    assert plant_apply(oracle, [0.0])[0] == 0.0
-    assert plant_apply(oracle, [1.0])[0] == pytest.approx(2.0)
+    assert oracle.centered_grad(np.array([0.0]))[0] == 0.0
+    assert oracle.centered_grad(np.array([1.0]))[0] == pytest.approx(2.0)
     rng = np.random.default_rng(0)
     for _ in range(20):
         u = rng.normal(size=1)
-        direct = plant_apply(oracle, u)
-        via_grad = grad(oracle, u + oracle.xstar)
+        direct = oracle.centered_grad(u)
+        via_grad = oracle.grad(u + oracle.xstar)
         assert np.allclose(direct, via_grad, atol=1e-12)
 
 
@@ -140,9 +140,9 @@ def test_translated_oracle_moves_stationary_point():
     oracle = QuadraticOracle([1.0, 4.0])
     moved = oracle.translated([1.0, -2.0])
     assert np.allclose(moved.xstar, [1.0, -2.0])
-    assert np.all(grad(moved, moved.xstar) == 0.0)
+    assert np.all(moved.grad(moved.xstar) == 0.0)
     x = np.array([0.3, 0.7])
-    assert np.allclose(grad(moved, x + moved.xstar), grad(oracle, x))
+    assert np.allclose(moved.grad(x + moved.xstar), oracle.grad(x))
 
 
 def test_separable_oracle_composition():
@@ -151,7 +151,7 @@ def test_separable_oracle_composition():
         xstar=[1.0, -1.0],
     )
     assert comp.dim == 2
-    out = grad(comp, [2.0, 0.0])
+    out = comp.grad([2.0, 0.0])
     assert out[0] == pytest.approx(2.0)   # 2 * (2 - 1)
     assert out[1] == pytest.approx(3.0)   # 3 * (0 + 1)
 
@@ -159,9 +159,9 @@ def test_separable_oracle_composition():
 def test_dimension_mismatch_errors():
     oracle = QuadraticOracle([1.0, 2.0])
     with pytest.raises(InvalidParameterError):
-        grad(oracle, [1.0])
+        oracle.grad([1.0])
     with pytest.raises(InvalidParameterError):
-        plant_apply(oracle, [1.0, 2.0, 3.0])
+        shifted_plant_apply(oracle, SectorClass(1, 2), [1.0, 2.0, 3.0])
     with pytest.raises(InvalidParameterError):
         sector_check([1.0], [1.0, 2.0], SectorClass(1, 2))
 
@@ -171,11 +171,13 @@ def test_parse_oracle_strings():
     assert q.kind == "quadratic" and q.dim == 2
     p = parse_oracle("pwl:0:1,1:10")
     assert p.kind == "pwl"
-    assert grad(p, [2.0])[0] == pytest.approx(11.0)
+    assert p.grad([2.0])[0] == pytest.approx(11.0)
     with pytest.raises(InvalidParameterError):
         parse_oracle("cubic:1,2")
     with pytest.raises(InvalidParameterError):
         parse_oracle("pwl:0:1:2")
+    with pytest.raises(InvalidParameterError):
+        parse_oracle("quadratic:1,nan")
 
 
 def test_oracle_from_json():
