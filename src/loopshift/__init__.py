@@ -40,7 +40,6 @@ from .lti import (
     constant_tf,
     freq_response,
     freq_response_many,
-    hinf_norm,
     hinf_peak,
     impulse_series,
     poles,
@@ -113,7 +112,7 @@ __all__ = [
     "LoopShiftError", "NoCertificateError", "UnstableSystemError",
     "UnsupportedFactorizationError", "UnsupportedPresetError",
     "RationalTF", "StateSpace", "constant_tf", "freq_response",
-    "freq_response_many", "hinf_norm", "hinf_peak", "impulse_series",
+    "freq_response_many", "hinf_peak", "impulse_series",
     "poles", "realize", "stability_radius", "tf_add", "tf_allclose",
     "tf_arg_scale", "tf_mul", "tf_reduce", "tf_sub", "verify_realization",
     "FactorForm", "Family", "MethodSpec", "build_controller",

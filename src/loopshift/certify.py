@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ImproperShiftError, InvalidParameterError, NoCertificateError
 from .lti import (
     RationalTF,
+    gain_reaches,
     golden_section,
     hinf_peak,
     stability_radius,
@@ -27,12 +28,11 @@ from .lti import (
     tf_reduce,
 )
 from .methods import Family, MethodSpec, build_controller
-from .polynomials import poly_scale, poly_sub
+from .polynomials import poly_scale, poly_sub, schur_stable
 from .sectors import SectorClass
 
-# Poles must clear rho by this relative margin before the scaled system is
-# treated as stable; roots computed exactly on the boundary must not certify.
-STABILITY_SLACK = 1e-9
+# The largest rate a bisection tries; certifying only closer to one is none.
+RHO_MAX = 1.0 - 1e-9
 
 # Bisection never leans on monotonicity of the certified set: a coarse scan
 # locates the first certified interval before the bracket is tightened.
@@ -61,9 +61,10 @@ def loop_shift(controller: RationalTF, sector: SectorClass) -> RationalTF:
 class RateCertificate:
     """Outcome of the small-gain rate test at a single rho.
 
-    ``certified`` means stable and peak gain strictly below the threshold
-    (L+m)/(L-m); ``margin`` is threshold minus peak gain.  A true certificate
-    is sound but not necessarily tight.
+    ``certified`` means stable and the gain nowhere reaching the threshold
+    (L+m)/(L-m); a gain that touches it (a tangency) does not certify.
+    ``margin`` is threshold minus peak gain.  A true certificate is sound but
+    not necessarily tight.
     """
 
     method: str
@@ -77,54 +78,36 @@ class RateCertificate:
     margin: float
     peak_frequency: float
 
-    def to_dict(self) -> dict:
-        def num(x: float):
-            return x if math.isfinite(x) else None
 
-        return {
-            "method": self.method,
-            "m": self.m,
-            "L": self.L,
-            "rho": self.rho,
-            "stable": self.stable,
-            "hinf": num(self.hinf),
-            "threshold": self.threshold,
-            "certified": self.certified,
-            "margin": num(self.margin),
-            "peak_frequency": num(self.peak_frequency),
-        }
+def _certifies(shifted: RationalTF, sector: SectorClass, rho: float) -> bool:
+    """The small-gain test alone, as :func:`certify_rate` decides it."""
+    scaled = tf_arg_scale(shifted, rho)
+    return schur_stable(scaled.den) and not gain_reaches(scaled, sector.threshold)
 
 
-def _certify_shifted(shifted: RationalTF, label: str, sector: SectorClass,
-                     rho: float, radius: float | None = None) -> RateCertificate:
+def certify_rate(spec: MethodSpec, sector: SectorClass, rho: float) -> RateCertificate:
+    """Run the small-gain rate test for one method, sector, and rate."""
     if not (math.isfinite(rho) and 0.0 < rho < 1.0):
         raise InvalidParameterError(f"rate rho must lie in (0, 1), got {rho}")
-    if radius is None:
-        radius = stability_radius(shifted)
-    stable = radius < rho * (1.0 - STABILITY_SLACK)
+    scaled = tf_arg_scale(loop_shift(build_controller(spec), sector), rho)
+    stable = schur_stable(scaled.den)
     if stable:
-        hinf, peak_f = hinf_peak(tf_arg_scale(shifted, rho))
+        hinf, peak_f = hinf_peak(scaled)
     else:
         hinf, peak_f = math.inf, math.nan
     threshold = sector.threshold
     return RateCertificate(
-        method=label,
+        method=spec.label,
         m=sector.m,
         L=sector.L,
         rho=rho,
         stable=stable,
         hinf=hinf,
         threshold=threshold,
-        certified=stable and hinf < threshold,
+        certified=stable and not gain_reaches(scaled, threshold),
         margin=threshold - hinf,
         peak_frequency=peak_f,
     )
-
-
-def certify_rate(spec: MethodSpec, sector: SectorClass, rho: float) -> RateCertificate:
-    """Run the small-gain rate test for one method, sector, and rate."""
-    shifted = loop_shift(build_controller(spec), sector)
-    return _certify_shifted(shifted, spec.label, sector, rho)
 
 
 @dataclass(frozen=True)
@@ -135,61 +118,51 @@ class RateSearchResult:
     bracket_history: tuple[tuple[float, float], ...]
 
 
-def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> RateSearchResult:
-    """Smallest certifiable rate, to bracket width ``tol``.
-
-    The lower bracket starts at the shifted controller's stability radius
-    (below it the scaled system is unstable, so no certificate is possible).
-    Raises :class:`NoCertificateError` when not even rates arbitrarily close
-    to one certify; batch callers should treat that as a definite negative
-    result, not a failure.
-    """
-    shifted = loop_shift(build_controller(spec), sector)
-    return _bisect_shifted(shifted, spec.label, sector, tol)
-
-
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _bisect_shifted(shifted: RationalTF, label: str, sector: SectorClass,
-                    tol: float) -> RateSearchResult:
+def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> RateSearchResult:
+    """Smallest certifiable rate, to bracket width ``tol``.
+
+    The lower bracket starts at the shifted controller's stability radius
+    (below it the scaled system is unstable, so no certificate is possible).
+    Scan and bisection steps run the test alone; the certificate is built
+    once, at the final rate.  Raises :class:`NoCertificateError` when not
+    even RHO_MAX certifies; batch callers should treat that as a definite
+    negative result, not a failure.
+    """
     _check_tol(tol)
-    radius = stability_radius(shifted)
-    evaluations = 0
-    hi = 1.0 - STABILITY_SLACK
-    cert_hi = _certify_shifted(shifted, label, sector, hi, radius)
-    evaluations += 1
-    if not cert_hi.certified:
+    shifted = loop_shift(build_controller(spec), sector)
+    hi = RHO_MAX
+    evaluations = 1
+    if not _certifies(shifted, sector, hi):
         raise NoCertificateError(
-            f"{label} admits no certified rate below one on "
+            f"{spec.label} admits no certified rate below one on "
             f"S({sector.m:g}, {sector.L:g})"
         )
-    lo = max(0.0, radius)
+    lo = min(stability_radius(shifted), hi)
     history = [(lo, hi)]
     step = (hi - lo) / SCAN_POINTS
     for k in range(1, SCAN_POINTS):
         rho = lo + k * step
-        cert = _certify_shifted(shifted, label, sector, rho, radius)
         evaluations += 1
-        if cert.certified:
-            lo = lo + (k - 1) * step
-            hi, cert_hi = rho, cert
+        if _certifies(shifted, sector, rho):
+            lo, hi = lo + (k - 1) * step, rho
             break
     else:
         lo = hi - step
     history.append((lo, hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        cert = _certify_shifted(shifted, label, sector, mid, radius)
         evaluations += 1
-        if cert.certified:
-            hi, cert_hi = mid, cert
+        if _certifies(shifted, sector, mid):
+            hi = mid
         else:
             lo = mid
         history.append((lo, hi))
-    return RateSearchResult(hi, cert_hi, evaluations, tuple(history))
+    return RateSearchResult(hi, certify_rate(spec, sector, hi), evaluations, tuple(history))
 
 
 def certified_rate_curve(sector: SectorClass, alpha_grid, family: Family = Family.GRADIENT,

@@ -35,6 +35,7 @@ from .errors import (
     LoopShiftError,
     NoCertificateError,
     UnsupportedPresetError,
+    json_number,
 )
 from .methods import Family, build_controller, method_from_json, parse_method, preset
 from .sectors import (
@@ -109,15 +110,12 @@ def _typed(name: str, hint, value):
         if value is None:
             return None
         (hint,) = (a for a in args if a is not type(None))
+    if hint is float:
+        return json_number(value, name)
     if typing.get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)):
             return tuple(_typed(name, typing.get_args(hint)[0], v) for v in value)
         expected = "a list"
-    elif hint is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and math.isfinite(value):
-            return float(value)
-        expected = "a finite number"
     else:
         if isinstance(value, hint) and not (hint is int and isinstance(value, bool)):
             return value
@@ -388,7 +386,7 @@ def _cmd_certify(config: RunConfig) -> int:
         f"{verdict} (stable={cert.stable}, hinf={hinf}, "
         f"threshold={cert.threshold:.6g})"
     )
-    _emit(config, cert.to_dict(), summary)
+    _emit(config, asdict(cert), summary)
     return 0
 
 
@@ -408,7 +406,7 @@ def _cmd_rate(config: RunConfig) -> int:
         "L": config.L,
         "rho_star": result.rho_star,
         "iterations": result.iterations,
-        "certificate": result.certificate.to_dict(),
+        "certificate": asdict(result.certificate),
         "bracket_history": [list(b) for b in result.bracket_history],
     }
     summary = (
@@ -519,7 +517,7 @@ def _cmd_robustness(config: RunConfig) -> int:
         f"median steady-state residual alpha=1/L -> {report.median_standard:.6g}, "
         f"alpha=2/(L+m) -> {report.median_optimal_sector:.6g}"
     )
-    _emit(config, report.to_dict(), summary)
+    _emit(config, asdict(report), summary)
     return 0
 
 
@@ -586,7 +584,7 @@ def _cmd_report(config: RunConfig) -> int:
         try:
             result = bisect_rate(spec, sector, config.tol)
             entry.update({"rho_star": result.rho_star,
-                          "certificate": result.certificate.to_dict()})
+                          "certificate": asdict(result.certificate)})
             certified_entries.append((spec, result.rho_star))
         except NoCertificateError:
             entry.update({"rho_star": None})

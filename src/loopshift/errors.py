@@ -1,5 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON input checks."""
 
+import math
 from contextlib import contextmanager
 
 
@@ -55,3 +56,21 @@ def json_block(block, what: str):
         raise InvalidParameterError(f"{what} is missing field {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed {what}: {exc}") from exc
+
+
+def json_number(value, name: str, kind: type = float):
+    """``value`` as ``kind`` (float or int) if it is a JSON number of that
+    kind; bools, strings and non-finite floats raise InvalidParameterError."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed) or \
+            (isinstance(value, float) and not math.isfinite(value)):
+        expected = "an integer" if kind is int else "a finite number"
+        raise InvalidParameterError(f"{name} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def json_numbers(value, name: str) -> list[float]:
+    """A JSON list of numbers, each checked by :func:`json_number`."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidParameterError(f"{name} must be a list of numbers, got {value!r}")
+    return [json_number(v, name) for v in value]

@@ -1,6 +1,6 @@
 """Discrete-time SISO LTI systems: rational transfer-function algebra,
-state-space realization, stability radius, frequency response, and the
-H-infinity norm.
+state-space realization, stability radius, frequency response, and gains on
+the unit circle (a level-crossing test and the H-infinity norm, no grid).
 
 Transfer functions keep a monic denominator so coefficient-level equality is
 well defined.  Common num/den roots are never cancelled implicitly; use
@@ -26,18 +26,16 @@ from .polynomials import (
     poly_roots,
     poly_scale,
     poly_sub,
+    schur_stable,
 )
 
 # Root pairs closer than this cancel in tf_reduce.
 CANCEL_TOL = 1e-8
 
-# H-infinity evaluation: fixed angle grid on [0, pi] plus golden-section
-# refinement around the grid argmax.  A peak basin narrower than the grid
-# spacing can be missed: custom controllers of order 4 and above have
-# resonances that 4096 points skip (ROADMAP open item 1).
-HINF_GRID = 4096
-_THETA = np.linspace(0.0, math.pi, HINF_GRID)
-_ZGRID = np.exp(1j * _THETA)
+# A gain this close below a level (a few ulps) counts as reaching it, so a
+# gain that only touches the level (a tangency) never passes for below it.
+LEVEL_RTOL = 8.0 * np.finfo(float).eps
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -71,20 +69,6 @@ class RationalTF:
     @property
     def order(self) -> int:
         return self.den.degree
-
-    def __str__(self) -> str:
-        return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
-
-
-def _poly_str(p: Polynomial) -> str:
-    terms = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0.0 and p.degree > 0:
-            continue
-        var = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
-        terms.append(f"{c:g}{var}" if not var or c != 1.0 else var)
-    return " + ".join(terms) if terms else "0"
 
 
 def constant_tf(c: float) -> RationalTF:
@@ -169,19 +153,13 @@ def poles(t: RationalTF) -> list[complex]:
 def stability_radius(t: RationalTF) -> float:
     """Largest pole modulus after reduction; 0 for constants.
 
-    ``t(rho*z)`` is Schur stable exactly when this radius is below ``rho``.
+    ``t(rho*z)`` is Schur stable exactly when this radius is below ``rho``,
+    but roots carry rounding: stability is decided by ``schur_stable``.
     """
     pole_list = poles(t)
     if not pole_list:
         return 0.0
     return max(abs(r) for r in pole_list)
-
-
-def _eval_tf(t: RationalTF, z: complex) -> complex:
-    den = poly_eval(t.den, z)
-    if den == 0:
-        return complex(math.inf, 0.0)
-    return poly_eval(t.num, z) / den
 
 
 def freq_response(t: RationalTF, f: float) -> complex:
@@ -192,7 +170,10 @@ def freq_response(t: RationalTF, f: float) -> complex:
         raise InvalidParameterError(f"frequency must lie in (0, 0.5], got {f}")
     # exp(i*pi) carries rounding in its imaginary part; Nyquist is z = -1 exactly
     z = complex(-1.0, 0.0) if f == 0.5 else cmath.exp(2j * math.pi * f)
-    return _eval_tf(t, z)
+    den = poly_eval(t.den, z)
+    if den == 0:
+        return complex(math.inf, 0.0)
+    return poly_eval(t.num, z) / den
 
 
 def freq_response_many(t: RationalTF, fs) -> np.ndarray:
@@ -205,12 +186,6 @@ def freq_response_many(t: RationalTF, fs) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.polyval(t.num.coeffs[::-1], zs) / np.polyval(t.den.coeffs[::-1], zs)
     return out
-
-
-def _mag_on_grid(t: RationalTF, zs: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.polyval(t.num.coeffs[::-1], zs) / np.polyval(t.den.coeffs[::-1], zs)
-    return np.abs(vals)
 
 
 def golden_section(f, a: float, b: float, tol: float):
@@ -235,37 +210,88 @@ def golden_section(f, a: float, b: float, tol: float):
     return (a, b), (x_best, f_best)
 
 
-def hinf_peak(t: RationalTF) -> tuple[float, float]:
-    """Peak gain over the unit circle and the frequency (in cycles/iteration)
-    where it is attained.
+def _gain_series(p: Polynomial, size: int) -> list[float]:
+    """Chebyshev coefficients in x = cos(theta) of |p(e^{j theta})|^2, from
+    the autocorrelation r_k: r_0 + 2 sum_k r_k cos(k theta), padded to size."""
+    c = p.coeffs
+    r = [sum(a * b for a, b in zip(c, c[k:])) for k in range(size)]
+    return [r[0]] + [2.0 * rk for rk in r[1:]]
 
-    Real coefficients make the magnitude symmetric about theta = pi, so the
-    supremum is taken over theta in [0, pi]: a 4096-point grid locates the
-    peak basin and golden-section refinement tightens it to a relative theta
-    tolerance of 1e-10.  Raises for systems that are not stable, where the
-    induced-gain reading of this norm breaks down.
+
+def _chebyshev_roots(c: list[float]) -> list[complex]:
+    """Complex roots of sum_k c_k T_k(x), after dropping trailing
+    coefficients within LEVEL_RTOL of the largest: on [-1, 1] they are below
+    rounding, and a tiny leading one would swamp the colleague matrix."""
+    cut = LEVEL_RTOL * max(map(abs, c))
+    n = max((k for k, ck in enumerate(c) if abs(ck) > cut), default=0)
+    if n == 0:
+        return []
+    if n <= 2:
+        # T_1 = x, T_2 = 2x^2 - 1
+        power = (c[0], c[1]) if n == 1 else (c[0] - c[2], c[1], 2.0 * c[2])
+        return poly_roots(Polynomial(power))
+    # numpy's chebroots layout, coefficients down the first column: with it
+    # balancing keeps close roots apart, the transpose merged such a pair
+    colleague = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    colleague[-2, -1] = 1.0
+    colleague[:, 0] -= np.array(c[n - 1::-1]) / (2.0 * c[n])
+    return np.linalg.eigvals(colleague).tolist()
+
+
+def _level_crossings(t: RationalTF, level: float) -> tuple[float, float]:
+    """Largest gain of ``t``, and its angle in [0, pi], at the points that
+    decide whether the gain reaches ``level``.
+
+    Between consecutive real roots of the Chebyshev series of
+    |num|^2 - level^2 |den|^2 the gain stays on one side of the level, so it
+    reaches the level exactly when it does at x = +-1, a real root or a
+    midpoint between such points.  Real parts of complex roots join them (a
+    touching double root comes back as a close complex pair).  Gains are
+    resolved to about eps * cond^2 relative, cond = sum|den_k| / |den(x)|.
     """
-    if stability_radius(t) >= 1.0:
+    size = t.order + 1
+    # at an infinite level the series is -|den|^2, whose roots lie near
+    # x = cos(angle) of the poles closest to the circle, where peaks are
+    num_w, den_w = (0.0, 1.0) if math.isinf(level) else (1.0, level * level)
+    series = [num_w * a - den_w * b
+              for a, b in zip(_gain_series(t.num, size), _gain_series(t.den, size))]
+    xs = sorted([-1.0, 1.0] + [min(1.0, max(-1.0, r.real)) for r in _chebyshev_roots(series)])
+    best, best_x = -1.0, 1.0
+    for x in xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]:
+        z = complex(x, math.sqrt((1.0 - x) * (1.0 + x)))
+        den = abs(poly_eval(t.den, z))
+        # a pole within rounding of the circle gives an infinite gain: it reaches
+        gain = abs(poly_eval(t.num, z)) / den if den else math.inf
+        if gain > best:
+            best, best_x = gain, x
+    return best, math.acos(best_x)
+
+
+def gain_reaches(t: RationalTF, level: float) -> bool:
+    """Whether the gain of Schur-stable ``t`` reaches ``level`` anywhere on
+    the unit circle; a tangency (within LEVEL_RTOL below) reaches."""
+    return _level_crossings(t, level)[0] >= level * (1.0 - LEVEL_RTOL)
+
+
+def hinf_peak(t: RationalTF) -> tuple[float, float]:
+    """Peak gain over the unit circle and the frequency (cycles/iteration,
+    in [0, 0.5] by symmetry) where it is attained.
+
+    From the gains by the poles (the points deciding an infinite level), the
+    level rises to the largest gain at the points deciding it until none
+    exceeds it by LEVEL_RTOL; arc midpoints make the climb quadratic near the
+    peak (Bruinsma-Steinbuch).  Raises for systems not Schur stable.
+    """
+    if not schur_stable(t.den):
         raise UnstableSystemError(
             "H-infinity norm requested for a system with a pole of modulus >= 1"
         )
-    mags = _mag_on_grid(t, _ZGRID)
-    i = int(np.argmax(mags))
-    lo = _THETA[max(i - 1, 0)]
-    hi = _THETA[min(i + 1, HINF_GRID - 1)]
-    (lo, hi), _ = golden_section(
-        lambda th: -abs(_eval_tf(t, cmath.exp(1j * th))), lo, hi, 1e-10 * math.pi
-    )
-    theta = 0.5 * (lo + hi)
-    mag = abs(_eval_tf(t, cmath.exp(1j * theta)))
-    if mag < mags[i]:
-        theta, mag = float(_THETA[i]), float(mags[i])
-    return float(mag), theta / (2.0 * math.pi)
-
-
-def hinf_norm(t: RationalTF) -> float:
-    """Supremum of |t| over the unit circle (the induced gain when stable)."""
-    return hinf_peak(t)[0]
+    level, theta = _level_crossings(t, math.inf)
+    while True:
+        gain, at = _level_crossings(t, level)
+        if gain <= level * (1.0 + LEVEL_RTOL):
+            return level, theta / (2.0 * math.pi)
+        level, theta = gain, at
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,8 @@ from .errors import (
     UnsupportedFactorizationError,
     UnsupportedPresetError,
     json_block,
+    json_number,
+    json_numbers,
 )
 from .lti import RationalTF, tf_allclose, tf_mul
 from .polynomials import poly_eval
@@ -31,9 +33,6 @@ class Family(str, Enum):
     NESTEROV = "nesterov"
     PID = "pid"
     CUSTOM = "custom"
-
-
-_MOMENTUM = (Family.HEAVY_BALL, Family.NESTEROV, Family.PID)
 
 
 def _fmt(x: float) -> str:
@@ -278,6 +277,7 @@ def method_from_json(obj: dict, m: float | None = None, L: float | None = None) 
                 raise InvalidParameterError("preset method forms need m and L")
             return preset(family, m, L, obj["preset"])
         if family is Family.CUSTOM:
-            tf = RationalTF(tuple(obj["num"]), tuple(obj["den"]))
+            tf = RationalTF(json_numbers(obj["num"], "num"), json_numbers(obj["den"], "den"))
             return MethodSpec(Family.CUSTOM, custom_tf=tf)
-        return MethodSpec(family, alpha=obj.get("alpha"), beta=obj.get("beta"))
+        params = {key: json_number(obj[key], key) for key in ("alpha", "beta") if key in obj}
+        return MethodSpec(family, **params)

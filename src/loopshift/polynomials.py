@@ -1,5 +1,5 @@
 """Real-coefficient univariate polynomials: arithmetic, complex evaluation,
-and root finding.
+root finding, and the Schur stability test.
 
 Coefficients are stored in ascending degree order, so ``coeffs[i]`` multiplies
 ``z**i``.  The zero polynomial is represented by the single coefficient 0.
@@ -14,24 +14,19 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# Trailing (high-order) coefficients below this fraction of the largest
-# coefficient magnitude are trimmed: exact cancellations in transfer-function
-# algebra come back perturbed by rounding, so the trim must be relative.
-TRIM_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Immutable real polynomial, trimmed so the stored leading coefficient
-    is nonzero (the zero polynomial keeps a single 0.0)."""
+    """Immutable real polynomial with trailing exact zeros trimmed (the zero
+    polynomial keeps a single 0.0).  Tiny leading coefficients stay: the
+    degree changes only through an explicit cancellation such as tf_reduce."""
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         raw = tuple(float(c) for c in self.coeffs) or (0.0,)
-        scale = max(abs(c) for c in raw)
         cut = len(raw)
-        while cut > 1 and abs(raw[cut - 1]) <= TRIM_RTOL * scale:
+        while cut > 1 and raw[cut - 1] == 0.0:
             cut -= 1
         object.__setattr__(self, "coeffs", raw[:cut])
 
@@ -42,10 +37,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
-
-
-ZERO = Polynomial((0.0,))
-ONE = Polynomial((1.0,))
 
 
 def poly_eval(p: Polynomial, z: complex) -> complex:
@@ -90,12 +81,6 @@ def poly_arg_scale(p: Polynomial, rho: float) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-def _derivative(p: Polynomial) -> Polynomial:
-    if p.degree == 0:
-        return ZERO
-    return Polynomial(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
-
-
 def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
     # Stable form: avoid cancellation between -b and the discriminant root.
     disc = b * b - 4.0 * a * c
@@ -115,8 +100,8 @@ def poly_roots(p: Polynomial) -> list[complex]:
     """All complex roots of ``p`` with multiplicity.
 
     Degrees 1 and 2 are solved in closed form; higher degrees go through the
-    companion-matrix eigenvalues followed by one Newton polish per root, which
-    is needed when pole moduli are compared against tight rate brackets.
+    companion-matrix eigenvalues, in the layout of ``np.roots`` (coefficients
+    in the first row), with which balancing keeps close roots apart.
     """
     if p.is_zero:
         raise InvalidParameterError("the zero polynomial has no root set")
@@ -127,19 +112,30 @@ def poly_roots(p: Polynomial) -> list[complex]:
         return [complex(-c[0] / c[1])]
     if p.degree == 2:
         return _quadratic_roots(c[2], c[1], c[0])
-    monic = np.asarray(c, dtype=float) / c[-1]
-    n = p.degree
-    comp = np.zeros((n, n))
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    dp = _derivative(p)
-    polished = []
-    for r in np.linalg.eigvals(comp):
-        d = poly_eval(dp, r)
-        if d != 0:
-            r = r - poly_eval(p, r) / d
-        polished.append(complex(r))
-    return polished
+    comp = np.eye(p.degree, k=-1)
+    comp[0] = -np.asarray(c[-2::-1]) / c[-1]
+    return np.linalg.eigvals(comp).tolist()
+
+
+def schur_stable(p: Polynomial) -> bool:
+    """True when every root of nonzero ``p`` lies strictly inside the unit
+    circle, decided exactly for the stored coefficients: each Schur-Cohn step
+    needs |p(0)| < |lead| and passes to (lead p(z) - p(0) z^n p(1/z)) / z,
+    which by Rouche keeps the roots on or outside the circle.  Floats are
+    dyadic rationals, so the steps run on integers, each row divided by its
+    gcd (in floats, double roots 1e-5 from the circle were misjudged)."""
+    if not all(map(math.isfinite, p.coeffs)):
+        return False
+    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    scale = max(den for _, den in ratios)
+    c = [num * (scale // den) for num, den in ratios]
+    while len(c) > 1:
+        if not abs(c[0]) < abs(c[-1]):
+            return False
+        c = [c[-1] * a - c[0] * b for a, b in zip(c[1:], reversed(c[:-1]))]
+        g = math.gcd(*c)
+        c = [x // g for x in c]
+    return True
 
 
 def poly_from_roots(roots, leading: float = 1.0) -> Polynomial:

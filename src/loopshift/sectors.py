@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, json_block
+from .errors import InvalidParameterError, json_block, json_number, json_numbers
 
 
 @dataclass(frozen=True)
@@ -339,13 +339,15 @@ def oracle_from_json(obj: dict) -> GradientOracle:
     with json_block(obj, "oracle_json block"):
         kind = obj.get("kind")
         if kind == "quadratic":
-            eigs = obj["eigenvalues"]
+            eigs = json_numbers(obj["eigenvalues"], "eigenvalues")
             rotation = None
             if "rotation_seed" in obj:
-                rotation = random_rotation(len(eigs), int(obj["rotation_seed"]))
+                seed = json_number(obj["rotation_seed"], "rotation_seed", int)
+                rotation = random_rotation(len(eigs), seed)
             return QuadraticOracle(eigs, rotation, obj.get("xstar"))
         if kind == "pwl":
-            return PiecewiseLinearOracle(obj["breakpoints"], obj["slopes"], obj.get("xstar"))
+            return PiecewiseLinearOracle(json_numbers(obj["breakpoints"], "breakpoints"),
+                                         json_numbers(obj["slopes"], "slopes"), obj.get("xstar"))
         if kind == "separable":
             comps = [oracle_from_json(c) for c in obj["components"]]
             return SeparableOracle(comps, obj.get("xstar"))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from loopshift import (
     tf_allclose,
     tf_arg_scale,
 )
+from loopshift.cli import _json_safe
 
 SEC = SectorClass(1.0, 10.0)
 
@@ -97,13 +100,13 @@ def test_certify_validates_rho():
 
 def test_certificate_serialization_fields():
     cert = certify_rate(gradient(0.1), SEC, 0.95)
-    data = cert.to_dict()
+    data = _json_safe(asdict(cert))
     assert list(data) == [
         "method", "m", "L", "rho", "stable", "hinf", "threshold",
         "certified", "margin", "peak_frequency",
     ]
     unstable = certify_rate(gradient(0.1), SEC, 0.2)
-    d2 = unstable.to_dict()
+    d2 = _json_safe(asdict(unstable))
     assert not d2["stable"] and d2["hinf"] is None and d2["margin"] is None
     assert d2["peak_frequency"] is None
 
@@ -124,6 +127,39 @@ def test_bisect_recovers_standard_stepsize_rate():
 def test_bisect_rejects_oversized_step():
     with pytest.raises(NoCertificateError):
         bisect_rate(gradient(3.0 / 10.0), SEC)
+
+
+@pytest.mark.parametrize("spec", [
+    gradient(2e11),
+    MethodSpec(Family.HEAVY_BALL, alpha=1e12, beta=0.5),
+    MethodSpec(Family.NESTEROV, alpha=1e12, beta=0.5),
+])
+def test_huge_stepsizes_have_no_certificate(spec):
+    # the z term of the shifted denominator is tiny next to the others; it
+    # must survive, or K' collapses to a constant and every rate certifies
+    with pytest.raises(NoCertificateError):
+        bisect_rate(spec, SEC)
+
+
+def test_narrow_resonance_is_not_certified():
+    # order 4: the peak is narrower than the spacing of a 4096-point grid
+    spec = MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
+        (0.16037083383833653, -0.21533252642457526, 0.13773884700201308,
+         0.018181818181818184),
+        (0.8820395861108509, -1.1843288953351638, -0.22251673958693807,
+         1.5248060488112511, -1.0),
+    ))
+    cert = certify_rate(spec, SEC, 0.99)
+    assert cert.stable and not cert.certified
+    assert cert.hinf == pytest.approx(4.966, abs=5e-3)
+
+
+def test_tangency_is_not_certified():
+    # gradient(0.19) has rate exactly 0.9 on S(1, 10): at rho = 0.9 the peak
+    # gain equals the threshold, which is not below it
+    cert = certify_rate(gradient(0.19), SEC, 0.9)
+    assert cert.hinf == pytest.approx(cert.threshold, rel=1e-14)
+    assert not cert.certified
 
 
 def test_bisect_local_tightness():

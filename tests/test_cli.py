@@ -259,6 +259,16 @@ def test_report_command(tmp_path, capsys):
     {"method_json": {"family": "custom", "num": [float("nan")], "den": [-1, 1]}},
     {"tol": float("nan")},
     {"family": "custom"},
+    {"method_json": {"family": "gradient", "alpha": True}},
+    {"method_json": {"family": "heavyball", "alpha": 0.1, "beta": "0.5"}},
+    {"method_json": {"family": "custom", "num": [True], "den": [-1, 1]}},
+    {"method_json": {"family": "custom", "num": [-0.1], "den": ["-1", 1]}},
+    {"method_json": {"family": "custom", "num": "0.1", "den": [-1, 1]}},
+    {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, "10"]}},
+    {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_seed": True}},
+    {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_seed": "3"}},
+    {"oracle_json": {"kind": "pwl", "breakpoints": [0, True], "slopes": [1, 10]}},
+    {"oracle_json": {"kind": "pwl", "breakpoints": [0, 1], "slopes": [1, "10"]}},
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopshift import (
     InvalidParameterError,
@@ -12,7 +14,6 @@ from loopshift import (
     constant_tf,
     freq_response,
     freq_response_many,
-    hinf_norm,
     hinf_peak,
     impulse_series,
     poles,
@@ -27,6 +28,7 @@ from loopshift import (
     tf_sub,
     verify_realization,
 )
+from loopshift.lti import gain_reaches
 
 
 def integrator(alpha):
@@ -161,11 +163,11 @@ def test_freq_response_many_matches_scalar():
 def test_hinf_of_scaled_delay_is_inverse_rho():
     t = RationalTF((1.0,), (0.0, 1.0))
     for rho in (0.5, 0.8, 0.99):
-        assert hinf_norm(tf_arg_scale(t, rho)) * rho == pytest.approx(1.0, abs=1e-9)
+        assert hinf_peak(tf_arg_scale(t, rho))[0] * rho == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hinf_of_constant():
-    assert hinf_norm(constant_tf(-2.5)) == pytest.approx(2.5, abs=1e-12)
+    assert hinf_peak(constant_tf(-2.5))[0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_hinf_peak_first_order_closed_form():
@@ -178,7 +180,7 @@ def test_hinf_peak_first_order_closed_form():
 
 def test_hinf_rejects_unstable():
     with pytest.raises(UnstableSystemError):
-        hinf_norm(integrator(0.1))  # pole at z = 1
+        hinf_peak(integrator(0.1))  # pole at z = 1
 
 
 def test_hinf_dominates_random_samples():
@@ -187,11 +189,50 @@ def test_hinf_dominates_random_samples():
     zs = np.exp(1j * thetas)
     for _ in range(5):
         t = _random_stable_tf(rng)
-        norm = hinf_norm(t)
+        norm = hinf_peak(t)[0]
         mags = np.abs(
             np.polyval(t.num.coeffs[::-1], zs) / np.polyval(t.den.coeffs[::-1], zs)
         )
         assert norm >= np.max(mags) - 1e-9 * max(1.0, norm)
+
+
+_DENSE = np.exp(1j * np.linspace(0.0, math.pi, 2**16 + 1))
+
+# order 1..6: (modulus, angle) per conjugate pole pair, one real pole for an
+# odd order, and numerator coefficients up to the order (multiples of 1e-3,
+# so squared gains stay clear of underflow)
+stable_systems = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.99),
+                       st.floats(min_value=0.0, max_value=math.pi)),
+             min_size=n // 2, max_size=n // 2),
+    st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=n % 2, max_size=n % 2),
+    st.lists(st.integers(min_value=-2000, max_value=2000).map(lambda k: k / 1000.0),
+             min_size=1, max_size=n + 1),
+))
+
+
+@settings(deadline=None)
+@given(stable_systems)
+def test_hinf_peak_against_dense_grid(system):
+    pairs, real_poles, num = system
+    pole_list = list(real_poles)
+    for r, angle in pairs:
+        pole_list += [cmath.rect(r, angle), cmath.rect(r, -angle)]
+    t = RationalTF(Polynomial(tuple(num)), poly_from_roots(pole_list))
+    peak, f = hinf_peak(t)
+    den = np.polyval(t.den.coeffs[::-1], _DENSE)
+    grid = np.abs(np.polyval(t.num.coeffs[::-1], _DENSE) / den)
+    # the level test resolves gains to about eps * cond^2 (see lti)
+    cond = sum(abs(c) for c in t.den.coeffs) / np.min(np.abs(den))
+    tol = 1e-12 + 4.0 * np.finfo(float).eps * cond**2
+    # no grid point above the peak, and the peak attained where reported
+    assert np.max(grid) <= peak * (1.0 + tol)
+    z = cmath.exp(2j * math.pi * f)
+    attained = abs(np.polyval(t.num.coeffs[::-1], z) / np.polyval(t.den.coeffs[::-1], z))
+    assert attained == pytest.approx(peak, rel=tol)
+    if peak > 0.0:
+        assert gain_reaches(t, peak * (1.0 - 10.0 * tol))
+        assert not gain_reaches(t, peak * (1.0 + 10.0 * tol))
 
 
 def test_realize_gradient_impulse():

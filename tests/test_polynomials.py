@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopshift import (
@@ -16,6 +16,7 @@ from loopshift import (
     poly_roots,
     poly_scale,
 )
+from loopshift.polynomials import schur_stable
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 polys = st.lists(coeff, min_size=1, max_size=6).map(lambda c: Polynomial(tuple(c)))
@@ -49,9 +50,11 @@ def test_scale_by_zero_gives_zero_polynomial():
     assert out.is_zero and out.coeffs == (0.0,)
 
 
-def test_normalization_trims_trailing_noise():
+def test_normalization_trims_exact_zeros_only():
+    # a tiny leading coefficient is kept, so the degree never changes silently
     p = Polynomial((2.0, 1.0, 1e-15))
-    assert p.coeffs == (2.0, 1.0)
+    assert p.coeffs == (2.0, 1.0, 1e-15)
+    assert Polynomial((2.0, 1.0, 0.0, -0.0)).coeffs == (2.0, 1.0)
     assert Polynomial((0.0, 0.0, 0.0)).coeffs == (0.0,)
 
 
@@ -146,3 +149,36 @@ def test_arg_scale_matches_substitution(p, rho, theta):
     lhs = poly_eval(poly_arg_scale(p, rho), z)
     rhs = poly_eval(p, rho * z)
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs) + abs(rhs))
+
+
+# root sets closed under conjugation: (modulus, angle) pairs, angle 0 or pi
+# giving one real root and anything else a conjugate pair
+root_sets = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=1.5),
+              st.sampled_from([0.0, math.pi]) | st.floats(min_value=0.1, max_value=3.0)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(deadline=None)
+@given(root_sets, st.floats(min_value=0.1, max_value=3.0))
+def test_schur_stable_matches_root_moduli(pairs, leading):
+    roots = []
+    for r, angle in pairs:
+        z = r * complex(math.cos(angle), math.sin(angle))
+        roots += [z.real] if angle in (0.0, math.pi) else [z, z.conjugate()]
+    p = poly_from_roots(roots, leading)
+    # np.roots moves an m-fold root by about eps^(1/m): 1e-4 for m = 4
+    moduli = np.abs(np.roots(p.coeffs[::-1]))
+    assume(np.all(np.abs(moduli - 1.0) > 1e-3))
+    assert schur_stable(p) == bool(np.all(moduli < 1.0))
+
+
+@pytest.mark.parametrize("factor, stable", [(1.0 + 1e-3, True), (1.0 - 1e-3, False)])
+def test_schur_stable_triple_root_near_circle(factor, stable):
+    # the triple root at 0.9 moves to 1 / factor; computed roots are off by
+    # several 1e-6, the recursion decides without them
+    p = poly_arg_scale(poly_from_roots([0.9, 0.9, 0.9]), 0.9 * factor)
+    assert schur_stable(p) is stable
+    assert bool(np.all(np.abs(np.roots(p.coeffs[::-1])) < 1.0)) is stable
+    assert schur_stable(Polynomial((3.0,)))
