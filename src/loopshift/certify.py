@@ -23,12 +23,11 @@ from .lti import (
     gain_reaches,
     golden_section,
     hinf_peak,
-    stability_radius,
     tf_arg_scale,
     tf_reduce,
 )
 from .methods import Family, MethodSpec, build_controller
-from .polynomials import poly_scale, poly_sub, schur_stable
+from .polynomials import poly_roots, poly_scale, poly_sub, schur_stable
 from .sectors import SectorClass
 
 # The largest rate a bisection tries; certifying only closer to one is none.
@@ -89,7 +88,13 @@ def certify_rate(spec: MethodSpec, sector: SectorClass, rho: float) -> RateCerti
     """Run the small-gain rate test for one method, sector, and rate."""
     if not (math.isfinite(rho) and 0.0 < rho < 1.0):
         raise InvalidParameterError(f"rate rho must lie in (0, 1), got {rho}")
-    scaled = tf_arg_scale(loop_shift(build_controller(spec), sector), rho)
+    return _certificate(spec, loop_shift(build_controller(spec), sector), sector, rho)
+
+
+def _certificate(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
+                 rho: float) -> RateCertificate:
+    """:func:`certify_rate` on the method's already shifted controller."""
+    scaled = tf_arg_scale(shifted, rho)
     stable = schur_stable(scaled.den)
     if stable:
         hinf, peak_f = hinf_peak(scaled)
@@ -142,7 +147,10 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
             f"{spec.label} admits no certified rate below one on "
             f"S({sector.m:g}, {sector.L:g})"
         )
-    lo = min(stability_radius(shifted), hi)
+    # loop_shift already reduced the controller: its denominator roots are the
+    # poles, and the largest modulus is the stability radius
+    radius = max(map(abs, poly_roots(shifted.den))) if shifted.den.degree else 0.0
+    lo = min(radius, hi)
     history = [(lo, hi)]
     step = (hi - lo) / SCAN_POINTS
     for k in range(1, SCAN_POINTS):
@@ -162,7 +170,8 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
         else:
             lo = mid
         history.append((lo, hi))
-    return RateSearchResult(hi, certify_rate(spec, sector, hi), evaluations, tuple(history))
+    certificate = _certificate(spec, shifted, sector, hi)
+    return RateSearchResult(hi, certificate, evaluations, tuple(history))
 
 
 def certified_rate_curve(sector: SectorClass, alpha_grid, family: Family = Family.GRADIENT,

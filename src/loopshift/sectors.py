@@ -60,7 +60,10 @@ class GradientOracle(ABC):
     """Evaluatable gradient of a function with a known stationary point.
 
     ``centered_grad(u)`` returns the gradient at ``xstar + u`` and maps 0 to 0
-    exactly, which is what the feedback plant needs.
+    exactly, which is what the feedback plant needs.  It takes ``u`` of shape
+    ``(..., dim)``: the last axis is the coordinate and any leading axes index
+    independent points, so one call evaluates a whole batch; each point gets
+    the same arithmetic as it would alone.
     """
 
     @property
@@ -144,7 +147,8 @@ class QuadraticOracle(GradientOracle):
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
         if self._rot is None:
             return self._eigs * u
-        return self._rot.T @ (self._eigs * (self._rot @ u))
+        # row form: (R^T diag(eigs) R u)^T = ((u^T R^T) * eigs) R, per point
+        return ((u @ self._rot.T) * self._eigs) @ self._rot
 
     def lies_in(self, sector: SectorClass) -> bool:
         return bool(self._eigs.min() >= sector.m and self._eigs.max() <= sector.L)
@@ -187,6 +191,7 @@ class PiecewiseLinearOracle(GradientOracle):
         if np.any(sl <= 0.0) or not np.all(np.isfinite(sl)):
             raise InvalidParameterError("slopes must be positive and finite")
         self._bp = bp
+        self._upper = bp[1:]
         self._slopes = sl
         vals = np.zeros(bp.size)
         for i in range(1, bp.size):
@@ -210,16 +215,11 @@ class PiecewiseLinearOracle(GradientOracle):
     def slopes(self) -> np.ndarray:
         return self._slopes
 
-    def _g(self, u: float) -> float:
-        if u == 0.0:
-            return 0.0
-        sign = 1.0 if u > 0.0 else -1.0
-        a = abs(u)
-        i = int(np.searchsorted(self._bp, a, side="right")) - 1
-        return sign * (self._vals[i] + self._slopes[i] * (a - self._bp[i]))
-
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self._g(float(u[0]))])
+        a = np.abs(u)
+        # the piece holding |u|: the count of breakpoints after 0 at or below it
+        i = self._upper.searchsorted(a, side="right")
+        return np.copysign(self._vals.take(i) + self._slopes.take(i) * (a - self._bp.take(i)), u)
 
     def lies_in(self, sector: SectorClass) -> bool:
         return bool(self._slopes.min() >= sector.m and self._slopes.max() <= sector.L)
@@ -233,16 +233,43 @@ class PiecewiseLinearOracle(GradientOracle):
         )
 
 
+def _scalar_pieces(oracle: GradientOracle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints, values and slopes of a scalar oracle's odd piecewise-linear
+    gradient; a scalar quadratic is one piece of slope lambda (and 0 + lambda
+    (|u| - 0) carries the sign exactly as lambda u does)."""
+    if oracle.dim != 1:
+        raise InvalidParameterError("separable components must be scalar oracles")
+    if isinstance(oracle, PiecewiseLinearOracle):
+        return oracle._bp, oracle._vals, oracle._slopes
+    if isinstance(oracle, QuadraticOracle):
+        return np.zeros(1), np.zeros(1), oracle.eigenvalues
+    if isinstance(oracle, SeparableOracle):
+        row = ~np.isnan(oracle._bp[0])
+        return oracle._bp[0, row], oracle._vals[0, row], oracle._slopes[0, row]
+    raise InvalidParameterError(
+        "separable components must be quadratic, pwl or separable oracles"
+    )
+
+
 class SeparableOracle(GradientOracle):
-    """Coordinate-wise composition of scalar oracles."""
+    """Coordinate-wise composition of scalar oracles, evaluated as one table
+    of piecewise-linear pieces per coordinate."""
 
     def __init__(self, components, xstar=None):
         components = tuple(components)
         if not components:
             raise InvalidParameterError("separable oracle needs at least one component")
-        for comp in components:
-            if comp.dim != 1:
-                raise InvalidParameterError("separable components must be scalar oracles")
+        pieces = [_scalar_pieces(comp) for comp in components]
+        width = max(bp.size for bp, _, _ in pieces)
+        # One row per coordinate, padded to a common width.  Breakpoint pads
+        # are nan, which no comparison counts, so a pad is never selected,
+        # even at |u| = inf.
+        self._bp, self._vals, self._slopes = tables = np.full((3, len(pieces), width), np.nan)
+        for row, piece in enumerate(pieces):
+            for table, column in zip(tables, piece):
+                table[row, : column.size] = column
+        # flat index of each row's first piece, less one for the breakpoint at 0
+        self._row_base = width * np.arange(len(components)) - 1
         self._components = components
         self._xstar = _as_xstar(xstar, len(components))
 
@@ -259,9 +286,11 @@ class SeparableOracle(GradientOracle):
         return "separable"
 
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
-        return np.array(
-            [comp.centered_grad(u[i : i + 1])[0] for i, comp in enumerate(self._components)]
-        )
+        a = np.abs(u)
+        # the scalar pwl formula for every coordinate at once: the piece index
+        # counts breakpoints at or below |u| and becomes a flat table index
+        i = (self._bp <= a[..., None]).sum(axis=-1) + self._row_base
+        return np.copysign(self._vals.take(i) + self._slopes.take(i) * (a - self._bp.take(i)), u)
 
     def lies_in(self, sector: SectorClass) -> bool:
         return all(comp.lies_in(sector) for comp in self._components)
@@ -273,37 +302,39 @@ class SeparableOracle(GradientOracle):
         return "sep(" + ";".join(c.describe() for c in self._components) + ")"
 
 
+def _in_sector(u: np.ndarray, v: np.ndarray, sector: SectorClass) -> np.ndarray:
+    """Row-wise membership of the pairs (u, v) along the last axis."""
+    tol = 1e-9 * (1.0 + np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1))
+    return np.sum((v - sector.m * u) * (sector.L * u - v), axis=-1) >= -tol
+
+
 def sector_check(u, v, sector: SectorClass) -> bool:
     """Membership test for the pair (u, v): (v - m u) . (L u - v) >= -tol with
     a tolerance that scales with the squared magnitudes, since an absolute
     tolerance misfires far from the origin."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if u.shape != v.shape:
+    if u.shape != v.shape or u.ndim != 1:
         raise InvalidParameterError("sector check needs equal-dimension points")
-    tol = 1e-9 * (1.0 + float(u @ u) + float(v @ v))
-    return bool(float((v - sector.m * u) @ (sector.L * u - v)) >= -tol)
+    return bool(_in_sector(u, v, sector))
 
 
 def shifted_plant_apply(oracle: GradientOracle, sector: SectorClass, u) -> np.ndarray:
     """Loop-shifted plant u - (2/(L+m)) grad(u + xstar); centering the sector
-    this way bounds its gain by (L-m)/(L+m)."""
+    this way bounds its gain by (L-m)/(L+m).  Batches like ``centered_grad``."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (oracle.dim,):
-        raise InvalidParameterError(f"expected shape ({oracle.dim},), got {u.shape}")
+    if u.shape[-1] != oracle.dim:
+        raise InvalidParameterError(f"expected shape (..., {oracle.dim}), got {u.shape}")
     return u - sector.shift * oracle.centered_grad(u)
 
 
 def sector_membership_sampled(oracle: GradientOracle, sector: SectorClass,
                               samples: int = 10_000, radius: float = 10.0,
                               seed: int = 0) -> bool:
-    """Sampled sector membership at ``samples`` random points around xstar."""
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        u = radius * rng.standard_normal(oracle.dim)
-        if not sector_check(u, oracle.centered_grad(u), sector):
-            return False
-    return True
+    """Sampled sector membership at ``samples`` random points around xstar,
+    drawn and evaluated as one batch."""
+    u = radius * np.random.default_rng(seed).standard_normal((samples, oracle.dim))
+    return bool(np.all(_in_sector(u, oracle.centered_grad(u), sector)))
 
 
 def parse_oracle(text: str) -> GradientOracle:

@@ -2,7 +2,8 @@
 gradient-noise robustness experiments.
 
 The simulator realizes the method's SISO controller once and replicates it
-per coordinate (state shape (order, dim)); the plant closes the loop with
+per coordinate and per run (state shape (order, runs*dim), so the seeds of a
+noise experiment advance together); the plant closes the loop with
 v[k] = grad(u[k] + xstar) plus optional seeded Gaussian noise on the gradient
 output.  Controller states start equal, scaled so the first produced point is
 x0; for second-order methods that equals the conventional cold start where
@@ -56,6 +57,81 @@ def _check_x0(x0, dim: int) -> np.ndarray:
     return x0
 
 
+def _feedback_matrices(spec: MethodSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, b, c) of the method's controller, checked to close the gradient loop."""
+    ss = realize(build_controller(spec))
+    if ss.order == 0 or (ss.D.size and ss.D[0, 0] != 0.0):
+        raise InvalidParameterError(
+            "controller with direct feedthrough cannot close the gradient "
+            "loop (algebraic loop); use a strictly proper controller"
+        )
+    c_row = ss.C[0]
+    if abs(float(c_row.sum())) <= 1e-12 * max(1.0, float(np.max(np.abs(c_row)))):
+        raise InvalidParameterError(
+            "controller has a zero at z = 1, so no equal-state "
+            "initialization reproduces the start point"
+        )
+    return ss.A, ss.B[:, 0], c_row
+
+
+def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarray | None:
+    """Gradient noise for runs side by side, shape (iters, runs*dim), or None
+    without noise.  Each seed's block is one draw of shape (iters, dim): the
+    same stream as one draw of ``dim`` values per step."""
+    if noise_sigma < 0.0:
+        raise InvalidParameterError(f"noise sigma must be >= 0, got {noise_sigma}")
+    if noise_sigma == 0.0:
+        return None
+    noise = np.empty((iters, len(seeds) * dim))
+    for run, seed in enumerate(seeds):
+        noise[:, run * dim:(run + 1) * dim] = np.random.default_rng(seed).normal(
+            0.0, noise_sigma, (iters, dim))
+    return noise
+
+
+def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
+                 noise: np.ndarray | None, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance ``runs`` copies of the loop
+
+        u[k] = c s[k],   s[k+1] = A s[k] + b (plant(u[k]) + noise[k])
+
+    at once, the controller replicated per coordinate and per run (state
+    shape (order, runs*dim)), from the centered start points ``u0`` of shape
+    (runs, dim).  Returns the iterates x[k] = u[k] + xstar of the last
+    ``keep`` steps, shape (keep, runs, dim), and their residuals
+    ||x[k] - xstar||, shape (keep, runs).
+    """
+    a_mat, b_col, c_row = matrices
+    runs, dim = u0.shape
+    # Equal delayed states scaled to produce u[0]; this is the cold start
+    # x[-1] = x[0] for the order-2 catalog methods.
+    state = np.tile((u0 / float(c_row.sum())).ravel(), (a_mat.shape[0], 1))
+    xstar_runs = np.tile(xstar, runs)
+    first = iters + 1 - keep
+    xs = np.empty((keep, runs * dim))
+    # a single run hands the plant a plain point, the cheaper call
+    points = (runs, dim) if runs > 1 else (dim,)
+    # a diverging run overflows; that is reported through its residuals
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            u = c_row @ state
+            if k >= first:
+                xs[k - first] = u + xstar_runs
+            v = plant(u.reshape(points)).ravel()
+            if noise is not None:
+                v = v + noise[k]
+            state = a_mat @ state + np.outer(b_col, v)
+        xs[-1] = c_row @ state + xstar_runs
+        xs = xs.reshape(keep, runs, dim)
+        residuals = np.linalg.norm(xs - xstar, axis=-1)
+    return xs, residuals
+
+
+def _check_iters(iters: int) -> None:
+    if iters < 1:
+        raise InvalidParameterError(f"iters must be >= 1, got {iters}")
+
+
 def simulate_run(spec: MethodSpec, oracle: GradientOracle, x0, iters: int,
                  noise_sigma: float = 0.0, seed: int | None = None) -> Trajectory:
     """Run the feedback loop for ``iters`` steps and record iters+1 points.
@@ -64,44 +140,12 @@ def simulate_run(spec: MethodSpec, oracle: GradientOracle, x0, iters: int,
     output, drawn from a generator seeded with ``seed`` (identical seeds give
     bit-identical trajectories).
     """
-    if iters < 1:
-        raise InvalidParameterError(f"iters must be >= 1, got {iters}")
-    if noise_sigma < 0.0:
-        raise InvalidParameterError(f"noise sigma must be >= 0, got {noise_sigma}")
+    _check_iters(iters)
+    noise = _gradient_noise(noise_sigma, (seed,), iters, oracle.dim)
     x0 = _check_x0(x0, oracle.dim)
-    controller = build_controller(spec)
-    ss = realize(controller)
-    if ss.order == 0 or (ss.D.size and ss.D[0, 0] != 0.0):
-        raise InvalidParameterError(
-            "controller with direct feedthrough cannot close the gradient "
-            "loop (algebraic loop); use a strictly proper controller"
-        )
-    a_mat, b_col, c_row = ss.A, ss.B[:, 0], ss.C[0]
-    c_sum = float(c_row.sum())
-    if abs(c_sum) <= 1e-12 * max(1.0, float(np.max(np.abs(c_row)))):
-        raise InvalidParameterError(
-            "controller has a zero at z = 1, so no equal-state "
-            "initialization reproduces the start point"
-        )
-    xstar = oracle.xstar
-    u0 = x0 - xstar
-    # Equal delayed states scaled to produce u[0] = x0 - xstar; this is the
-    # cold start x[-1] = x[0] for the order-2 catalog methods.
-    state = np.tile(u0 / c_sum, (ss.order, 1))
-    rng = np.random.default_rng(seed)
-    xs = np.empty((iters + 1, oracle.dim))
-    # a diverging run overflows; that is reported through its residuals
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iters):
-            u = c_row @ state
-            xs[k] = u + xstar
-            v = oracle.centered_grad(u)
-            if noise_sigma > 0.0:
-                v = v + rng.normal(0.0, noise_sigma, oracle.dim)
-            state = a_mat @ state + np.outer(b_col, v)
-        xs[iters] = c_row @ state + xstar
-        residuals = np.linalg.norm(xs - xstar, axis=1)
-    return Trajectory(xs, residuals, spec, oracle.describe(), seed)
+    xs, residuals = _closed_loop(_feedback_matrices(spec), oracle.centered_grad,
+                                 (x0 - oracle.xstar)[None], oracle.xstar, iters, noise, iters + 1)
+    return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), seed)
 
 
 def simulate_shifted_run(spec: MethodSpec, oracle: GradientOracle,
@@ -116,20 +160,13 @@ def simulate_shifted_run(spec: MethodSpec, oracle: GradientOracle,
     """
     if spec.family is not Family.GRADIENT:
         raise InvalidParameterError("the shifted interconnection is defined for gradient descent")
-    if iters < 1:
-        raise InvalidParameterError(f"iters must be >= 1, got {iters}")
+    _check_iters(iters)
     x0 = _check_x0(x0, oracle.dim)
     gain = 0.5 * (sector.m + sector.L) * spec.alpha
-    xstar = oracle.xstar
-    xi = x0 - xstar
-    xs = np.empty((iters + 1, oracle.dim))
-    for k in range(iters):
-        xs[k] = xi + xstar
-        v = shifted_plant_apply(oracle, sector, xi)
-        xi = (1.0 - gain) * xi + gain * v
-    xs[iters] = xi + xstar
-    residuals = np.linalg.norm(xs - xstar, axis=1)
-    return Trajectory(xs, residuals, spec, oracle.describe(), None)
+    matrices = (np.array([[1.0 - gain]]), np.array([gain]), np.array([1.0]))
+    xs, residuals = _closed_loop(matrices, lambda u: shifted_plant_apply(oracle, sector, u),
+                                 (x0 - oracle.xstar)[None], oracle.xstar, iters, None, iters + 1)
+    return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), None)
 
 
 @dataclass(frozen=True)
@@ -207,9 +244,10 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     the same seeded gradient noise.
 
     Steady state is the median of the last 10% of residuals per run, then the
-    median across seeds per tuning.  Requires a quadratic oracle on a badly
-    conditioned sector (kappa >= 50), where the aggressive tuning's fragility
-    shows.
+    median across seeds per tuning.  All seeds run as one batch per tuning,
+    and both tunings see the same noise, drawn once per seed.  Requires a
+    quadratic oracle on a badly conditioned sector (kappa >= 50), where the
+    aggressive tuning's fragility shows.
     """
     if oracle.kind != "quadratic":
         raise InvalidParameterError("noise robustness experiment expects a quadratic oracle")
@@ -220,18 +258,19 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise InvalidParameterError("need at least one seed")
+    _check_iters(iters)
+    noise = _gradient_noise(noise_sigma, seeds, iters, oracle.dim)
     x0 = oracle.xstar + 1.0 if x0 is None else _check_x0(x0, oracle.dim)
+    u0 = np.tile(x0 - oracle.xstar, (len(seeds), 1))
     alpha_std = 1.0 / sector.L
     alpha_opt = 2.0 / (sector.L + sector.m)
     tail = max(1, (iters + 1) // 10)
 
     def steady_states(alpha: float) -> tuple[float, ...]:
-        spec = MethodSpec(Family.GRADIENT, alpha=alpha)
-        out = []
-        for seed in seeds:
-            traj = simulate_run(spec, oracle, x0, iters, noise_sigma, seed)
-            out.append(float(np.median(traj.residuals[-tail:])))
-        return tuple(out)
+        matrices = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=alpha))
+        _, residuals = _closed_loop(matrices, oracle.centered_grad, u0, oracle.xstar,
+                                    iters, noise, tail)
+        return tuple(float(r) for r in np.median(residuals, axis=0))
 
     ss_std = steady_states(alpha_std)
     ss_opt = steady_states(alpha_opt)

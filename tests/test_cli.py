@@ -242,7 +242,13 @@ def test_report_command(tmp_path, capsys):
     assert "heavyball" in families  # present, marked unavailable
     hb = next(p for p in data["presets"] if p["family"] == "heavyball")
     assert hb["available"] is False
-    assert "report for S(1,10)" in capsys.readouterr().out
+    # a run without a rate fit is not counted as a sound one
+    for row in data["soundness"]:
+        assert row["sound"] is (None if row["rho_hat"] is None else True)
+    checked = sum(row["sound"] is not None for row in data["soundness"])
+    out = capsys.readouterr().out
+    assert "report for S(1,10)" in out
+    assert f"over {checked} of {len(data['soundness'])} runs" in out
 
 
 @pytest.mark.parametrize("content", [
@@ -269,6 +275,9 @@ def test_report_command(tmp_path, capsys):
     {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_seed": "3"}},
     {"oracle_json": {"kind": "pwl", "breakpoints": [0, True], "slopes": [1, 10]}},
     {"oracle_json": {"kind": "pwl", "breakpoints": [0, 1], "slopes": [1, "10"]}},
+    {"alpha_min": -1},
+    {"beta_max": 1.5},
+    {"rho": 5},
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

@@ -1,5 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopshift import (
     InvalidParameterError,
@@ -114,11 +118,10 @@ def test_shifted_plant_gain_bound():
     rng = np.random.default_rng(10)
     for oracle in oracle_suite(sec):
         assert oracle.lies_in(sec)
-        for _ in range(10_000):
-            u = 5.0 * rng.standard_normal(oracle.dim)
-            out = shifted_plant_apply(oracle, sec, u)
-            bound = sec.sector_gain * float(np.linalg.norm(u)) * (1.0 + 1e-9)
-            assert float(np.linalg.norm(out)) <= bound
+        u = 5.0 * rng.standard_normal((10_000, oracle.dim))
+        out = shifted_plant_apply(oracle, sec, u)
+        bound = sec.sector_gain * np.linalg.norm(u, axis=1) * (1.0 + 1e-9)
+        assert np.all(np.linalg.norm(out, axis=1) <= bound)
 
 
 def test_quadratic_sector_membership_per_eigendirection():
@@ -134,6 +137,84 @@ def test_sampled_membership_for_oracle_suite():
     sec = SectorClass(1.0, 10.0)
     for oracle in oracle_suite(sec):
         assert sector_membership_sampled(oracle, sec, samples=10_000, seed=1)
+
+
+def test_sampled_membership_rejects_out_of_sector_oracles():
+    sec = SectorClass(1.0, 10.0)
+    assert not sector_membership_sampled(QuadraticOracle([1.0, 12.0]), sec, samples=200)
+    steep = SeparableOracle([QuadraticOracle([2.0]),
+                             PiecewiseLinearOracle([0.0, 1.0], [2.0, 11.0])])
+    assert not sector_membership_sampled(steep, sec, samples=200)
+
+
+def test_rotated_quadratic_batch_matches_rows():
+    # a batch as long as the dimension is the shape a column-vector formula
+    # would silently misread
+    dim = 6
+    eigs = np.linspace(1.0, 10.0, dim)
+    rot = random_rotation(dim, 7)
+    oracle = QuadraticOracle(eigs, rotation=rot)
+    u = np.random.default_rng(3).normal(size=(dim, dim))
+    rows = np.array([oracle.centered_grad(row) for row in u])
+    np.testing.assert_allclose(oracle.centered_grad(u), rows, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(rows, u @ (rot.T @ np.diag(eigs) @ rot), rtol=1e-12, atol=1e-12)
+    assert oracle.centered_grad(u[None]).shape == (1, dim, dim)
+
+
+def _g_reference(breakpoints, slopes, u):
+    """The scalar odd piecewise-linear gradient, one element at a time."""
+    if u == 0.0:
+        return 0.0
+    vals = [0.0]
+    for i in range(1, len(breakpoints)):
+        vals.append(vals[-1] + slopes[i - 1] * (breakpoints[i] - breakpoints[i - 1]))
+    sign = 1.0 if u > 0.0 else -1.0
+    a = abs(u)
+    i = bisect.bisect_right(breakpoints, a) - 1
+    return sign * (vals[i] + slopes[i] * (a - breakpoints[i]))
+
+
+@st.composite
+def pwl_parts(draw):
+    bps = [0.0]
+    for gap in draw(st.lists(st.floats(0.01, 5.0), max_size=4)):
+        bps.append(bps[-1] + gap)
+    slopes = draw(st.lists(st.floats(0.1, 20.0), min_size=len(bps), max_size=len(bps)))
+    return bps, slopes
+
+
+def _probe_points(bps, extra):
+    """0, both signs of every breakpoint, both sides beyond the last one."""
+    beyond = 2.0 * bps[-1] + 1.0
+    return [0.0, beyond, -beyond] + [s * b for b in bps for s in (1.0, -1.0)] + list(extra)
+
+
+@settings(deadline=None)
+@given(st.lists(pwl_parts(), min_size=1, max_size=5),
+       st.lists(st.floats(-50.0, 50.0), max_size=6))
+def test_batched_pwl_matches_scalar_formula(parts, extra):
+    comps = [PiecewiseLinearOracle(bps, slopes) for bps, slopes in parts]
+    probes = [_probe_points(bps, extra) for bps, _ in parts]
+    for (bps, slopes), comp, pts in zip(parts, comps, probes):
+        got = comp.centered_grad(np.array(pts)[:, None])
+        assert got.shape == (len(pts), 1)
+        assert got[:, 0].tolist() == [_g_reference(bps, slopes, u) for u in pts]
+    # every coordinate sees each of its probes in some row of the batch
+    rows = max(len(p) for p in probes)
+    u = np.array([[p[r % len(p)] for p in probes] for r in range(rows)])
+    want = [[_g_reference(bps, slopes, x) for (bps, slopes), x in zip(parts, row)] for row in u]
+    assert SeparableOracle(comps).centered_grad(u).tolist() == want
+
+
+def test_separable_scalar_quadratic_components_are_exact():
+    u = np.random.default_rng(5).normal(size=(50, 3)) * 10.0 ** np.arange(-3, 3, 2)
+    comps = [QuadraticOracle([3.7]), QuadraticOracle([0.3], rotation=[[-1.0]]),
+             SeparableOracle([PiecewiseLinearOracle([0.0, 1.0], [2.0, 5.0])])]
+    got = SeparableOracle(comps).centered_grad(u)
+    assert np.array_equal(got[:, 0], 3.7 * u[:, 0])
+    assert np.array_equal(got[:, 1], 0.3 * u[:, 1])
+    nested = PiecewiseLinearOracle([0.0, 1.0], [2.0, 5.0]).centered_grad(u[:, 2:])
+    assert np.array_equal(got[:, 2:], nested)
 
 
 def test_translated_oracle_moves_stationary_point():

@@ -106,6 +106,17 @@ def test_identical_seeds_are_bit_identical():
     assert not np.array_equal(a.iterates, c.iterates)
 
 
+def test_gradient_noise_is_one_draw_per_step():
+    oracle = QuadraticOracle([1.0, 10.0], xstar=[0.5, -1.0])
+    alpha, sigma = 2.0 / 11.0, 1e-2
+    traj = simulate_run(GRAD_OPT, oracle, [1.0, 1.0], 40, noise_sigma=sigma, seed=7)
+    rng = np.random.default_rng(7)
+    x = np.array([1.0, 1.0])
+    for k in range(41):
+        np.testing.assert_allclose(traj.iterates[k], x, rtol=1e-12, atol=1e-14)
+        x = x - alpha * (oracle.grad(x) + rng.normal(0.0, sigma, 2))
+
+
 def test_simulate_validates_inputs():
     oracle = QuadraticOracle([1.0, 2.0])
     with pytest.raises(InvalidParameterError):
@@ -185,6 +196,23 @@ def test_noise_robustness_sigma_zero_converges():
                                          [0, 1], iters=3000)
     assert report.median_standard < 1e-10
     assert report.median_optimal_sector < 1e-10
+
+
+def test_noise_robustness_batch_equals_per_seed_runs():
+    sec = SectorClass(0.01, 1.0)
+    oracle = QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0])
+    seeds, iters = (4, 9, 11), 700
+    report = noise_robustness_experiment(sec, oracle, 1e-3, seeds, iters)
+    tail = (iters + 1) // 10
+    for alpha, got in ((report.alpha_standard, report.steady_state_standard),
+                       (report.alpha_optimal_sector, report.steady_state_optimal_sector)):
+        spec = MethodSpec(Family.GRADIENT, alpha=alpha)
+        want = tuple(
+            float(np.median(simulate_run(spec, oracle, oracle.xstar + 1.0, iters,
+                                         1e-3, seed).residuals[-tail:]))
+            for seed in seeds
+        )
+        assert got == want
 
 
 def test_noise_robustness_scales_roughly_linearly():
