@@ -42,9 +42,7 @@ from .lti import (
     freq_response_many,
     hinf_peak,
     impulse_series,
-    poles,
     realize,
-    stability_radius,
     tf_add,
     tf_allclose,
     tf_arg_scale,
@@ -113,7 +111,7 @@ __all__ = [
     "UnsupportedFactorizationError", "UnsupportedPresetError",
     "RationalTF", "StateSpace", "constant_tf", "freq_response",
     "freq_response_many", "hinf_peak", "impulse_series",
-    "poles", "realize", "stability_radius", "tf_add", "tf_allclose",
+    "realize", "tf_add", "tf_allclose",
     "tf_arg_scale", "tf_mul", "tf_reduce", "tf_sub", "verify_realization",
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",

@@ -174,18 +174,17 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
     return RateSearchResult(hi, certificate, evaluations, tuple(history))
 
 
-def certified_rate_curve(sector: SectorClass, alpha_grid, family: Family = Family.GRADIENT,
-                         beta: float | None = None,
+def certified_rate_curve(sector: SectorClass, alpha_grid,
                          tol: float = 1e-6) -> list[tuple[float, float | None]]:
-    """Best certifiable rate per stepsize, in grid order; None marks
-    stepsizes with no certificate."""
+    """Best certifiable gradient-descent rate per stepsize, in grid order;
+    None marks stepsizes with no certificate."""
     alphas = [float(a) for a in alpha_grid]
     if any(a <= 0.0 for a in alphas):
         raise InvalidParameterError("stepsize grid must be positive")
 
     def solve(alpha: float) -> float | None:
         try:
-            return bisect_rate(MethodSpec(family, alpha=alpha, beta=beta), sector, tol).rho_star
+            return bisect_rate(MethodSpec(Family.GRADIENT, alpha=alpha), sector, tol).rho_star
         except NoCertificateError:
             return None
 

@@ -37,8 +37,9 @@ from .errors import (
     UnsupportedPresetError,
     json_number,
 )
-from .methods import Family, build_controller, method_from_json, parse_method, preset
+from .methods import Family, MethodSpec, build_controller, method_from_json, parse_method, preset
 from .sectors import (
+    GradientOracle,
     PiecewiseLinearOracle,
     QuadraticOracle,
     SectorClass,
@@ -88,9 +89,6 @@ class RunConfig:
     json_out: str | None = None
     csv_out: str | None = None
     svg_out: str | None = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -171,28 +169,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="bisect for the best certifiable rate")
     p.add_argument("--method")
     add_sector(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float)
     add_common(p)
 
     p = sub.add_parser("curve", help="certified rate versus gradient stepsize")
     add_sector(p)
     p.add_argument("--alpha-min", type=float, dest="alpha_min")
     p.add_argument("--alpha-max", type=float, dest="alpha_max")
-    p.add_argument("--alpha-steps", type=int, dest="alpha_steps", default=25)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--alpha-steps", type=int, dest="alpha_steps")
+    p.add_argument("--tol", type=float)
     p.add_argument("--csv", dest="csv_out")
     add_common(p)
 
     p = sub.add_parser("search", help="best certifiable parameters")
     add_sector(p)
-    p.add_argument("--family", default="gradient", choices=_SEARCH_FAMILIES)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--family", choices=_SEARCH_FAMILIES)
+    p.add_argument("--tol", type=float)
     p.add_argument("--alpha-min", type=float, dest="alpha_min")
     p.add_argument("--alpha-max", type=float, dest="alpha_max")
-    p.add_argument("--alpha-steps", type=int, dest="alpha_steps", default=25)
-    p.add_argument("--beta-min", type=float, dest="beta_min", default=0.0)
-    p.add_argument("--beta-max", type=float, dest="beta_max", default=0.9)
-    p.add_argument("--beta-steps", type=int, dest="beta_steps", default=10)
+    p.add_argument("--alpha-steps", type=int, dest="alpha_steps")
+    p.add_argument("--beta-min", type=float, dest="beta_min")
+    p.add_argument("--beta-max", type=float, dest="beta_max")
+    p.add_argument("--beta-steps", type=int, dest="beta_steps")
     add_common(p)
 
     p = sub.add_parser("simulate", help="run the feedback loop on an oracle")
@@ -200,9 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_sector(p, required=False)
     p.add_argument("--oracle")
     p.add_argument("--x0", type=_csv_floats)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma", default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
+    p.add_argument("--seed", type=int)
     p.add_argument("--csv", dest="csv_out")
     p.add_argument("--include-iterates", action="store_true", dest="include_iterates")
     add_common(p)
@@ -211,15 +209,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_sector(p)
     p.add_argument("--oracle")
     p.add_argument("--sigma", type=float, dest="noise_sigma", required=True)
-    p.add_argument("--seeds", type=int, dest="n_seeds", default=20)
+    p.add_argument("--seeds", type=int, dest="n_seeds")
     p.add_argument("--iters", type=int, default=3000)
     add_common(p)
 
     p = sub.add_parser("bode", help="frequency-response tables and plots")
     p.add_argument("--methods", required=True, help="comma-separated method strings")
     add_sector(p, required=False)
-    p.add_argument("--f-min", type=float, dest="f_min", default=1e-4)
-    p.add_argument("--n", type=int, dest="n_freq", default=500)
+    p.add_argument("--f-min", type=float, dest="f_min")
+    p.add_argument("--n", type=int, dest="n_freq")
     p.add_argument("--csv", dest="csv_out", help="CSV path (per-method suffix added for multiple methods)")
     p.add_argument("--svg", dest="svg_out")
     add_common(p)
@@ -227,16 +225,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="preset rates, stepsize curve, soundness summary")
     add_sector(p)
     p.add_argument("--alpha-steps", type=int, dest="alpha_steps", default=21)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--tol", type=float)
     add_common(p)
 
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    """Strict argument parsing; every numeric flag is validated against the
-    module preconditions before anything runs (usage errors exit 2)."""
+@dataclass(frozen=True)
+class Run:
+    """A checked command line: its config and every input built from it.
+    ``sector`` and ``alphas`` are None without --m/--L, ``method`` and
+    ``oracle`` are None when not given."""
+
+    config: RunConfig
+    sector: SectorClass | None
+    method: MethodSpec | None
+    methods: tuple[MethodSpec, ...]
+    oracle: GradientOracle | None
+    alphas: list[float] | None
+    betas: list[float]
+
+
+def parse_args(argv=None) -> Run:
+    """Strict argument parsing: the config is checked and every input is
+    built before anything runs (usage errors exit 2)."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     data = {k: v for k, v in vars(ns).items()
@@ -254,61 +267,72 @@ def parse_args(argv=None) -> RunConfig:
             parser.error("a config file cannot set the command")
         data.update(overrides)
     try:
-        config = RunConfig.from_json(data)
-    except InvalidParameterError as exc:
-        parser.error(str(exc))
-    _validate(config, parser)
-    return config
-
-
-def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
-    if (config.m is None) != (config.L is None):
-        parser.error("--m and --L must be given together")
-    if config.m is None and config.command not in ("simulate", "bode"):
-        parser.error("--m and --L are required")
-    if config.command in ("certify", "rate", "simulate") and \
-            config.method is None and config.method_json is None:
-        parser.error("--method (or a method_json config block) is required")
-    if config.command in ("simulate", "robustness") and \
-            config.oracle is None and config.oracle_json is None:
-        parser.error("--oracle (or an oracle_json config block) is required")
-    if (config.command == "certify" or config.rho is not None) and \
-            not (config.rho and 0.0 < config.rho < 1.0):
-        parser.error(f"--rho must lie in (0, 1), got {config.rho}")
-    if config.iters < 1:
-        parser.error("--iters must be >= 1")
-    if config.noise_sigma < 0.0:
-        parser.error("--noise-sigma must be >= 0")
-    if config.tol <= 0.0:
-        parser.error("--tol must be positive")
-    if config.n_seeds < 1:
-        parser.error("--seeds must be >= 1")
-    if config.alpha_steps < 1 or config.beta_steps < 1:
-        parser.error("grid step counts must be >= 1")
-    if not 0.0 < config.f_min < 0.5:
-        parser.error("--f-min must lie in (0, 0.5)")
-    if config.n_freq < 2:
-        parser.error("--n must be >= 2")
-    if config.family not in _SEARCH_FAMILIES:
-        parser.error(f"--family must be one of {', '.join(_SEARCH_FAMILIES)}")
-    try:
-        # the stepsize and momentum ranges are checked whether or not the
-        # command uses them, so a config with a mistaken intent fails loudly
-        if config.m is not None:
-            _alpha_grid(config, _sector(config))
-        else:
-            given = [a for a in (config.alpha_min, config.alpha_max) if a is not None]
-            if given:
-                _check_alpha_range(given[0], given[-1])
-        _beta_grid(config)
-        if config.command == "bode":
-            _resolve_methods(config)
-        elif config.method is not None or config.method_json is not None:
-            _resolve_method(config)
-        if config.oracle is not None or config.oracle_json is not None:
-            _resolve_oracle(config)
+        return _resolve(RunConfig.from_json(data))
     except LoopShiftError as exc:
         parser.error(str(exc))
+
+
+def _resolve(config: RunConfig) -> Run:
+    """Check every given input, whether or not the command uses it, so a
+    config with a mistaken intent fails loudly, and build each one once."""
+    command = config.command
+    problems = [
+        ((config.m is None) != (config.L is None), "--m and --L must be given together"),
+        (config.m is None and command not in ("simulate", "bode"), "--m and --L are required"),
+        (command in ("certify", "rate", "simulate") and config.method is None
+         and config.method_json is None, "--method (or a method_json config block) is required"),
+        (command in ("simulate", "robustness") and config.oracle is None
+         and config.oracle_json is None, "--oracle (or an oracle_json config block) is required"),
+        (command == "bode" and not config.methods, "--methods needs at least one method"),
+        ((command == "certify" or config.rho is not None)
+         and not (config.rho and 0.0 < config.rho < 1.0),
+         f"--rho must lie in (0, 1), got {config.rho}"),
+        (config.iters < 1, "--iters must be >= 1"),
+        (config.noise_sigma < 0.0, "--noise-sigma must be >= 0"),
+        (config.tol <= 0.0, "--tol must be positive"),
+        (config.n_seeds < 1, "--seeds must be >= 1"),
+        (config.alpha_steps < 1 or config.beta_steps < 1, "grid step counts must be >= 1"),
+        (not 0.0 < config.f_min < 0.5, "--f-min must lie in (0, 0.5)"),
+        (config.n_freq < 2, "--n must be >= 2"),
+        (config.family not in _SEARCH_FAMILIES,
+         f"--family must be one of {', '.join(_SEARCH_FAMILIES)}"),
+    ]
+    for failed, message in problems:
+        if failed:
+            raise InvalidParameterError(message)
+    sector = None if config.m is None else SectorClass(config.m, config.L)
+    alphas = _alpha_grid(config, sector)
+    betas = _beta_grid(config)
+    method = None
+    if config.method_json is not None:
+        method = method_from_json(config.method_json, config.m, config.L)
+    elif config.method is not None:
+        method = parse_method(config.method, config.m, config.L)
+    methods = tuple(parse_method(text, config.m, config.L) for text in config.methods)
+    oracle = None
+    if config.oracle_json is not None:
+        oracle = oracle_from_json(config.oracle_json)
+    elif config.oracle is not None:
+        oracle = parse_oracle(config.oracle)
+    return Run(config, sector, method, methods, oracle, alphas, betas)
+
+
+def _alpha_grid(config: RunConfig, sector: SectorClass | None) -> list[float] | None:
+    """The stepsize grid; without a sector only the given bounds are checked."""
+    lo, hi = config.alpha_min, config.alpha_max
+    if sector is not None:
+        lo = 0.1 / sector.L if lo is None else lo
+        hi = 1.9 / sector.L if hi is None else hi
+    given = [a for a in (lo, hi) if a is not None]
+    if given and not 0.0 < given[0] <= given[-1]:
+        raise InvalidParameterError("need 0 < alpha-min <= alpha-max")
+    return None if sector is None else list(np.linspace(lo, hi, config.alpha_steps))
+
+
+def _beta_grid(config: RunConfig) -> list[float]:
+    if not 0.0 <= config.beta_min <= config.beta_max < 1.0:
+        raise InvalidParameterError("need 0 <= beta-min <= beta-max < 1")
+    return list(np.linspace(config.beta_min, config.beta_max, config.beta_steps))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -337,56 +361,17 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(config: RunConfig, payload: dict, summary: str) -> None:
+def _emit(run: Run, payload: dict, summary: str) -> None:
     print(summary)
-    if config.json_out:
+    if run.config.json_out:
         payload = _json_safe(payload)
-        _write_text(config.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_text(run.config.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         print(json.dumps(payload, sort_keys=True))
 
 
-def _sector(config: RunConfig) -> SectorClass:
-    return SectorClass(config.m, config.L)
-
-
-def _resolve_method(config: RunConfig):
-    if config.method_json is not None:
-        return method_from_json(config.method_json, config.m, config.L)
-    return parse_method(config.method, config.m, config.L)
-
-
-def _resolve_methods(config: RunConfig):
-    return [parse_method(text, config.m, config.L) for text in config.methods]
-
-
-def _resolve_oracle(config: RunConfig):
-    if config.oracle_json is not None:
-        return oracle_from_json(config.oracle_json)
-    return parse_oracle(config.oracle)
-
-
-def _alpha_grid(config: RunConfig, sector: SectorClass) -> list[float]:
-    lo = config.alpha_min if config.alpha_min is not None else 0.1 / sector.L
-    hi = config.alpha_max if config.alpha_max is not None else 1.9 / sector.L
-    _check_alpha_range(lo, hi)
-    return list(np.linspace(lo, hi, config.alpha_steps))
-
-
-def _check_alpha_range(lo: float, hi: float) -> None:
-    if not 0.0 < lo <= hi:
-        raise InvalidParameterError("need 0 < alpha-min <= alpha-max")
-
-
-def _beta_grid(config: RunConfig) -> list[float]:
-    if not 0.0 <= config.beta_min <= config.beta_max < 1.0:
-        raise InvalidParameterError("need 0 <= beta-min <= beta-max < 1")
-    return list(np.linspace(config.beta_min, config.beta_max, config.beta_steps))
-
-
-def _cmd_certify(config: RunConfig) -> int:
-    sector = _sector(config)
-    spec = _resolve_method(config)
-    cert = certify_rate(spec, sector, config.rho)
+def _cmd_certify(run: Run) -> int:
+    config = run.config
+    cert = certify_rate(run.method, run.sector, config.rho)
     verdict = "certified" if cert.certified else "not certified"
     hinf = f"{cert.hinf:.6g}" if math.isfinite(cert.hinf) else "inf"
     summary = (
@@ -394,19 +379,18 @@ def _cmd_certify(config: RunConfig) -> int:
         f"{verdict} (stable={cert.stable}, hinf={hinf}, "
         f"threshold={cert.threshold:.6g})"
     )
-    _emit(config, asdict(cert), summary)
+    _emit(run, asdict(cert), summary)
     return 0
 
 
-def _cmd_rate(config: RunConfig) -> int:
-    sector = _sector(config)
-    spec = _resolve_method(config)
+def _cmd_rate(run: Run) -> int:
+    config, spec = run.config, run.method
     try:
-        result = bisect_rate(spec, sector, config.tol)
+        result = bisect_rate(spec, run.sector, config.tol)
     except NoCertificateError as exc:
         payload = {"method": spec.label, "m": config.m, "L": config.L,
                    "rho_star": None, "certified": False, "reason": str(exc)}
-        _emit(config, payload, f"{spec.label}: no certificate (rates below 1 do not certify)")
+        _emit(run, payload, f"{spec.label}: no certificate (rates below 1 do not certify)")
         return 0
     payload = {
         "method": spec.label,
@@ -422,14 +406,13 @@ def _cmd_rate(config: RunConfig) -> int:
         f"({result.iterations} certificates, hinf={result.certificate.hinf:.6g}, "
         f"threshold={result.certificate.threshold:.6g})"
     )
-    _emit(config, payload, summary)
+    _emit(run, payload, summary)
     return 0
 
 
-def _cmd_curve(config: RunConfig) -> int:
-    sector = _sector(config)
-    alphas = _alpha_grid(config, sector)
-    rows = certified_rate_curve(sector, alphas, tol=config.tol)
+def _cmd_curve(run: Run) -> int:
+    config = run.config
+    rows = certified_rate_curve(run.sector, run.alphas, tol=config.tol)
     if config.csv_out:
         lines = ["alpha,rho_star"]
         lines += [f"{a!r},{'' if r is None else repr(r)}" for a, r in rows]
@@ -445,29 +428,26 @@ def _cmd_curve(config: RunConfig) -> int:
         summary = f"curve over {len(rows)} stepsizes: none certified"
     payload = {"m": config.m, "L": config.L,
                "curve": [[a, r] for a, r in rows]}
-    _emit(config, payload, summary)
+    _emit(run, payload, summary)
     return 0
 
 
-def _cmd_search(config: RunConfig) -> int:
-    sector = _sector(config)
+def _cmd_search(run: Run) -> int:
+    config, sector = run.config, run.sector
     if config.family == Family.GRADIENT.value:
         try:
             alpha, rho = search_stepsize(sector, config.tol)
         except NoCertificateError as exc:
-            _emit(config, {"alpha_star": None, "rho_star": None, "reason": str(exc)},
+            _emit(run, {"alpha_star": None, "rho_star": None, "reason": str(exc)},
                   "stepsize search: no certifiable stepsize")
             return 0
         payload = {"family": "gradient", "m": config.m, "L": config.L,
                    "alpha_star": alpha, "rho_star": rho}
-        _emit(config, payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}")
+        _emit(run, payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}")
         return 0
-    alphas = _alpha_grid(config, sector)
-    result = search_two_param(sector, alphas, _beta_grid(config), Family(config.family),
-                              config.tol)
+    result = search_two_param(sector, run.alphas, run.betas, Family(config.family), config.tol)
     if result is None:
-        _emit(config, {"family": config.family, "alpha": None, "beta": None,
-                       "rho_star": None},
+        _emit(run, {"family": config.family, "alpha": None, "beta": None, "rho_star": None},
               f"{config.family} search: nothing on the grid certifies")
         return 0
     payload = {"family": config.family, "m": config.m, "L": config.L, **asdict(result)}
@@ -475,13 +455,12 @@ def _cmd_search(config: RunConfig) -> int:
         f"{config.family} search: alpha={result.alpha:.6g} beta={result.beta:.6g} "
         f"rho_star={result.rho_star:.6g}"
     )
-    _emit(config, payload, summary)
+    _emit(run, payload, summary)
     return 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    spec = _resolve_method(config)
-    oracle = _resolve_oracle(config)
+def _cmd_simulate(run: Run) -> int:
+    config, spec, oracle = run.config, run.method, run.oracle
     x0 = np.asarray(config.x0, dtype=float) if config.x0 else oracle.xstar + 1.0
     traj = simulate_run(spec, oracle, x0, config.iters, config.noise_sigma, config.seed)
     if config.csv_out:
@@ -510,22 +489,21 @@ def _cmd_simulate(config: RunConfig) -> int:
         f"{spec.label} on {traj.oracle_id}: {config.iters} steps, "
         f"final residual={traj.residuals[-1]:.6g}, {fitted}"
     )
-    _emit(config, payload, summary)
+    _emit(run, payload, summary)
     return 0
 
 
-def _cmd_robustness(config: RunConfig) -> int:
-    sector = _sector(config)
-    oracle = _resolve_oracle(config)
+def _cmd_robustness(run: Run) -> int:
+    config = run.config
     report = noise_robustness_experiment(
-        sector, oracle, config.noise_sigma, range(config.n_seeds), config.iters
+        run.sector, run.oracle, config.noise_sigma, range(config.n_seeds), config.iters
     )
     summary = (
         f"noise sigma={config.noise_sigma:g} over {config.n_seeds} seeds: "
         f"median steady-state residual alpha=1/L -> {report.median_standard:.6g}, "
         f"alpha=2/(L+m) -> {report.median_optimal_sector:.6g}"
     )
-    _emit(config, asdict(report), summary)
+    _emit(run, asdict(report), summary)
     return 0
 
 
@@ -533,10 +511,11 @@ def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9.=_-]+", "_", label).strip("_")
 
 
-def _cmd_bode(config: RunConfig) -> int:
+def _cmd_bode(run: Run) -> int:
+    config = run.config
     curves = []
     infos = []
-    for spec in _resolve_methods(config):
+    for spec in run.methods:
         tf = build_controller(spec)
         curves.append((spec.label, bode_table(tf, config.f_min, config.n_freq)))
         infos.append({"method": spec.label, **asdict(gain_metrics(tf))})
@@ -556,7 +535,7 @@ def _cmd_bode(config: RunConfig) -> int:
         f"{info['method']}@none"
         for info in infos
     )
-    _emit(config, payload, f"bode tables for {len(curves)} methods (crossovers: {crossings})")
+    _emit(run, payload, f"bode tables for {len(curves)} methods (crossovers: {crossings})")
     return 0
 
 
@@ -569,8 +548,8 @@ def _report_oracles(sector: SectorClass):
     ]
 
 
-def _cmd_report(config: RunConfig) -> int:
-    sector = _sector(config)
+def _cmd_report(run: Run) -> int:
+    config, sector = run.config, run.sector
     presets = [
         ("gradient", "standard"),
         ("gradient", "optimal_sector"),
@@ -598,7 +577,7 @@ def _cmd_report(config: RunConfig) -> int:
             entry.update({"rho_star": None})
         entries.append(entry)
     alpha_star, rho_star = search_stepsize(sector, config.tol)
-    curve = certified_rate_curve(sector, _alpha_grid(config, sector), tol=config.tol)
+    curve = certified_rate_curve(sector, run.alphas, tol=config.tol)
     soundness = []
     for spec, rho in certified_entries:
         for oracle in _report_oracles(sector):
@@ -630,11 +609,11 @@ def _cmd_report(config: RunConfig) -> int:
         f"soundness {verdict} over {len(checked)} of {len(soundness)} runs"
         + (f" ({unfit} without a rate fit)" if unfit else "")
     )
-    _emit(config, payload, summary)
+    _emit(run, payload, summary)
     return 0
 
 
-_DISPATCH = {
+_COMMANDS = {
     "certify": _cmd_certify,
     "rate": _cmd_rate,
     "curve": _cmd_curve,
@@ -646,16 +625,12 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed config; every computation here is also reachable as
-    a plain library call with identical results."""
-    return _DISPATCH[config.command](config)
-
-
 def main(argv=None) -> int:
-    config = parse_args(argv)
+    """Run one command; every computation here is also reachable as a plain
+    library call with identical results."""
+    run = parse_args(argv)
     try:
-        return run(config)
+        return _COMMANDS[run.config.command](run)
     except LoopShiftError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

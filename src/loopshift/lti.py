@@ -1,6 +1,6 @@
 """Discrete-time SISO LTI systems: rational transfer-function algebra,
-state-space realization, stability radius, frequency response, and gains on
-the unit circle (a level-crossing test and the H-infinity norm, no grid).
+state-space realization, frequency response, and gains on the unit circle
+(a level-crossing test and the H-infinity norm, no grid).
 
 Transfer functions keep a monic denominator so coefficient-level equality is
 well defined.  Common num/den roots are never cancelled implicitly; use
@@ -141,25 +141,6 @@ def _poly_close(a: Polynomial, b: Polynomial, rtol: float) -> bool:
     if scale == 0.0:
         return True
     return all(abs(x - y) <= rtol * scale for x, y in zip(ca, cb))
-
-
-def poles(t: RationalTF) -> list[complex]:
-    reduced = tf_reduce(t)
-    if reduced.den.degree == 0:
-        return []
-    return poly_roots(reduced.den)
-
-
-def stability_radius(t: RationalTF) -> float:
-    """Largest pole modulus after reduction; 0 for constants.
-
-    ``t(rho*z)`` is Schur stable exactly when this radius is below ``rho``,
-    but roots carry rounding: stability is decided by ``schur_stable``.
-    """
-    pole_list = poles(t)
-    if not pole_list:
-        return 0.0
-    return max(abs(r) for r in pole_list)
 
 
 def freq_response(t: RationalTF, f: float) -> complex:

@@ -218,47 +218,35 @@ _FAMILY_NAMES = {f.value: f for f in Family}
 
 
 def parse_method(text: str, m: float | None = None, L: float | None = None) -> MethodSpec:
-    """Parse a CLI method string: ``family:alpha=..[,beta=..]``, or a preset
-    form ``family:preset[=variant]`` (needs the sector bounds m and L)."""
+    """Parse a CLI method string, ``family:alpha=..[,beta=..]`` or the preset
+    form ``family:preset[=variant]`` (needs the sector bounds m and L), into
+    its JSON form and build that with :func:`method_from_json`.  Each
+    parameter may appear once; custom controllers need the JSON form."""
     name, _, rest = text.partition(":")
-    family = _FAMILY_NAMES.get(name.strip())
-    if family is None:
-        raise InvalidParameterError(
-            f"unknown method family {name!r}; choose from {sorted(_FAMILY_NAMES)}"
-        )
-    params: dict[str, float] = {}
-    variant = None
-    if rest:
-        for token in rest.split(","):
-            token = token.strip()
-            if token == "preset":
-                variant = "standard"
-            elif "=" in token:
-                key, _, value = token.partition("=")
-                if key == "preset":
-                    variant = value
-                elif key in ("alpha", "beta"):
-                    try:
-                        params[key] = float(value)
-                    except ValueError as exc:
-                        raise InvalidParameterError(
-                            f"bad numeric value in method string: {token!r}"
-                        ) from exc
-                else:
-                    raise InvalidParameterError(f"unknown method parameter {key!r}")
-            else:
-                raise InvalidParameterError(f"cannot parse method token {token!r}")
-    if variant is not None:
-        if m is None or L is None:
-            raise InvalidParameterError(
-                "preset method forms need the sector bounds m and L"
-            )
-        return preset(family, m, L, variant)
-    if family is Family.CUSTOM:
+    obj: dict = {"family": name.strip()}
+    for token in rest.split(",") if rest else ():
+        key, eq, value = token.strip().partition("=")
+        if key == "preset" and not eq:
+            value = "standard"
+        elif not eq:
+            raise InvalidParameterError(f"cannot parse method token {token!r}")
+        elif key in ("alpha", "beta"):
+            try:
+                value = float(value)
+            except ValueError as exc:
+                raise InvalidParameterError(
+                    f"bad numeric value in method string: {token!r}"
+                ) from exc
+        elif key != "preset":
+            raise InvalidParameterError(f"unknown method parameter {key!r}")
+        if key in obj:
+            raise InvalidParameterError(f"method parameter {key!r} given twice in {text!r}")
+        obj[key] = value
+    if obj["family"] == Family.CUSTOM.value:
         raise InvalidParameterError(
             "custom controllers are accepted through the JSON config only"
         )
-    return MethodSpec(family, alpha=params.get("alpha"), beta=params.get("beta"))
+    return method_from_json(obj, m, L)
 
 
 def method_from_json(obj: dict, m: float | None = None, L: float | None = None) -> MethodSpec:
@@ -271,10 +259,11 @@ def method_from_json(obj: dict, m: float | None = None, L: float | None = None) 
     with json_block(obj, "method_json block"):
         family = _FAMILY_NAMES.get(obj.get("family"))
         if family is None:
-            raise InvalidParameterError(f"unknown method family {obj.get('family')!r}")
+            raise InvalidParameterError(f"unknown method family {obj.get('family')!r}; "
+                                        f"choose from {sorted(_FAMILY_NAMES)}")
         if "preset" in obj:
             if m is None or L is None:
-                raise InvalidParameterError("preset method forms need m and L")
+                raise InvalidParameterError("preset method forms need the sector bounds m and L")
             return preset(family, m, L, obj["preset"])
         if family is Family.CUSTOM:
             tf = RationalTF(json_numbers(obj["num"], "num"), json_numbers(obj["den"], "den"))

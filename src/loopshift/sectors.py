@@ -338,25 +338,23 @@ def sector_membership_sampled(oracle: GradientOracle, sector: SectorClass,
 
 
 def parse_oracle(text: str) -> GradientOracle:
-    """Parse a CLI oracle string: ``quadratic:1,10`` (eigenvalues) or
-    ``pwl:0:1,1:10`` (breakpoint:slope pairs)."""
+    """Parse a CLI oracle string, ``quadratic:1,10`` (eigenvalues) or
+    ``pwl:0:1,1:10`` (breakpoint:slope pairs), into its JSON form and build
+    that with :func:`oracle_from_json`."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
+    if kind not in ("quadratic", "pwl"):
+        raise InvalidParameterError(f"unknown oracle kind {kind!r}; choose 'quadratic' or 'pwl'")
+    tokens = [tok.split(":") for tok in rest.split(",") if tok]
     try:
         if kind == "quadratic":
-            return QuadraticOracle([float(tok) for tok in rest.split(",") if tok])
-        if kind == "pwl":
-            pairs = [tok.split(":") for tok in rest.split(",") if tok]
-            if any(len(p) != 2 for p in pairs):
-                raise InvalidParameterError(f"bad pwl oracle string {text!r}")
-            return PiecewiseLinearOracle(
-                [float(p[0]) for p in pairs], [float(p[1]) for p in pairs]
-            )
+            obj = {"kind": kind, "eigenvalues": [float(value) for value, in tokens]}
+        else:
+            obj = {"kind": kind, "breakpoints": [float(bp) for bp, _ in tokens],
+                   "slopes": [float(slope) for _, slope in tokens]}
     except ValueError as exc:
-        raise InvalidParameterError(f"bad numeric value in oracle string {text!r}") from exc
-    raise InvalidParameterError(
-        f"unknown oracle kind {kind!r}; choose 'quadratic' or 'pwl'"
-    )
+        raise InvalidParameterError(f"bad oracle string {text!r}: {exc}") from exc
+    return oracle_from_json(obj)
 
 
 def oracle_from_json(obj: dict) -> GradientOracle:

@@ -181,10 +181,10 @@ class RateEstimate:
 
 
 def estimate_rate(traj: Trajectory) -> RateEstimate:
-    """Fit ln(residual[k]) ~ intercept + slope*k over the window from
-    iters/4 to the last residual above the machine floor; rho_hat is
-    exp(slope) and c_hat recovers the constant in residual <= c rho^k
-    residual[0].
+    """Fit ln(residual[k]) ~ intercept + slope*k over the residuals above
+    the machine floor from a quarter of the way to the last of them (to
+    iters/4 for a run that never reaches the floor); rho_hat is exp(slope)
+    and c_hat recovers the constant in residual <= c rho^k residual[0].
 
     The window start discards the transient where that constant dominates.
     Growth past a factor of 1e6, or a non-finite residual, sets the diverged
@@ -192,10 +192,13 @@ def estimate_rate(traj: Trajectory) -> RateEstimate:
     """
     r = traj.residuals
     iters = len(r) - 1
-    start = iters // 4
-    ks = np.arange(start, iters + 1)
     finite = np.isfinite(r)
-    usable = ks[finite[ks] & (r[ks] > RESIDUAL_FLOOR)]
+    above = finite & (r > RESIDUAL_FLOOR)
+    end = iters
+    if above.any() and (r <= RESIDUAL_FLOOR).any():
+        end = int(np.flatnonzero(above)[-1])
+    ks = np.arange(end // 4, iters + 1)
+    usable = ks[above[ks]]
     if usable.size < 10:
         raise InsufficientDataError(
             f"only {usable.size} usable residuals above {RESIDUAL_FLOOR:g} "

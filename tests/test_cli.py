@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -6,13 +7,16 @@ from loopshift.cli import RunConfig, main, parse_args, split_method_list
 
 
 def test_parse_certify():
-    config = parse_args([
+    run = parse_args([
         "certify", "--method", "gradient:alpha=0.18182",
         "--m", "1", "--L", "10", "--rho", "0.9",
     ])
+    config = run.config
     assert config.command == "certify"
     assert config.method == "gradient:alpha=0.18182"
     assert (config.m, config.L, config.rho) == (1.0, 10.0, 0.9)
+    assert run.method.label == "gradient(alpha=0.18182)"
+    assert (run.sector.m, run.sector.L) == (1.0, 10.0)
 
 
 def test_parse_rate_with_json_path(tmp_path):
@@ -20,7 +24,7 @@ def test_parse_rate_with_json_path(tmp_path):
     config = parse_args([
         "rate", "--method", "nesterov:alpha=1,beta=0.8182",
         "--m", "0.01", "--L", "1", "--json", str(out),
-    ])
+    ]).config
     assert config.command == "rate"
     assert config.json_out == str(out)
 
@@ -40,9 +44,13 @@ def test_usage_error_on_unknown_flag():
 
 
 def test_usage_error_on_bad_method_string():
-    with pytest.raises(SystemExit) as err:
-        parse_args(["rate", "--method", "newton:alpha=1", "--m", "1", "--L", "10"])
-    assert err.value.code == 2
+    for argv in (["rate", "--method", "newton:alpha=1", "--m", "1", "--L", "10"],
+                 ["certify", "--method", "gradient:alpha=0.1,alpha=0.2",
+                  "--m", "1", "--L", "10", "--rho", "0.9"],
+                 ["bode", "--methods", ","]):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
 
 
 def test_usage_error_on_bad_rho():
@@ -56,8 +64,8 @@ def test_run_config_round_trips_through_json():
     config = parse_args([
         "simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10",
         "--x0", "1,2", "--iters", "50", "--seed", "3",
-    ])
-    assert RunConfig.from_json(json.loads(json.dumps(config.to_json()))) == config
+    ]).config
+    assert RunConfig.from_json(json.loads(json.dumps(asdict(config)))) == config
 
 
 def test_split_method_list_groups_parameter_tokens():
@@ -190,7 +198,7 @@ def test_config_file_overrides_flags(tmp_path):
     cfg.write_text(json.dumps({"rho": 0.95}))
     config = parse_args(["certify", "--method", "gradient:alpha=0.1",
                          "--m", "1", "--L", "10", "--rho", "0.5",
-                         "--config", str(cfg)])
+                         "--config", str(cfg)]).config
     assert config.rho == 0.95
 
 

@@ -16,10 +16,8 @@ from loopshift import (
     freq_response_many,
     hinf_peak,
     impulse_series,
-    poles,
     poly_from_roots,
     realize,
-    stability_radius,
     tf_add,
     tf_allclose,
     tf_arg_scale,
@@ -108,27 +106,6 @@ def test_arg_scale_examples():
     assert tf_allclose(scaled2, RationalTF((1 + kappa,), (-kappa + 1, 2 * 0.8 * kappa)), rtol=1e-14)
 
     assert tf_allclose(tf_arg_scale(t2, 1.0), t2, rtol=1e-15)
-
-
-def test_stability_radius_examples():
-    assert stability_radius(RationalTF((1.0,), (0.0, 1.0))) == 0.0
-    kappa = 100.0
-    t = RationalTF((1 + kappa,), (-kappa + 1, 2 * kappa))
-    assert stability_radius(t) == pytest.approx((kappa - 1) / (2 * kappa), abs=1e-14)
-    t2 = RationalTF((1.0,), (0.5, -1.5, 1.0))
-    assert stability_radius(t2) == pytest.approx(1.0, abs=1e-12)
-    assert stability_radius(constant_tf(3.0)) == 0.0
-
-
-def test_scaled_stability_matches_radius_predicate():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        t = _random_stable_tf(rng)
-        rho = rng.uniform(0.05, 1.5)
-        radius = stability_radius(t)
-        scaled_stable = all(abs(p) < 1.0 for p in poles(tf_arg_scale(t, rho)))
-        if abs(radius - rho) > 1e-9:  # away from the knife edge
-            assert scaled_stable == (radius < rho)
 
 
 def test_freq_response_gradient_at_nyquist():

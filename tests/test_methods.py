@@ -165,6 +165,8 @@ def test_parse_method_errors():
         parse_method("custom:alpha=1")
     with pytest.raises(InvalidParameterError):
         parse_method("gradient:alpha=fast")
+    with pytest.raises(InvalidParameterError):
+        parse_method("gradient:alpha=0.1,alpha=0.2")  # a repeat does not override
 
 
 def test_method_from_json():

@@ -149,6 +149,14 @@ def test_estimate_rate_on_exact_geometric_sequence():
     assert not est.diverged
 
 
+def test_estimate_rate_fits_a_run_that_reaches_the_floor_early():
+    # 0.5^k drops to the floor at k = 40, long before iters/4 = 100
+    traj = _synthetic_trajectory([0.5 ** k for k in range(401)])
+    est = estimate_rate(traj)
+    assert est.rho_hat == pytest.approx(0.5, abs=1e-9)
+    assert est.fit_window == (9, 39)
+
+
 def test_estimate_rate_constant_residuals():
     est = estimate_rate(_synthetic_trajectory(np.ones(100)))
     assert est.rho_hat == pytest.approx(1.0, abs=1e-12)
