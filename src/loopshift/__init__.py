@@ -47,7 +47,6 @@ from .lti import (
     tf_allclose,
     tf_arg_scale,
     tf_mul,
-    tf_reduce,
     tf_sub,
     verify_realization,
 )
@@ -68,7 +67,6 @@ from .polynomials import (
     poly_add,
     poly_arg_scale,
     poly_eval,
-    poly_from_roots,
     poly_mul,
     poly_roots,
     poly_scale,
@@ -112,12 +110,12 @@ __all__ = [
     "RationalTF", "StateSpace", "constant_tf", "freq_response",
     "freq_response_many", "hinf_peak", "impulse_series",
     "realize", "tf_add", "tf_allclose",
-    "tf_arg_scale", "tf_mul", "tf_reduce", "tf_sub", "verify_realization",
+    "tf_arg_scale", "tf_mul", "tf_sub", "verify_realization",
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",
     "nesterov_derivative_tf", "parse_method", "preset",
     "Polynomial", "poly_add", "poly_arg_scale", "poly_eval",
-    "poly_from_roots", "poly_mul", "poly_roots", "poly_scale", "poly_sub",
+    "poly_mul", "poly_roots", "poly_scale", "poly_sub",
     "GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle",
     "SectorClass", "SeparableOracle", "oracle_from_json",
     "parse_oracle", "random_rotation", "sector_check",

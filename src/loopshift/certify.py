@@ -24,7 +24,6 @@ from .lti import (
     golden_section,
     hinf_peak,
     tf_arg_scale,
-    tf_reduce,
 )
 from .methods import Family, MethodSpec, build_controller
 from .polynomials import poly_roots, poly_scale, poly_sub, schur_stable
@@ -33,14 +32,18 @@ from .sectors import SectorClass
 # The largest rate a bisection tries; certifying only closer to one is none.
 RHO_MAX = 1.0 - 1e-9
 
-# Bisection never leans on monotonicity of the certified set: a coarse scan
-# locates the first certified interval before the bracket is tightened.
-SCAN_POINTS = 64
+# The certified set in rho is an interval [rho*, 1), which every search below
+# relies on.  Stability of D(rho z) holds for all rho above the stability
+# radius.  Above it, K'(1/w) is analytic in |w| < 1/radius, so by the maximum
+# modulus principle the peak of |K'(rho e^{j theta})|, its maximum on the
+# circle |w| = 1/rho, cannot increase as rho grows.
 
 
 def loop_shift(controller: RationalTF, sector: SectorClass) -> RationalTF:
-    """Shifted controller N/(N - s*D) for K = N/D with s = 2/(m+L), reduced
-    and monic-normalized.
+    """Shifted controller N/(N - s*D) for K = N/D with s = 2/(m+L),
+    monic-normalized and never reduced: a root N shares with N - s*D is a
+    closed-loop mode all the same, and cancelling it would hide a growing
+    mode from the stability test.
 
     For a strictly proper K the result is strictly proper with the same
     denominator degree.  A biproper K whose leading coefficients cancel in
@@ -53,7 +56,7 @@ def loop_shift(controller: RationalTF, sector: SectorClass) -> RationalTF:
             "loop shift produced an improper system; the controller shape is "
             "outside the supported feedback form"
         )
-    return tf_reduce(RationalTF(num, shifted_den))
+    return RationalTF(num, shifted_den)
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,21 @@ def _check_tol(tol: float) -> None:
 def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> RateSearchResult:
     """Smallest certifiable rate, to bracket width ``tol``.
 
-    The lower bracket starts at the shifted controller's stability radius
-    (below it the scaled system is unstable, so no certificate is possible).
-    Scan and bisection steps run the test alone; the certificate is built
-    once, at the final rate.  Raises :class:`NoCertificateError` when not
-    even RHO_MAX certifies; batch callers should treat that as a definite
-    negative result, not a failure.
+    The certified set is an interval [rho*, 1), so one test at RHO_MAX
+    decides whether there is a certificate, and bisection from the shifted
+    controller's stability radius (below it the scaled system is unstable)
+    up to RHO_MAX finds rho*.  Bisection steps run the test alone; the
+    certificate is built once, at the final rate.  Raises
+    :class:`NoCertificateError` when not even RHO_MAX certifies; batch
+    callers should treat that as a definite negative result, not a failure.
     """
     _check_tol(tol)
-    shifted = loop_shift(build_controller(spec), sector)
+    return _bisect(spec, loop_shift(build_controller(spec), sector), sector, tol)
+
+
+def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
+            tol: float) -> RateSearchResult:
+    """:func:`bisect_rate` on the method's already shifted controller."""
     hi = RHO_MAX
     evaluations = 1
     if not _certifies(shifted, sector, hi):
@@ -147,21 +156,11 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
             f"{spec.label} admits no certified rate below one on "
             f"S({sector.m:g}, {sector.L:g})"
         )
-    # loop_shift already reduced the controller: its denominator roots are the
-    # poles, and the largest modulus is the stability radius
+    # the shifted denominator's roots are every closed-loop mode, and the
+    # largest modulus is the stability radius
     radius = max(map(abs, poly_roots(shifted.den))) if shifted.den.degree else 0.0
     lo = min(radius, hi)
     history = [(lo, hi)]
-    step = (hi - lo) / SCAN_POINTS
-    for k in range(1, SCAN_POINTS):
-        rho = lo + k * step
-        evaluations += 1
-        if _certifies(shifted, sector, rho):
-            lo, hi = lo + (k - 1) * step, rho
-            break
-    else:
-        lo = hi - step
-    history.append((lo, hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
@@ -172,6 +171,19 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
         history.append((lo, hi))
     certificate = _certificate(spec, shifted, sector, hi)
     return RateSearchResult(hi, certificate, evaluations, tuple(history))
+
+
+def _rate_below(spec: MethodSpec, sector: SectorClass, bound: float, tol: float) -> float:
+    """Bisected rate of ``spec``, or inf when it has none or does not
+    certify at a finite ``bound`` (its rate is then above ``bound``, the
+    certified set being [rho*, 1))."""
+    shifted = loop_shift(build_controller(spec), sector)
+    if math.isfinite(bound) and not _certifies(shifted, sector, bound):
+        return math.inf
+    try:
+        return _bisect(spec, shifted, sector, tol).rho_star
+    except NoCertificateError:
+        return math.inf
 
 
 def certified_rate_curve(sector: SectorClass, alpha_grid,
@@ -197,16 +209,15 @@ def search_stepsize(sector: SectorClass, tol: float = 1e-6) -> tuple[float, floa
 
     The certified-rate curve for gradient descent is max(1 - alpha m,
     alpha L - 1), a max of two affine functions, so it is unimodal and
-    golden-section applies.  Uncertifiable stepsizes count as +inf.
+    golden-section applies.  Uncertifiable stepsizes count as +inf, and so
+    does a stepsize that does not certify at its rival's rate: its own rate
+    is above the rival's, so it loses the comparison either way.
     """
     _check_tol(tol)
     inner_tol = min(tol, 1e-6)
 
-    def value(alpha: float) -> float:
-        try:
-            return bisect_rate(MethodSpec(Family.GRADIENT, alpha=alpha), sector, inner_tol).rho_star
-        except NoCertificateError:
-            return math.inf
+    def value(alpha: float, rival: float) -> float:
+        return _rate_below(MethodSpec(Family.GRADIENT, alpha=alpha), sector, rival, inner_tol)
 
     _, (best_alpha, best_rho) = golden_section(value, 0.0, 2.0 / sector.L, tol)
     if not math.isfinite(best_rho):
@@ -232,8 +243,9 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
 
     Certified-rate surfaces for momentum methods can be non-smooth, so grids
     are used instead of derivative-based descent; ties break toward smaller
-    alpha, then smaller beta (grid order).  Returns None when nothing on the
-    grid certifies.
+    alpha, then smaller beta (grid order).  A point that does not certify at
+    the incumbent's rate has a larger rate, so only points that do get a
+    bisection.  Returns None when nothing on the grid certifies.
     """
     family = Family(family)
     if family is Family.GRADIENT or family is Family.CUSTOM:
@@ -255,11 +267,9 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
         for a in a_list:
             for b in b_list:
                 evaluations += 1
-                try:
-                    rho = bisect_rate(MethodSpec(family, alpha=a, beta=b), sector, tol).rho_star
-                except NoCertificateError:
-                    continue
-                if best is None or rho < best[2]:
+                incumbent = math.inf if best is None else best[2]
+                rho = _rate_below(MethodSpec(family, alpha=a, beta=b), sector, incumbent, tol)
+                if rho < incumbent:
                     best = (a, b, rho)
 
     sweep(alphas, betas)

@@ -3,8 +3,7 @@ state-space realization, frequency response, and gains on the unit circle
 (a level-crossing test and the H-infinity norm, no grid).
 
 Transfer functions keep a monic denominator so coefficient-level equality is
-well defined.  Common num/den roots are never cancelled implicitly; use
-:func:`tf_reduce` for that.
+well defined.  Common num/den roots are never cancelled.
 """
 
 from __future__ import annotations
@@ -21,16 +20,12 @@ from .polynomials import (
     poly_add,
     poly_arg_scale,
     poly_eval,
-    poly_from_roots,
     poly_mul,
     poly_roots,
     poly_scale,
     poly_sub,
     schur_stable,
 )
-
-# Root pairs closer than this cancel in tf_reduce.
-CANCEL_TOL = 1e-8
 
 # A gain this close below a level (a few ulps) counts as reaching it, so a
 # gain that only touches the level (a tangency) never passes for below it.
@@ -89,40 +84,6 @@ def tf_mul(a: RationalTF, b: RationalTF) -> RationalTF:
     return RationalTF(poly_mul(a.num, b.num), poly_mul(a.den, b.den))
 
 
-def tf_reduce(t: RationalTF, tol: float = CANCEL_TOL) -> RationalTF:
-    """Cancel numerator/denominator root pairs closer than ``tol``.
-
-    Left untouched when nothing cancels, so exact coefficients survive the
-    common no-op case.
-    """
-    if t.num.is_zero or t.num.degree == 0 or t.den.degree == 0:
-        return t
-    num_roots = poly_roots(t.num)
-    den_roots = poly_roots(t.den)
-    used = [False] * len(den_roots)
-    keep_num: list[complex] = []
-    cancelled = False
-    for nr in num_roots:
-        best, best_dist = -1, math.inf
-        for j, dr in enumerate(den_roots):
-            if used[j]:
-                continue
-            dist = abs(nr - dr)
-            if dist < best_dist:
-                best, best_dist = j, dist
-        if best >= 0 and best_dist < tol:
-            used[best] = True
-            cancelled = True
-        else:
-            keep_num.append(nr)
-    if not cancelled:
-        return t
-    keep_den = [dr for j, dr in enumerate(den_roots) if not used[j]]
-    num = poly_from_roots(keep_num, t.num.coeffs[-1])
-    den = poly_from_roots(keep_den, t.den.coeffs[-1])
-    return RationalTF(num, den)
-
-
 def tf_arg_scale(t: RationalTF, rho: float) -> RationalTF:
     """Substitute ``z -> rho*z`` in both numerator and denominator."""
     return RationalTF(poly_arg_scale(t.num, rho), poly_arg_scale(t.den, rho))
@@ -172,20 +133,26 @@ def freq_response_many(t: RationalTF, fs) -> np.ndarray:
 def golden_section(f, a: float, b: float, tol: float):
     """Minimise ``f`` on ``[a, b]`` by golden-section search down to bracket
     width ``tol``; returns ``((a, b), (x_best, f_best))``, the final bracket
-    and the first evaluated point with the smallest value."""
+    and the first evaluated point with the smallest value.
+
+    ``f(x, rival)`` gets the other interior point's value (inf for the first
+    point) and may return inf for any ``x`` whose value exceeds a finite
+    ``rival``: such a point loses its comparison, its value is never read
+    again, and the best value so far is at most ``rival``."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1 = f(x1, math.inf)
+    f2 = f(x2, f1)
     x_best, f_best = (x1, f1) if f1 <= f2 else (x2, f2)
     while b - a > tol:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x = x1 = b - _INVPHI * (b - a)
-            fx = f1 = f(x1)
+            fx = f1 = f(x1, f2)
         else:
             a, x1, f1 = x1, x2, f2
             x = x2 = a + _INVPHI * (b - a)
-            fx = f2 = f(x2)
+            fx = f2 = f(x2, f1)
         if fx < f_best:
             x_best, f_best = x, fx
     return (a, b), (x_best, f_best)

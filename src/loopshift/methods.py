@@ -262,6 +262,8 @@ def method_from_json(obj: dict, m: float | None = None, L: float | None = None) 
             raise InvalidParameterError(f"unknown method family {obj.get('family')!r}; "
                                         f"choose from {sorted(_FAMILY_NAMES)}")
         if "preset" in obj:
+            if "alpha" in obj or "beta" in obj:
+                raise InvalidParameterError("a preset fixes alpha and beta; give neither beside it")
             if m is None or L is None:
                 raise InvalidParameterError("preset method forms need the sector bounds m and L")
             return preset(family, m, L, obj["preset"])

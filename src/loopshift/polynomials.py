@@ -19,7 +19,7 @@ from .errors import InvalidParameterError
 class Polynomial:
     """Immutable real polynomial with trailing exact zeros trimmed (the zero
     polynomial keeps a single 0.0).  Tiny leading coefficients stay: the
-    degree changes only through an explicit cancellation such as tf_reduce."""
+    degree never changes implicitly."""
 
     coeffs: tuple[float, ...]
 
@@ -137,11 +137,3 @@ def schur_stable(p: Polynomial) -> bool:
         c = [x // g for x in c]
     return True
 
-
-def poly_from_roots(roots, leading: float = 1.0) -> Polynomial:
-    """Real polynomial ``leading * prod(z - r)``; imaginary residue left by a
-    conjugate-closed root set is discarded."""
-    acc = np.array([1.0 + 0.0j])
-    for r in roots:
-        acc = np.convolve(acc, np.array([-r, 1.0 + 0.0j]))
-    return Polynomial(tuple((leading * acc).real))

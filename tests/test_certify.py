@@ -1,7 +1,10 @@
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from loopshift import (
     Family,
@@ -9,6 +12,7 @@ from loopshift import (
     InvalidParameterError,
     MethodSpec,
     NoCertificateError,
+    QuadraticOracle,
     RationalTF,
     SectorClass,
     bisect_rate,
@@ -20,10 +24,13 @@ from loopshift import (
     preset,
     search_stepsize,
     search_two_param,
+    simulate_run,
     tf_allclose,
     tf_arg_scale,
 )
+from loopshift import certify
 from loopshift.cli import _json_safe
+from loopshift.lti import golden_section
 
 SEC = SectorClass(1.0, 10.0)
 
@@ -299,11 +306,143 @@ def test_complementary_sensitivity_at_rho_one_is_plain_shift():
     assert tf_allclose(complementary_sensitivity(k, SEC, 1.0), loop_shift(k, SEC), rtol=1e-14)
 
 
+def _custom_controller(rng, order):
+    """Integrator at a certifiable gradient gain times unit-DC-gain lead/lag
+    factors and, when two orders are left, a resonant pole pair near the
+    circle with zeros close by."""
+    num = np.array([-rng.uniform(0.05, 0.15)])
+    den = np.array([-1.0, 1.0])
+    left = order - 1
+    while left > 0:
+        if left >= 2 and rng.random() < 0.5:
+            theta, rp = rng.uniform(0.2, 2.5), rng.uniform(0.85, 0.97)
+            rz = rp * rng.uniform(0.97, 1.0)
+            poles = np.array([rp * rp, -2.0 * rp * math.cos(theta), 1.0])
+            zeros = np.array([rz * rz, -2.0 * rz * math.cos(theta), 1.0])
+            num, den = np.convolve(num, zeros * poles.sum() / zeros.sum()), np.convolve(den, poles)
+            left -= 2
+        else:
+            a, b = rng.uniform(-0.3, 0.3, size=2)
+            num = np.convolve(num, np.array([-a, 1.0]) * (1.0 - b) / (1.0 - a))
+            den = np.convolve(den, np.array([-b, 1.0]))
+            left -= 1
+    return MethodSpec(Family.CUSTOM, custom_tf=RationalTF(tuple(num), tuple(den)))
+
+
 def test_certified_set_monotone_on_catalog():
     # once a rate certifies, every larger rate below one certifies too
-    specs = [gradient(0.1), gradient(2.0 / 11.0), preset(Family.NESTEROV, 1.0, 10.0)]
+    rng = np.random.default_rng(5)
+    specs = [
+        gradient(0.1), gradient(2.0 / 11.0), preset(Family.NESTEROV, 1.0, 10.0),
+        MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5),
+        MethodSpec(Family.HEAVY_BALL, alpha=0.15, beta=0.1),
+        MethodSpec(Family.PID, alpha=0.1, beta=0.2),
+        MethodSpec(Family.PID, alpha=0.15, beta=0.6),
+    ] + [_custom_controller(rng, order) for order in (3, 4, 5, 6, 3, 4, 5, 6)]
     rhos = np.linspace(0.05, 0.999, 40)
+    certified = 0
     for spec in specs:
         flags = [certify_rate(spec, SEC, float(r)).certified for r in rhos]
         first = flags.index(True) if True in flags else len(flags)
         assert all(flags[first:])
+        certified += first < len(flags)
+    assert certified >= 12
+
+
+# K = -0.18 (z - 1.5) / ((z - 1)(z - 1.5 - 1e-9)): the zero sits 1e-9 from an
+# unstable pole, a mode the closed loop still has
+HIDDEN_MODE = MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
+    tuple(-0.18 * np.array([-1.5, 1.0])), tuple(np.convolve([-1.0, 1.0], [-1.5 - 1e-9, 1.0]))))
+
+
+def test_hidden_unstable_mode_is_not_certified():
+    with pytest.raises(NoCertificateError):
+        bisect_rate(HIDDEN_MODE, SEC)
+    assert not certify_rate(HIDDEN_MODE, SEC, 0.95).stable
+    traj = simulate_run(HIDDEN_MODE, QuadraticOracle([1.0, 10.0]), [1.0, 1.0], 100)
+    assert traj.residuals[100] > 1e8
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([Family.GRADIENT, Family.HEAVY_BALL, Family.NESTEROV, Family.PID]),
+       st.floats(min_value=0.02, max_value=1.5), st.floats(min_value=0.0, max_value=0.9),
+       st.floats(min_value=1.5, max_value=50.0))
+def test_bisect_rate_is_tight_to_its_tolerance(family, step, beta, kappa):
+    # step is alpha * L; rho_star certifies and rho_star - tol does not
+    sec = SectorClass(1.0, kappa)
+    alpha = step / kappa
+    spec = gradient(alpha) if family is Family.GRADIENT else MethodSpec(family, alpha=alpha, beta=beta)
+    tol = 1e-6
+    try:
+        result = bisect_rate(spec, sec, tol)
+    except NoCertificateError:
+        assume(False)
+    assert certify_rate(spec, sec, result.rho_star).certified
+    assume(result.rho_star - tol > 0.0)
+    assert not certify_rate(spec, sec, result.rho_star - tol).certified
+
+
+def _reference_two_param(sector, alphas, betas, family, tol=1e-6, refine_rounds=2):
+    """search_two_param without pruning: a full bisection at every grid point."""
+    alphas, betas = sorted(alphas), sorted(betas)
+    best = None
+
+    def sweep(a_list, b_list):
+        nonlocal best
+        for a in a_list:
+            for b in b_list:
+                try:
+                    rho = bisect_rate(MethodSpec(family, alpha=a, beta=b), sector, tol).rho_star
+                except NoCertificateError:
+                    continue
+                if best is None or rho < best[2]:
+                    best = (a, b, rho)
+
+    sweep(alphas, betas)
+    alpha_span = (alphas[-1] - alphas[0]) / (len(alphas) - 1)
+    beta_span = (betas[-1] - betas[0]) / (len(betas) - 1)
+    for _ in range(refine_rounds):
+        a0, b0, _ = best
+        sweep(np.linspace(max(a0 - alpha_span, alpha_span * 1e-6), a0 + alpha_span,
+                          len(alphas)).tolist(),
+              np.linspace(max(b0 - beta_span, 0.0), min(b0 + beta_span, 1.0 - 1e-12),
+                          len(betas)).tolist())
+        alpha_span /= len(alphas) - 1
+        beta_span /= len(betas) - 1
+    return best
+
+
+@pytest.mark.parametrize("family", [Family.HEAVY_BALL, Family.NESTEROV])
+@pytest.mark.parametrize("m, L", [(1.0, 10.0), (0.01, 1.0)])
+def test_pruned_two_param_search_equals_full_search(monkeypatch, family, m, L):
+    sec = SectorClass(m, L)
+    alphas = np.linspace(0.2, 3.0, 6) / L
+    betas = np.linspace(0.0, 0.8, 5)
+    expected = _reference_two_param(sec, alphas, betas, family)
+    bisections = []
+    full = certify._bisect
+
+    def counted(*args):
+        bisections.append(args[0])
+        return full(*args)
+
+    monkeypatch.setattr(certify, "_bisect", counted)
+    result = search_two_param(sec, alphas, betas, family)
+    assert (result.alpha, result.beta, result.rho_star) == expected
+    assert result.evaluations == 3 * len(alphas) * len(betas)
+    # the incumbent spared most grid points their bisection
+    assert len(bisections) < result.evaluations / 2
+
+
+@pytest.mark.parametrize("m, L", [(1.0, 10.0), (0.01, 1.0)])
+def test_pruned_stepsize_search_equals_full_search(m, L):
+    sec = SectorClass(m, L)
+
+    def value(alpha, rival):
+        try:
+            return bisect_rate(gradient(alpha), sec).rho_star
+        except NoCertificateError:
+            return math.inf
+
+    _, expected = golden_section(value, 0.0, 2.0 / L, 1e-6)
+    assert search_stepsize(sec) == expected

@@ -47,6 +47,8 @@ def test_usage_error_on_bad_method_string():
     for argv in (["rate", "--method", "newton:alpha=1", "--m", "1", "--L", "10"],
                  ["certify", "--method", "gradient:alpha=0.1,alpha=0.2",
                   "--m", "1", "--L", "10", "--rho", "0.9"],
+                 ["certify", "--method", "gradient:preset,alpha=0.5",
+                  "--m", "1", "--L", "10", "--rho", "0.95"],
                  ["bode", "--methods", ","]):
         with pytest.raises(SystemExit) as err:
             parse_args(argv)

@@ -16,17 +16,17 @@ from loopshift import (
     freq_response_many,
     hinf_peak,
     impulse_series,
-    poly_from_roots,
     realize,
     tf_add,
     tf_allclose,
     tf_arg_scale,
     tf_mul,
-    tf_reduce,
     tf_sub,
     verify_realization,
 )
 from loopshift.lti import gain_reaches
+
+from helpers import poly_from_roots
 
 
 def integrator(alpha):
@@ -74,24 +74,6 @@ def test_mul_integrator_by_lag_gives_momentum_denominator():
 def test_add_zero_is_identity():
     t = RationalTF((0.3, -1.0), (0.25, -1.0, 1.0))
     assert tf_allclose(tf_add(t, constant_tf(0.0)), t, rtol=1e-14)
-
-
-def test_reduce_cancels_shared_root():
-    t = RationalTF((-1.0, 1.0), (0.5, -1.5, 1.0))  # (z-1)/((z-1)(z-0.5))
-    out = tf_reduce(t)
-    assert tf_allclose(out, RationalTF((1.0,), (-0.5, 1.0)), rtol=1e-9)
-
-
-def test_reduce_leaves_irreducible_untouched():
-    t = RationalTF((0.3, -1.0), (0.25, -1.0, 1.0))
-    assert tf_reduce(t) is t
-
-
-def test_reduce_tolerance_boundary():
-    t = RationalTF((-0.5000000001, 1.0), (-0.5, 1.0))
-    out = tf_reduce(t)
-    assert out.den.degree == 0
-    assert out.num.coeffs[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_arg_scale_examples():

@@ -11,13 +11,13 @@ from loopshift import (
     build_controller,
     derivative_form_check,
     factor_controller,
+    freq_response_many,
     method_from_json,
     nesterov_derivative_tf,
     parse_method,
     poly_eval,
     preset,
     tf_allclose,
-    tf_reduce,
 )
 
 
@@ -28,8 +28,9 @@ def test_gradient_controller():
 
 def test_heavy_ball_with_zero_momentum_reduces_to_gradient():
     k = build_controller(MethodSpec(Family.HEAVY_BALL, alpha=1.0, beta=0.0))
-    reduced = tf_reduce(k)
-    assert tf_allclose(reduced, RationalTF((-1.0,), (-1.0, 1.0)), rtol=1e-12)
+    fs = np.linspace(0.01, 0.5, 50)
+    expected = freq_response_many(RationalTF((-1.0,), (-1.0, 1.0)), fs)
+    assert np.allclose(freq_response_many(k, fs), expected, rtol=1e-12, atol=0.0)
 
 
 def test_nesterov_preset_coefficients():
@@ -167,6 +168,8 @@ def test_parse_method_errors():
         parse_method("gradient:alpha=fast")
     with pytest.raises(InvalidParameterError):
         parse_method("gradient:alpha=0.1,alpha=0.2")  # a repeat does not override
+    with pytest.raises(InvalidParameterError):
+        parse_method("gradient:preset,alpha=0.5", 1.0, 10.0)  # nor does a preset
 
 
 def test_method_from_json():

@@ -11,12 +11,13 @@ from loopshift import (
     poly_add,
     poly_arg_scale,
     poly_eval,
-    poly_from_roots,
     poly_mul,
     poly_roots,
     poly_scale,
 )
 from loopshift.polynomials import schur_stable
+
+from helpers import poly_from_roots
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 polys = st.lists(coeff, min_size=1, max_size=6).map(lambda c: Polynomial(tuple(c)))
