@@ -37,18 +37,13 @@ from .errors import (
 from .lti import (
     RationalTF,
     StateSpace,
-    constant_tf,
     freq_response,
     freq_response_many,
     hinf_peak,
-    impulse_series,
     realize,
-    tf_add,
     tf_allclose,
     tf_arg_scale,
     tf_mul,
-    tf_sub,
-    verify_realization,
 )
 from .methods import (
     FactorForm,
@@ -107,10 +102,8 @@ __all__ = [
     "ImproperShiftError", "InsufficientDataError", "InvalidParameterError",
     "LoopShiftError", "NoCertificateError", "UnstableSystemError",
     "UnsupportedFactorizationError", "UnsupportedPresetError",
-    "RationalTF", "StateSpace", "constant_tf", "freq_response",
-    "freq_response_many", "hinf_peak", "impulse_series",
-    "realize", "tf_add", "tf_allclose",
-    "tf_arg_scale", "tf_mul", "tf_sub", "verify_realization",
+    "RationalTF", "StateSpace", "freq_response", "freq_response_many",
+    "hinf_peak", "realize", "tf_allclose", "tf_arg_scale", "tf_mul",
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",
     "nesterov_derivative_tf", "parse_method", "preset",

@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import ImproperShiftError, InvalidParameterError, NoCertificateError
 from .lti import (
+    LevelCrossing,
     RationalTF,
-    gain_reaches,
+    climb_to_peak,
     golden_section,
-    hinf_peak,
+    level_crossing,
     tf_arg_scale,
 )
 from .methods import Family, MethodSpec, build_controller
@@ -81,28 +82,33 @@ class RateCertificate:
     peak_frequency: float
 
 
-def _certifies(shifted: RationalTF, sector: SectorClass, rho: float) -> bool:
-    """The small-gain test alone, as :func:`certify_rate` decides it."""
+def _threshold_test(shifted: RationalTF, sector: SectorClass,
+                    rho: float) -> LevelCrossing | None:
+    """The small-gain test at ``rho``: None when the scaled system is not
+    Schur stable, else its level test at the threshold, which certifies
+    when it does not reach."""
     scaled = tf_arg_scale(shifted, rho)
-    return schur_stable(scaled.den) and not gain_reaches(scaled, sector.threshold)
+    return level_crossing(scaled, sector.threshold) if schur_stable(scaled.den) else None
+
+
+def _certifies(test: LevelCrossing | None) -> bool:
+    return test is not None and not test.reaches
 
 
 def certify_rate(spec: MethodSpec, sector: SectorClass, rho: float) -> RateCertificate:
     """Run the small-gain rate test for one method, sector, and rate."""
     if not (math.isfinite(rho) and 0.0 < rho < 1.0):
         raise InvalidParameterError(f"rate rho must lie in (0, 1), got {rho}")
-    return _certificate(spec, loop_shift(build_controller(spec), sector), sector, rho)
+    shifted = loop_shift(build_controller(spec), sector)
+    return _certificate(spec, sector, rho, _threshold_test(shifted, sector, rho))
 
 
-def _certificate(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
-                 rho: float) -> RateCertificate:
-    """:func:`certify_rate` on the method's already shifted controller."""
-    scaled = tf_arg_scale(shifted, rho)
-    stable = schur_stable(scaled.den)
-    if stable:
-        hinf, peak_f = hinf_peak(scaled)
-    else:
-        hinf, peak_f = math.inf, math.nan
+def _certificate(spec: MethodSpec, sector: SectorClass, rho: float,
+                 test: LevelCrossing | None) -> RateCertificate:
+    """The certificate of the small-gain test ``test`` made at ``rho``; the
+    peak gain climbs from the test's largest gain."""
+    stable = test is not None
+    hinf, peak_f = climb_to_peak(test) if stable else (math.inf, math.nan)
     threshold = sector.threshold
     return RateCertificate(
         method=spec.label,
@@ -112,7 +118,7 @@ def _certificate(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
         stable=stable,
         hinf=hinf,
         threshold=threshold,
-        certified=stable and not gain_reaches(scaled, threshold),
+        certified=_certifies(test),
         margin=threshold - hinf,
         peak_frequency=peak_f,
     )
@@ -138,9 +144,10 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
     decides whether there is a certificate, and bisection from the shifted
     controller's stability radius (below it the scaled system is unstable)
     up to RHO_MAX finds rho*.  Bisection steps run the test alone; the
-    certificate is built once, at the final rate.  Raises
-    :class:`NoCertificateError` when not even RHO_MAX certifies; batch
-    callers should treat that as a definite negative result, not a failure.
+    certificate is built once, at the final rate, from the test that passed
+    there.  Raises :class:`NoCertificateError` when not even RHO_MAX
+    certifies; batch callers should treat that as a definite negative
+    result, not a failure.
     """
     _check_tol(tol)
     return _bisect(spec, loop_shift(build_controller(spec), sector), sector, tol)
@@ -151,7 +158,8 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
     """:func:`bisect_rate` on the method's already shifted controller."""
     hi = RHO_MAX
     evaluations = 1
-    if not _certifies(shifted, sector, hi):
+    passed = _threshold_test(shifted, sector, hi)
+    if not _certifies(passed):
         raise NoCertificateError(
             f"{spec.label} admits no certified rate below one on "
             f"S({sector.m:g}, {sector.L:g})"
@@ -164,12 +172,14 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        if _certifies(shifted, sector, mid):
-            hi = mid
+        test = _threshold_test(shifted, sector, mid)
+        if _certifies(test):
+            hi, passed = mid, test
         else:
             lo = mid
         history.append((lo, hi))
-    certificate = _certificate(spec, shifted, sector, hi)
+    # the test that last passed was made at hi: its certificate needs no retest
+    certificate = _certificate(spec, sector, hi, passed)
     return RateSearchResult(hi, certificate, evaluations, tuple(history))
 
 
@@ -178,7 +188,7 @@ def _rate_below(spec: MethodSpec, sector: SectorClass, bound: float, tol: float)
     certify at a finite ``bound`` (its rate is then above ``bound``, the
     certified set being [rho*, 1))."""
     shifted = loop_shift(build_controller(spec), sector)
-    if math.isfinite(bound) and not _certifies(shifted, sector, bound):
+    if math.isfinite(bound) and not _certifies(_threshold_test(shifted, sector, bound)):
         return math.inf
     try:
         return _bisect(spec, shifted, sector, tol).rho_star

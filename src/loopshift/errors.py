@@ -58,6 +58,15 @@ def json_block(block, what: str):
         raise InvalidParameterError(f"malformed {what}: {exc}") from exc
 
 
+def json_keys(block: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Reject the keys of ``block`` outside ``allowed``: a key its builder
+    does not read would otherwise be dropped without a word."""
+    extra = sorted(map(str, set(block) - set(allowed)))
+    if extra:
+        raise InvalidParameterError(
+            f"{what} takes only the keys {sorted(allowed)}; unknown or unused: {extra}")
+
+
 def json_number(value, name: str, kind: type = float):
     """``value`` as ``kind`` (float or int) if it is a JSON number of that
     kind; bools, strings and non-finite floats raise InvalidParameterError."""

@@ -4,21 +4,26 @@ state-space realization, frequency response, and gains on the unit circle
 
 Transfer functions keep a monic denominator so coefficient-level equality is
 well defined.  Common num/den roots are never cancelled.
+
+The level tests of one system share its Chebyshev series, built once.  A
+rate certificate costs one Schur-Cohn test and one level test at the
+threshold: that test decides the verdict, and its largest gain seeds the
+climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, UnstableSystemError
 from .polynomials import (
     Polynomial,
-    poly_add,
-    poly_arg_scale,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -66,27 +71,24 @@ class RationalTF:
         return self.den.degree
 
 
-def constant_tf(c: float) -> RationalTF:
-    return RationalTF(Polynomial((float(c),)), Polynomial((1.0,)))
-
-
-def tf_add(a: RationalTF, b: RationalTF) -> RationalTF:
-    num = poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
-    return RationalTF(num, poly_mul(a.den, b.den))
-
-
-def tf_sub(a: RationalTF, b: RationalTF) -> RationalTF:
-    num = poly_sub(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
-    return RationalTF(num, poly_mul(a.den, b.den))
-
-
 def tf_mul(a: RationalTF, b: RationalTF) -> RationalTF:
     return RationalTF(poly_mul(a.num, b.num), poly_mul(a.den, b.den))
 
 
 def tf_arg_scale(t: RationalTF, rho: float) -> RationalTF:
-    """Substitute ``z -> rho*z`` in both numerator and denominator."""
-    return RationalTF(poly_arg_scale(t.num, rho), poly_arg_scale(t.den, rho))
+    """Substitute ``z -> rho*z`` in both numerator and denominator (as
+    :func:`poly_arg_scale` does), building the monic pair once."""
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise InvalidParameterError(f"argument scale must be positive, got {rho}")
+    powers = [1.0]
+    for _ in range(t.order):
+        powers.append(powers[-1] * rho)
+    num = [c * p for c, p in zip(t.num.coeffs, powers)]
+    den = [c * p for c, p in zip(t.den.coeffs, powers)]
+    # the last nonzero coefficient leads: rho**n can underflow
+    lead = next((c for c in reversed(den) if c != 0.0), 1.0)
+    return RationalTF(Polynomial(tuple(c / lead for c in num)),
+                      Polynomial(tuple(c / lead for c in den)))
 
 
 def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
@@ -158,12 +160,38 @@ def golden_section(f, a: float, b: float, tol: float):
     return (a, b), (x_best, f_best)
 
 
+class _CircleGains(NamedTuple):
+    """What every level test of one system shares: its coefficients in
+    Horner order (highest degree first) and the Chebyshev series of |num|^2
+    and |den|^2 in x = cos(theta)."""
+
+    num: tuple[float, ...]
+    den: tuple[float, ...]
+    num_series: list[float]
+    den_series: list[float]
+
+
+def _circle_gains(t: RationalTF) -> _CircleGains:
+    size = t.order + 1
+    return _CircleGains(t.num.coeffs[::-1], t.den.coeffs[::-1],
+                        _gain_series(t.num, size), _gain_series(t.den, size))
+
+
 def _gain_series(p: Polynomial, size: int) -> list[float]:
     """Chebyshev coefficients in x = cos(theta) of |p(e^{j theta})|^2, from
     the autocorrelation r_k: r_0 + 2 sum_k r_k cos(k theta), padded to size."""
     c = p.coeffs
     r = [sum(a * b for a, b in zip(c, c[k:])) for k in range(size)]
     return [r[0]] + [2.0 * rk for rk in r[1:]]
+
+
+@functools.cache
+def _colleague_template(n: int) -> np.ndarray:
+    """The coefficient-free part of the size-n colleague matrix; callers
+    fill in a copy."""
+    colleague = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    colleague[-2, -1] = 1.0
+    return colleague
 
 
 def _chebyshev_roots(c: list[float]) -> list[complex]:
@@ -180,15 +208,31 @@ def _chebyshev_roots(c: list[float]) -> list[complex]:
         return poly_roots(Polynomial(power))
     # numpy's chebroots layout, coefficients down the first column: with it
     # balancing keeps close roots apart, the transpose merged such a pair
-    colleague = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    colleague[-2, -1] = 1.0
+    colleague = _colleague_template(n).copy()
     colleague[:, 0] -= np.array(c[n - 1::-1]) / (2.0 * c[n])
     return np.linalg.eigvals(colleague).tolist()
 
 
-def _level_crossings(t: RationalTF, level: float) -> tuple[float, float]:
-    """Largest gain of ``t``, and its angle in [0, pi], at the points that
-    decide whether the gain reaches ``level``.
+class LevelCrossing(NamedTuple):
+    """One level test of a system: the largest gain at the points deciding
+    ``level``, its angle in [0, pi], and the system's shared data, from
+    which :func:`climb_to_peak` goes on."""
+
+    level: float
+    gain: float
+    theta: float
+    gains: _CircleGains
+
+    @property
+    def reaches(self) -> bool:
+        """Whether the gain reaches the level anywhere on the unit circle; a
+        tangency (within LEVEL_RTOL below) reaches."""
+        return self.gain >= self.level * (1.0 - LEVEL_RTOL)
+
+
+def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
+    """The points that decide whether the gain reaches ``level``, and the
+    largest gain among them.
 
     Between consecutive real roots of the Chebyshev series of
     |num|^2 - level^2 |den|^2 the gain stays on one side of the level, so it
@@ -197,49 +241,70 @@ def _level_crossings(t: RationalTF, level: float) -> tuple[float, float]:
     touching double root comes back as a close complex pair).  Gains are
     resolved to about eps * cond^2 relative, cond = sum|den_k| / |den(x)|.
     """
-    size = t.order + 1
     # at an infinite level the series is -|den|^2, whose roots lie near
     # x = cos(angle) of the poles closest to the circle, where peaks are
     num_w, den_w = (0.0, 1.0) if math.isinf(level) else (1.0, level * level)
-    series = [num_w * a - den_w * b
-              for a, b in zip(_gain_series(t.num, size), _gain_series(t.den, size))]
+    series = [num_w * a - den_w * b for a, b in zip(g.num_series, g.den_series)]
     xs = sorted([-1.0, 1.0] + [min(1.0, max(-1.0, r.real)) for r in _chebyshev_roots(series)])
     best, best_x = -1.0, 1.0
+    num, den = g.num, g.den
     for x in xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]:
         z = complex(x, math.sqrt((1.0 - x) * (1.0 + x)))
-        den = abs(poly_eval(t.den, z))
-        # a pole within rounding of the circle gives an infinite gain: it reaches
-        gain = abs(poly_eval(t.num, z)) / den if den else math.inf
+        # poly_eval's Horner, inlined: same arithmetic, no call per point
+        d = 0j
+        for c in den:
+            d = d * z + c
+        d = abs(d)
+        if d:
+            n = 0j
+            for c in num:
+                n = n * z + c
+            gain = abs(n) / d
+        else:
+            # a pole within rounding of the circle gives an infinite gain: it reaches
+            gain = math.inf
         if gain > best:
             best, best_x = gain, x
-    return best, math.acos(best_x)
+    return LevelCrossing(level, best, math.acos(best_x), g)
+
+
+def level_crossing(t: RationalTF, level: float) -> LevelCrossing:
+    """The level test of ``t`` at ``level``; its ``reaches`` is the yes/no
+    answer, and :func:`climb_to_peak` takes it on to the peak."""
+    return _level_crossings(_circle_gains(t), level)
 
 
 def gain_reaches(t: RationalTF, level: float) -> bool:
     """Whether the gain of Schur-stable ``t`` reaches ``level`` anywhere on
     the unit circle; a tangency (within LEVEL_RTOL below) reaches."""
-    return _level_crossings(t, level)[0] >= level * (1.0 - LEVEL_RTOL)
+    return level_crossing(t, level).reaches
+
+
+def climb_to_peak(start: LevelCrossing) -> tuple[float, float]:
+    """Peak gain of a Schur-stable system and its frequency, climbing from
+    the largest gain of a level test: the level rises to the largest gain at
+    the points deciding it until none exceeds it by LEVEL_RTOL; arc
+    midpoints make the climb quadratic near the peak (Bruinsma-Steinbuch)."""
+    level, theta = start.gain, start.theta
+    while True:
+        step = _level_crossings(start.gains, level)
+        if step.gain <= level * (1.0 + LEVEL_RTOL):
+            return level, theta / (2.0 * math.pi)
+        level, theta = step.gain, step.theta
 
 
 def hinf_peak(t: RationalTF) -> tuple[float, float]:
     """Peak gain over the unit circle and the frequency (cycles/iteration,
     in [0, 0.5] by symmetry) where it is attained.
 
-    From the gains by the poles (the points deciding an infinite level), the
-    level rises to the largest gain at the points deciding it until none
-    exceeds it by LEVEL_RTOL; arc midpoints make the climb quadratic near the
-    peak (Bruinsma-Steinbuch).  Raises for systems not Schur stable.
+    The climb starts from the gains by the poles (the points deciding an
+    infinite level).  Raises for systems not Schur stable.
     """
     if not schur_stable(t.den):
         raise UnstableSystemError(
             "H-infinity norm requested for a system with a pole of modulus >= 1"
         )
-    level, theta = _level_crossings(t, math.inf)
-    while True:
-        gain, at = _level_crossings(t, level)
-        if gain <= level * (1.0 + LEVEL_RTOL):
-            return level, theta / (2.0 * math.pi)
-        level, theta = gain, at
+    return climb_to_peak(level_crossing(t, math.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,29 +357,3 @@ def realize(t: RationalTF) -> StateSpace:
         if idx < len(rem.coeffs):
             c[0, j] = rem.coeffs[idx]
     return StateSpace(a, b, c, np.array([[float(d)]]))
-
-
-def impulse_series(t: RationalTF, steps: int) -> np.ndarray:
-    """Impulse response by long division of num/den in powers of 1/z; serves
-    as an independent oracle for :func:`realize`."""
-    n = t.den.degree
-    num_rev = [
-        t.num.coeffs[n - k] if 0 <= n - k < len(t.num.coeffs) else 0.0
-        for k in range(n + 1)
-    ]
-    den_rev = [t.den.coeffs[n - k] for k in range(n + 1)]
-    h = np.zeros(steps)
-    for k in range(steps):
-        acc = num_rev[k] if k <= n else 0.0
-        for j in range(1, min(k, n) + 1):
-            acc -= den_rev[j] * h[k - j]
-        h[k] = acc
-    return h
-
-
-def verify_realization(t: RationalTF, ss: StateSpace, steps: int = 50,
-                       tol: float = 1e-9) -> bool:
-    """Check the realization against the long-division impulse response."""
-    reference = impulse_series(t, steps)
-    scale = max(1.0, float(np.max(np.abs(reference))))
-    return bool(np.max(np.abs(ss.impulse(steps) - reference)) <= tol * scale)

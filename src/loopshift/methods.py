@@ -20,6 +20,7 @@ from .errors import (
     UnsupportedFactorizationError,
     UnsupportedPresetError,
     json_block,
+    json_keys,
     json_number,
     json_numbers,
 )
@@ -252,9 +253,10 @@ def parse_method(text: str, m: float | None = None, L: float | None = None) -> M
 def method_from_json(obj: dict, m: float | None = None, L: float | None = None) -> MethodSpec:
     """Build a MethodSpec from its JSON form.
 
-    Schema: {"family": str, "alpha": num?, "beta": num?, "preset": str?,
-    "num": [..]?, "den": [..]?} with num/den coefficient lists (ascending
-    degree) for custom controllers.
+    Schemas: {"family": str, "preset": str}, {"family": "custom",
+    "num": [..], "den": [..]} with coefficient lists in ascending degree,
+    and {"family": str, "alpha": num, "beta": num?}; any other key is an
+    error.
     """
     with json_block(obj, "method_json block"):
         family = _FAMILY_NAMES.get(obj.get("family"))
@@ -262,13 +264,15 @@ def method_from_json(obj: dict, m: float | None = None, L: float | None = None) 
             raise InvalidParameterError(f"unknown method family {obj.get('family')!r}; "
                                         f"choose from {sorted(_FAMILY_NAMES)}")
         if "preset" in obj:
-            if "alpha" in obj or "beta" in obj:
-                raise InvalidParameterError("a preset fixes alpha and beta; give neither beside it")
+            json_keys(obj, ("family", "preset"),
+                      "a method_json block with a preset, which fixes alpha and beta,")
             if m is None or L is None:
                 raise InvalidParameterError("preset method forms need the sector bounds m and L")
             return preset(family, m, L, obj["preset"])
         if family is Family.CUSTOM:
+            json_keys(obj, ("family", "num", "den"), "a custom method_json block")
             tf = RationalTF(json_numbers(obj["num"], "num"), json_numbers(obj["den"], "den"))
             return MethodSpec(Family.CUSTOM, custom_tf=tf)
+        json_keys(obj, ("family", "alpha", "beta"), f"a {family.value} method_json block")
         params = {key: json_number(obj[key], key) for key in ("alpha", "beta") if key in obj}
         return MethodSpec(family, **params)

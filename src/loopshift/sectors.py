@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, json_block, json_number, json_numbers
+from .errors import InvalidParameterError, json_block, json_keys, json_number, json_numbers
 
 
 @dataclass(frozen=True)
@@ -357,16 +357,25 @@ def parse_oracle(text: str) -> GradientOracle:
     return oracle_from_json(obj)
 
 
+_ORACLE_KEYS = {
+    "quadratic": ("kind", "eigenvalues", "xstar", "rotation_seed"),
+    "pwl": ("kind", "breakpoints", "slopes", "xstar"),
+    "separable": ("kind", "components", "xstar"),
+}
+
+
 def oracle_from_json(obj: dict) -> GradientOracle:
     """Build an oracle from its JSON form.
 
     Schemas: {"kind": "quadratic", "eigenvalues": [..], "xstar": [..]?,
     "rotation_seed": int?}, {"kind": "pwl", "breakpoints": [..],
     "slopes": [..], "xstar": num?}, and {"kind": "separable",
-    "components": [..], "xstar": [..]?}.
+    "components": [..], "xstar": [..]?}; any other key is an error.
     """
     with json_block(obj, "oracle_json block"):
         kind = obj.get("kind")
+        if kind in _ORACLE_KEYS:
+            json_keys(obj, _ORACLE_KEYS[kind], f"a {kind} oracle_json block")
         if kind == "quadratic":
             eigs = json_numbers(obj["eigenvalues"], "eigenvalues")
             rotation = None

@@ -12,13 +12,14 @@ from loopshift import (
     bode_svg_text,
     bode_table,
     build_controller,
-    constant_tf,
     crossover_frequency,
     freq_response,
     gain_metrics,
     poly_eval,
     tf_mul,
 )
+
+from helpers import constant_tf
 
 
 def integrator(alpha):

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import asdict
 
@@ -20,6 +21,7 @@ from loopshift import (
     certified_rate_curve,
     certify_rate,
     complementary_sensitivity,
+    hinf_peak,
     loop_shift,
     preset,
     search_stepsize,
@@ -28,9 +30,12 @@ from loopshift import (
     tf_allclose,
     tf_arg_scale,
 )
-from loopshift import certify
+from loopshift import certify, lti
 from loopshift.cli import _json_safe
-from loopshift.lti import golden_section
+from loopshift.lti import gain_reaches, golden_section
+from loopshift.polynomials import schur_stable
+
+from helpers import poly_from_roots
 
 SEC = SectorClass(1.0, 10.0)
 
@@ -446,3 +451,132 @@ def test_pruned_stepsize_search_equals_full_search(m, L):
 
     _, expected = golden_section(value, 0.0, 2.0 / L, 1e-6)
     assert search_stepsize(sec) == expected
+
+
+# order 1..6: (modulus, angle) per conjugate pole pair and one real pole for
+# an odd order, all of modulus at most 0.9, the numerator coefficients of
+# K'(rho z) up to the order, rho, and L of S(1, L), whose threshold runs
+# from 41 down to 1.1 so that both verdicts come up
+scaled_systems = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.9),
+                       st.floats(min_value=0.0, max_value=math.pi)),
+             min_size=n // 2, max_size=n // 2),
+    st.lists(st.floats(min_value=-0.9, max_value=0.9), min_size=n % 2, max_size=n % 2),
+    st.lists(st.integers(min_value=-2000, max_value=2000).map(lambda k: k / 1000.0),
+             min_size=1, max_size=n + 1),
+    st.floats(min_value=0.5, max_value=0.999),
+    st.floats(min_value=1.05, max_value=20.0),
+))
+
+
+def _custom_with_scaled_system(pairs, real_poles, num, rho, sector):
+    """A custom controller K whose K'(rho z) has the given poles and, up to
+    a constant, the numerator num(rho z): K' = N/(c P) with P(z) the shifted
+    poles' polynomial, so D = (N - c P)/s, and c = N(1)/P(1) puts the
+    integrator pole of K at z = 1."""
+    poles = list(real_poles)
+    for r, angle in pairs:
+        poles += [cmath.rect(r, angle), cmath.rect(r, -angle)]
+    p = np.array(poly_from_roots([rho * q for q in poles]).coeffs)
+    n = np.zeros(len(p))
+    n[:len(num)] = num
+    n = n * rho ** -np.arange(len(p))
+    c = np.polyval(n[::-1], 1.0) / np.polyval(p[::-1], 1.0)
+    d = (n - c * p) / sector.shift
+    assume(abs(np.polyval(n[::-1], 1.0)) > 1e-3 and abs(d[-1]) > 1e-3)
+    return MethodSpec(Family.CUSTOM, custom_tf=RationalTF(tuple(n), tuple(d)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(scaled_systems)
+def test_one_pass_certificate_decides_as_the_separate_tests(system):
+    pairs, real_poles, num, rho, L = system
+    sec = SectorClass(1.0, L)
+    spec = _custom_with_scaled_system(pairs, real_poles, num, rho, sec)
+    scaled = tf_arg_scale(loop_shift(build_controller(spec), sec), rho)
+    stable = schur_stable(scaled.den)
+    assume(stable)
+    cert = certify_rate(spec, sec, rho)
+    assert cert.certified == (stable and not gain_reaches(scaled, sec.threshold))
+    assert cert.hinf == pytest.approx(hinf_peak(scaled)[0], rel=1e-9)
+    try:
+        result = bisect_rate(spec, sec)
+    except NoCertificateError:
+        return
+    assert result.certificate == certify_rate(spec, sec, result.rho_star)
+
+
+def _count_schur_tests(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return schur_stable(p)
+
+    monkeypatch.setattr(certify, "schur_stable", counted)
+    monkeypatch.setattr(lti, "schur_stable", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec, rho", [
+    (gradient(0.1), 0.95),  # certified
+    (gradient(0.19), 0.9),  # a tangency: stable, not certified
+    (gradient(0.1), 0.4),   # below the stability radius, 0.45
+    (MethodSpec(Family.NESTEROV, alpha=0.1, beta=0.5), 0.9),
+])
+def test_certificate_runs_one_schur_cohn_test(monkeypatch, spec, rho):
+    calls = _count_schur_tests(monkeypatch)
+    certify_rate(spec, SEC, rho)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    gradient(0.1), gradient(2.0 / 11.0), MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5),
+])
+def test_bisection_final_certificate_retests_nothing(monkeypatch, spec):
+    calls = _count_schur_tests(monkeypatch)
+    result = bisect_rate(spec, SEC)
+    # one test per bisection step, the test at RHO_MAX included
+    assert len(calls) == result.iterations
+    assert result.certificate.certified and result.certificate.rho == result.rho_star
+
+
+def _mp_peak(t, freq, bits=200):
+    """Peak gain of ``t`` (its stored coefficients read exactly) in
+    ``bits``-bit arithmetic: the best point of a local grid around ``freq``,
+    refined by golden-section search."""
+    import mpmath
+    with mpmath.workprec(bits):
+        num = [mpmath.mpf(c) for c in reversed(t.num.coeffs)]
+        den = [mpmath.mpf(c) for c in reversed(t.den.coeffs)]
+
+        def gain(theta):
+            z = mpmath.expj(theta)
+            return abs(mpmath.polyval(num, z) / mpmath.polyval(den, z))
+
+        center, step = 2 * mpmath.pi * mpmath.mpf(freq), mpmath.mpf("1e-6")
+        k_best = max(range(-200, 201), key=lambda k: gain(center + k * step))
+        a, b = center + (k_best - 1) * step, center + (k_best + 1) * step
+        invphi = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(150):
+            x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+            if gain(x1) >= gain(x2):
+                b = x2
+            else:
+                a = x1
+        return float(gain((a + b) / 2))
+
+
+def test_narrow_resonance_peak_against_mpmath():
+    # the narrow-resonance reproducer of the highorder-custom benchmark
+    spec = MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
+        (0.16037083383833653, -0.21533252642457526, 0.13773884700201308,
+         0.018181818181818184),
+        (0.8820395861108509, -1.1843288953351638, -0.22251673958693807,
+         1.5248060488112511, -1.0),
+    ))
+    cert = certify_rate(spec, SEC, 0.99)
+    assert cert.stable and not cert.certified
+    scaled = tf_arg_scale(loop_shift(build_controller(spec), SEC), 0.99)
+    exact = _mp_peak(scaled, cert.peak_frequency)
+    assert abs(cert.hinf - exact) <= 1e-11 * exact

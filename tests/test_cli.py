@@ -288,6 +288,9 @@ def test_report_command(tmp_path, capsys):
     {"alpha_min": -1},
     {"beta_max": 1.5},
     {"rho": 5},
+    {"method_json": {"family": "custom", "num": [-0.1], "den": [-1, 1], "alpha": 0.5}},
+    {"method_json": {"family": "gradient", "alpha": 0.1, "alpah": 0.2}},
+    {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_sed": 3}},
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

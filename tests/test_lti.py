@@ -11,22 +11,24 @@ from loopshift import (
     Polynomial,
     RationalTF,
     UnstableSystemError,
-    constant_tf,
     freq_response,
     freq_response_many,
     hinf_peak,
-    impulse_series,
     realize,
-    tf_add,
     tf_allclose,
     tf_arg_scale,
     tf_mul,
-    tf_sub,
-    verify_realization,
 )
 from loopshift.lti import gain_reaches
 
-from helpers import poly_from_roots
+from helpers import (
+    constant_tf,
+    impulse_series,
+    poly_from_roots,
+    tf_add,
+    tf_sub,
+    verify_realization,
+)
 
 
 def integrator(alpha):

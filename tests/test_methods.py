@@ -181,3 +181,17 @@ def test_method_from_json():
     assert spec.family is Family.CUSTOM
     with pytest.raises(InvalidParameterError):
         method_from_json({"family": "custom"})
+
+
+@pytest.mark.parametrize("block", [
+    {"family": "custom", "num": [-0.1], "den": [-1, 1], "alpha": 0.5},
+    {"family": "gradient", "alpha": 0.1, "num": [-0.1]},
+    {"family": "heavyball", "alpha": 0.1, "beta": 0.5, "alpah": 0.2},
+    {"family": "nesterov", "preset": "standard", "beta": 0.5},
+    {"family": "gradient", "alpha": 0.1, "momentum": 0.5},
+])
+def test_method_from_json_rejects_unknown_and_unused_keys(block):
+    # each block builds without its last key; with it, the key would be dropped
+    with pytest.raises(InvalidParameterError, match=repr(list(block)[-1])):
+        method_from_json(block, m=1.0, L=10.0)
+    method_from_json(dict(list(block.items())[:-1]), m=1.0, L=10.0)

@@ -278,6 +278,21 @@ def test_oracle_from_json():
         oracle_from_json({"kind": "spline"})
 
 
+@pytest.mark.parametrize("block", [
+    {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_sed": 3},
+    {"kind": "quadratic", "eigenvalues": [1, 10], "slopes": [1]},
+    {"kind": "pwl", "breakpoints": [0, 1], "slopes": [1, 10], "rotation_seed": 3},
+    {"kind": "separable", "components": [{"kind": "quadratic", "eigenvalues": [1]}],
+     "eigenvalues": [1]},
+    {"kind": "separable",
+     "components": [{"kind": "pwl", "breakpoints": [0], "slopes": [2], "slope": 2}]},
+])
+def test_oracle_from_json_rejects_unknown_and_unused_keys(block):
+    # a misspelt rotation_seed used to build an unrotated quadratic
+    with pytest.raises(InvalidParameterError, match="unknown or unused"):
+        oracle_from_json(block)
+
+
 def test_describe_round_trips_cli_syntax():
     assert parse_oracle("quadratic:1,10").describe() == "quadratic:1,10"
     assert parse_oracle("pwl:0:1,1:10").describe() == "pwl:0:1,1:10"
