@@ -150,12 +150,18 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
     result, not a failure.
     """
     _check_tol(tol)
-    return _bisect(spec, loop_shift(build_controller(spec), sector), sector, tol)
+    hi, passed, evaluations, history = _bisect(spec, loop_shift(build_controller(spec), sector),
+                                               sector, tol)
+    # the test that last passed was made at hi: its certificate needs no retest
+    return RateSearchResult(hi, _certificate(spec, sector, hi, passed), evaluations, history)
 
 
 def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
-            tol: float) -> RateSearchResult:
-    """:func:`bisect_rate` on the method's already shifted controller."""
+            tol: float) -> tuple[float, LevelCrossing, int, tuple[tuple[float, float], ...]]:
+    """The bisection of :func:`bisect_rate` on the method's already shifted
+    controller: the final ``hi``, the test that passed there, the number of
+    tests and the bracket history.  Callers that want only the rate build
+    no certificate."""
     hi = RHO_MAX
     evaluations = 1
     passed = _threshold_test(shifted, sector, hi)
@@ -178,9 +184,7 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
         else:
             lo = mid
         history.append((lo, hi))
-    # the test that last passed was made at hi: its certificate needs no retest
-    certificate = _certificate(spec, sector, hi, passed)
-    return RateSearchResult(hi, certificate, evaluations, tuple(history))
+    return hi, passed, evaluations, tuple(history)
 
 
 def _rate_below(spec: MethodSpec, sector: SectorClass, bound: float, tol: float) -> float:
@@ -191,7 +195,7 @@ def _rate_below(spec: MethodSpec, sector: SectorClass, bound: float, tol: float)
     if math.isfinite(bound) and not _certifies(_threshold_test(shifted, sector, bound)):
         return math.inf
     try:
-        return _bisect(spec, shifted, sector, tol).rho_star
+        return _bisect(spec, shifted, sector, tol)[0]
     except NoCertificateError:
         return math.inf
 
@@ -203,12 +207,11 @@ def certified_rate_curve(sector: SectorClass, alpha_grid,
     alphas = [float(a) for a in alpha_grid]
     if any(a <= 0.0 for a in alphas):
         raise InvalidParameterError("stepsize grid must be positive")
+    _check_tol(tol)
 
     def solve(alpha: float) -> float | None:
-        try:
-            return bisect_rate(MethodSpec(Family.GRADIENT, alpha=alpha), sector, tol).rho_star
-        except NoCertificateError:
-            return None
+        rho = _rate_below(MethodSpec(Family.GRADIENT, alpha=alpha), sector, math.inf, tol)
+        return rho if math.isfinite(rho) else None
 
     return [(a, solve(a)) for a in alphas]
 

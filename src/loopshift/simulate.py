@@ -5,9 +5,12 @@ The simulator realizes the method's SISO controller once and replicates it
 per coordinate and per run (state shape (order, runs*dim), so the seeds of a
 noise experiment advance together); the plant closes the loop with
 v[k] = grad(u[k] + xstar) plus optional seeded Gaussian noise on the gradient
-output.  Controller states start equal, scaled so the first produced point is
-x0; for second-order methods that equals the conventional cold start where
-the pre-initial iterate coincides with x0.
+output.  Order-1 controllers that share A and b may take one output row per
+state column, so a noise experiment runs both gradient tunings in one batch;
+run groups that share a noise stream add the same noise rows, never a copy.
+Controller states start equal, scaled so the first produced point is x0; for
+second-order methods that equals the conventional cold start where the
+pre-initial iterate coincides with x0.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarr
     """Gradient noise for runs side by side, shape (iters, runs*dim), or None
     without noise.  Each seed's block is one draw of shape (iters, dim): the
     same stream as one draw of ``dim`` values per step."""
-    if noise_sigma < 0.0:
-        raise InvalidParameterError(f"noise sigma must be >= 0, got {noise_sigma}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise InvalidParameterError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     if noise_sigma == 0.0:
         return None
     noise = np.empty((iters, len(seeds) * dim))
@@ -97,31 +100,41 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
 
     at once, the controller replicated per coordinate and per run (state
     shape (order, runs*dim)), from the centered start points ``u0`` of shape
-    (runs, dim).  Returns the iterates x[k] = u[k] + xstar of the last
-    ``keep`` steps, shape (keep, runs, dim), and their residuals
+    (runs, dim).  ``c`` is one row of shape (order,), or for order-1
+    controllers that share A and b, one output per state column, shape
+    (1, runs*dim): each u entry is then the single product the matmul forms.
+    ``noise`` has shape (iters, width) with width dividing runs*dim; the run
+    groups of that width all add the same noise, so runs that share a noise
+    stream need no copy of it.  Returns the iterates x[k] = u[k] + xstar of
+    the last ``keep`` steps, shape (keep, runs, dim), and their residuals
     ||x[k] - xstar||, shape (keep, runs).
     """
     a_mat, b_col, c_row = matrices
     runs, dim = u0.shape
+    b = b_col[:, None]
+    per_column = c_row.ndim == 2
     # Equal delayed states scaled to produce u[0]; this is the cold start
     # x[-1] = x[0] for the order-2 catalog methods.
-    state = np.tile((u0 / float(c_row.sum())).ravel(), (a_mat.shape[0], 1))
-    xstar_runs = np.tile(xstar, runs)
+    state = np.tile(u0.ravel() / c_row.sum(axis=0), (a_mat.shape[0], 1))
     first = iters + 1 - keep
     xs = np.empty((keep, runs * dim))
     # a single run hands the plant a plain point, the cheaper call
     points = (runs, dim) if runs > 1 else (dim,)
+    if noise is not None:
+        groups = (runs * dim) // noise.shape[1]
     # a diverging run overflows; that is reported through its residuals
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters):
-            u = c_row @ state
+            u = c_row * state if per_column else c_row @ state
             if k >= first:
-                xs[k - first] = u + xstar_runs
-            v = plant(u.reshape(points)).ravel()
+                xs[k - first] = u
+            v = plant(u.reshape(points))
             if noise is not None:
-                v = v + noise[k]
-            state = a_mat @ state + np.outer(b_col, v)
-        xs[-1] = c_row @ state + xstar_runs
+                v = v.reshape(groups, -1) + noise[k]
+            state = a_mat @ state
+            state += b * v.ravel()
+        xs[-1] = c_row * state if per_column else c_row @ state
+        xs += np.tile(xstar, runs)
         xs = xs.reshape(keep, runs, dim)
         residuals = np.linalg.norm(xs - xstar, axis=-1)
     return xs, residuals
@@ -247,8 +260,8 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     the same seeded gradient noise.
 
     Steady state is the median of the last 10% of residuals per run, then the
-    median across seeds per tuning.  All seeds run as one batch per tuning,
-    and both tunings see the same noise, drawn once per seed.  Requires a
+    median across seeds per tuning.  All seeds of both tunings run as one
+    batch, and both tunings see the same noise, drawn once per seed.  Requires a
     quadratic oracle on a badly conditioned sector (kappa >= 50), where the
     aggressive tuning's fragility shows.
     """
@@ -264,19 +277,21 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     _check_iters(iters)
     noise = _gradient_noise(noise_sigma, seeds, iters, oracle.dim)
     x0 = oracle.xstar + 1.0 if x0 is None else _check_x0(x0, oracle.dim)
-    u0 = np.tile(x0 - oracle.xstar, (len(seeds), 1))
     alpha_std = 1.0 / sector.L
     alpha_opt = 2.0 / (sector.L + sector.m)
+    # gradient descent realizes as A = [[1]], b = [1], c = [-alpha] for every
+    # alpha, so both tunings run as one batch told apart by the output row:
+    # the first half of the runs are alpha_std's seeds, the second alpha_opt's
+    a_mat, b_col, c_std = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=alpha_std))
+    c_opt = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=alpha_opt))[2]
+    c_cols = np.repeat(np.concatenate((c_std, c_opt)), len(seeds) * oracle.dim)[None]
+    u0 = np.tile(x0 - oracle.xstar, (2 * len(seeds), 1))
     tail = max(1, (iters + 1) // 10)
-
-    def steady_states(alpha: float) -> tuple[float, ...]:
-        matrices = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=alpha))
-        _, residuals = _closed_loop(matrices, oracle.centered_grad, u0, oracle.xstar,
-                                    iters, noise, tail)
-        return tuple(float(r) for r in np.median(residuals, axis=0))
-
-    ss_std = steady_states(alpha_std)
-    ss_opt = steady_states(alpha_opt)
+    _, residuals = _closed_loop((a_mat, b_col, c_cols), oracle.centered_grad, u0, oracle.xstar,
+                                iters, noise, tail)
+    steady = [float(r) for r in np.median(residuals, axis=0)]
+    ss_std = tuple(steady[:len(seeds)])
+    ss_opt = tuple(steady[len(seeds):])
     return NoiseRobustnessReport(
         m=sector.m,
         L=sector.L,

@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from loopshift import Polynomial, RationalTF, StateSpace, poly_add, poly_mul, poly_sub
+from loopshift import (
+    Polynomial,
+    RationalTF,
+    StateSpace,
+    build_controller,
+    poly_add,
+    poly_mul,
+    poly_sub,
+    realize,
+)
 
 
 def poly_from_roots(roots, leading: float = 1.0) -> Polynomial:
@@ -52,3 +61,32 @@ def verify_realization(t: RationalTF, ss: StateSpace, steps: int = 50,
     reference = impulse_series(t, steps)
     scale = max(1.0, float(np.max(np.abs(reference))))
     return bool(np.max(np.abs(ss.impulse(steps) - reference)) <= tol * scale)
+
+
+def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
+                  seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Iterates and residuals of one closed-loop run by the plain recursion
+
+        u = c s,   x = u + x*,   s = A s + outer(b, grad(u) + noise),
+
+    one step at a time from equal states scaled to give u[0] = x0 - x*: an
+    oracle for :func:`loopshift.simulate_run` with the same arithmetic and
+    none of its batching."""
+    ss = realize(build_controller(spec))
+    a_mat, b_col, c_row = ss.A, ss.B[:, 0], ss.C[0]
+    xstar = oracle.xstar
+    noise = (np.random.default_rng(seed).normal(0.0, noise_sigma, (iters, oracle.dim))
+             if noise_sigma else None)
+    s = np.tile((np.asarray(x0, dtype=float) - xstar) / float(c_row.sum()), (a_mat.shape[0], 1))
+    xs = np.empty((iters + 1, oracle.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            u = c_row @ s
+            xs[k] = u + xstar
+            v = oracle.centered_grad(u)
+            if noise is not None:
+                v = v + noise[k]
+            s = a_mat @ s + np.outer(b_col, v)
+        xs[iters] = c_row @ s + xstar
+        residuals = np.linalg.norm(xs - xstar, axis=-1)
+    return xs, residuals

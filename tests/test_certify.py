@@ -32,7 +32,7 @@ from loopshift import (
 )
 from loopshift import certify, lti
 from loopshift.cli import _json_safe
-from loopshift.lti import gain_reaches, golden_section
+from loopshift.lti import climb_to_peak, gain_reaches, golden_section
 from loopshift.polynomials import schur_stable
 
 from helpers import poly_from_roots
@@ -539,6 +539,37 @@ def test_bisection_final_certificate_retests_nothing(monkeypatch, spec):
     # one test per bisection step, the test at RHO_MAX included
     assert len(calls) == result.iterations
     assert result.certificate.certified and result.certificate.rho == result.rho_star
+
+
+def _count_climbs(monkeypatch):
+    calls = []
+
+    def counted(test):
+        calls.append(test)
+        return climb_to_peak(test)
+
+    monkeypatch.setattr(certify, "climb_to_peak", counted)
+    return calls
+
+
+def test_rate_only_callers_climb_to_no_peak(monkeypatch):
+    alphas = [0.05, 0.1, 2.0 / 11.0, 0.25]
+    want_curve = []
+    for a in alphas:
+        try:
+            want_curve.append((a, bisect_rate(gradient(a), SEC).rho_star))
+        except NoCertificateError:
+            want_curve.append((a, None))
+    calls = _count_climbs(monkeypatch)
+    assert certified_rate_curve(SEC, alphas) == want_curve
+    alpha, rho = search_stepsize(SEC, 1e-4)
+    assert rho == pytest.approx(9.0 / 11.0, abs=1e-4)
+    best = search_two_param(SEC, [0.02, 0.05], [0.3, 0.5])
+    assert len(calls) == 0
+    assert best.rho_star == bisect_rate(
+        MethodSpec(Family.HEAVY_BALL, alpha=best.alpha, beta=best.beta), SEC).rho_star
+    assert len(calls) == 1
+    assert bisect_rate(gradient(alpha), SEC).rho_star == rho
 
 
 def _mp_peak(t, freq, bits=200):

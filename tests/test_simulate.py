@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopshift import (
     Family,
@@ -11,14 +15,18 @@ from loopshift import (
     QuadraticOracle,
     RationalTF,
     SectorClass,
+    SeparableOracle,
     Trajectory,
     estimate_rate,
     noise_robustness_experiment,
     poly_roots,
+    random_rotation,
     simulate_run,
     simulate_shifted_run,
     trajectory_csv_text,
 )
+
+from helpers import reference_run
 
 SEC = SectorClass(1.0, 10.0)
 GRAD_OPT = MethodSpec(Family.GRADIENT, alpha=2.0 / 11.0)
@@ -117,14 +125,61 @@ def test_gradient_noise_is_one_draw_per_step():
         x = x - alpha * (oracle.grad(x) + rng.normal(0.0, sigma, 2))
 
 
+@st.composite
+def _specs(draw):
+    family = draw(st.sampled_from([Family.GRADIENT, Family.HEAVY_BALL, Family.NESTEROV,
+                                   Family.PID]))
+    alpha = draw(st.floats(0.01, 0.25))
+    beta = None if family is Family.GRADIENT else draw(st.floats(0.0, 0.9))
+    return MethodSpec(family, alpha=alpha, beta=beta)
+
+
+@st.composite
+def _scalar_pwl(draw):
+    bps = [0.0]
+    for gap in draw(st.lists(st.floats(0.05, 2.0), max_size=3)):
+        bps.append(bps[-1] + gap)
+    slopes = draw(st.lists(st.floats(0.5, 10.0), min_size=len(bps), max_size=len(bps)))
+    return PiecewiseLinearOracle(bps, slopes)
+
+
+@st.composite
+def _oracles(draw):
+    kind = draw(st.sampled_from(["quadratic", "rotated", "pwl", "separable"]))
+    if kind == "pwl":
+        base = draw(_scalar_pwl())
+    elif kind == "separable":
+        base = SeparableOracle(draw(st.lists(
+            st.one_of(_scalar_pwl(), st.floats(0.5, 10.0).map(lambda e: QuadraticOracle([e]))),
+            min_size=1, max_size=4)))
+    else:
+        eigs = draw(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=4))
+        rotation = random_rotation(len(eigs), draw(st.integers(0, 99))) if kind == "rotated" else None
+        base = QuadraticOracle(eigs, rotation)
+    shift = draw(st.lists(st.floats(-3.0, 3.0), min_size=base.dim, max_size=base.dim))
+    return base.translated(shift)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_specs(), _oracles(), st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-3]),
+       st.integers(0, 2**16), st.integers(1, 60))
+def test_single_run_is_bit_identical_to_reference_loop(spec, oracle, offset, sigma, seed, iters):
+    x0 = oracle.xstar + offset * np.linspace(1.0, -0.5, oracle.dim)
+    want_x, want_r = reference_run(spec, oracle, x0, iters, sigma, seed)
+    traj = simulate_run(spec, oracle, x0, iters, sigma, seed)
+    assert np.array_equal(traj.iterates, want_x, equal_nan=True)
+    assert np.array_equal(traj.residuals, want_r, equal_nan=True)
+
+
 def test_simulate_validates_inputs():
     oracle = QuadraticOracle([1.0, 2.0])
     with pytest.raises(InvalidParameterError):
         simulate_run(GRAD_OPT, oracle, [1.0], 10)
     with pytest.raises(InvalidParameterError):
         simulate_run(GRAD_OPT, oracle, [1.0, 1.0], 0)
-    with pytest.raises(InvalidParameterError):
-        simulate_run(GRAD_OPT, oracle, [1.0, 1.0], 10, noise_sigma=-1.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            simulate_run(GRAD_OPT, oracle, [1.0, 1.0], 10, noise_sigma=sigma, seed=0)
 
 
 def test_simulate_rejects_direct_feedthrough():
@@ -196,6 +251,10 @@ def test_noise_robustness_preconditions():
     with pytest.raises(InvalidParameterError):
         noise_robustness_experiment(SectorClass(0.01, 1.0),
                                     PiecewiseLinearOracle([0.0], [0.5]), 1e-3, [0])
+    for sigma in (-1e-3, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            noise_robustness_experiment(SectorClass(0.01, 1.0), QuadraticOracle([0.01, 1.0]),
+                                        sigma, [0], iters=10)
 
 
 def test_noise_robustness_sigma_zero_converges():
@@ -206,18 +265,24 @@ def test_noise_robustness_sigma_zero_converges():
     assert report.median_optimal_sector < 1e-10
 
 
-def test_noise_robustness_batch_equals_per_seed_runs():
+@pytest.mark.parametrize("oracle, sigma, x0", [
+    (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 1e-3, None),
+    (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 0.0, None),
+    (QuadraticOracle([0.01, 0.2, 1.0], random_rotation(3, 5), xstar=[1.0, -0.5, 2.0]), 1e-3,
+     [0.25, 1.5, -1.0]),
+], ids=["noisy", "sigma-zero", "rotated-3d"])
+def test_noise_robustness_batch_equals_per_seed_runs(oracle, sigma, x0):
     sec = SectorClass(0.01, 1.0)
-    oracle = QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0])
     seeds, iters = (4, 9, 11), 700
-    report = noise_robustness_experiment(sec, oracle, 1e-3, seeds, iters)
+    report = noise_robustness_experiment(sec, oracle, sigma, seeds, iters, x0)
+    start = oracle.xstar + 1.0 if x0 is None else x0
     tail = (iters + 1) // 10
     for alpha, got in ((report.alpha_standard, report.steady_state_standard),
                        (report.alpha_optimal_sector, report.steady_state_optimal_sector)):
         spec = MethodSpec(Family.GRADIENT, alpha=alpha)
         want = tuple(
-            float(np.median(simulate_run(spec, oracle, oracle.xstar + 1.0, iters,
-                                         1e-3, seed).residuals[-tail:]))
+            float(np.median(simulate_run(spec, oracle, start, iters,
+                                         sigma, seed).residuals[-tail:]))
             for seed in seeds
         )
         assert got == want
