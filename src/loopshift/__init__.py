@@ -60,7 +60,6 @@ from .methods import (
 from .polynomials import (
     Polynomial,
     poly_add,
-    poly_arg_scale,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -107,8 +106,8 @@ __all__ = [
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",
     "nesterov_derivative_tf", "parse_method", "preset",
-    "Polynomial", "poly_add", "poly_arg_scale", "poly_eval",
-    "poly_mul", "poly_roots", "poly_scale", "poly_sub",
+    "Polynomial", "poly_add", "poly_eval", "poly_mul", "poly_roots",
+    "poly_scale", "poly_sub",
     "GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle",
     "SectorClass", "SeparableOracle", "oracle_from_json",
     "parse_oracle", "random_rotation", "sector_check",

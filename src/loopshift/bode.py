@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .lti import RationalTF, freq_response, freq_response_many
+from .lti import (LEVEL_RTOL, RationalTF, _chebyshev_roots, _circle_gains, freq_response,
+                  freq_response_many)
 
 NYQUIST = 0.5
 
-_CROSSOVER_GRID = 4096
-_CROSSOVER_FMIN = 1e-8
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#17becf", "#8c564b", "#e377c2",
@@ -84,32 +83,20 @@ def bode_table(tf: RationalTF, f_min: float = 1e-4, n: int = 500) -> list[Freque
 
 
 def crossover_frequency(tf: RationalTF) -> float | None:
-    """Smallest f in (0, 0.5] where the gain magnitude crosses 1, refined by
-    bisection to 1e-8 in f; None when the magnitude never crosses 1."""
-    fs = np.geomspace(_CROSSOVER_FMIN, NYQUIST, _CROSSOVER_GRID)
-    with np.errstate(invalid="ignore"):
-        gs = np.abs(freq_response_many(tf, fs)) - 1.0
-    for i in range(_CROSSOVER_GRID - 1):
-        g0, g1 = gs[i], gs[i + 1]
-        if math.isnan(g0) or math.isnan(g1):
-            continue
-        if g0 == 0.0:
-            return float(fs[i])
-        if g0 * g1 > 0.0:
-            continue
-        lo, hi = float(fs[i]), float(fs[i + 1])
-        glo = g0
-        while hi - lo > 1e-8:
-            mid = 0.5 * (lo + hi)
-            gm = abs(freq_response(tf, mid)) - 1.0
-            if gm == 0.0:
-                return mid
-            if glo * gm < 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        return 0.5 * (lo + hi)
-    return None
+    """Smallest f in (0, 0.5] where the gain magnitude crosses 1, else None.
+    With x = cos(2 pi f), crossings are the real roots in (-1, 1) of the
+    Chebyshev series of |N|^2 - |D|^2 where it changes sign, the largest root
+    first; the gain is even about f = 0 and 0.5: roots within LEVEL_RTOL of
+    x = +-1 only touch."""
+    gains = _circle_gains(tf.num.coeffs, tf.den.coeffs)
+    series = [a - b for a, b in zip(gains.num_series, gains.den_series)]
+    xs = sorted({-1.0, 1.0} | {r.real for r in _chebyshev_roots(series)
+                               if abs(r.real) < 1.0 - LEVEL_RTOL})
+    # the sign is constant between consecutive roots: read it at midpoints
+    above = [abs(freq_response(tf, math.acos(0.5 * (a + b)) / (2.0 * math.pi))) > 1.0
+             for a, b in zip(xs, xs[1:])]
+    k = next((k for k in range(len(above) - 1, 0, -1) if above[k] != above[k - 1]), 0)
+    return math.acos(xs[k]) / (2.0 * math.pi) if k else None
 
 
 @dataclass(frozen=True)

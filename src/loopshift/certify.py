@@ -21,9 +21,11 @@ from .errors import ImproperShiftError, InvalidParameterError, NoCertificateErro
 from .lti import (
     LevelCrossing,
     RationalTF,
+    _arg_scaled,
+    _circle_gains,
+    _level_crossings,
     climb_to_peak,
     golden_section,
-    level_crossing,
     tf_arg_scale,
 )
 from .methods import Family, MethodSpec, build_controller
@@ -86,9 +88,9 @@ def _threshold_test(shifted: RationalTF, sector: SectorClass,
                     rho: float) -> LevelCrossing | None:
     """The small-gain test at ``rho``: None when the scaled system is not
     Schur stable, else its level test at the threshold, which certifies
-    when it does not reach."""
-    scaled = tf_arg_scale(shifted, rho)
-    return level_crossing(scaled, sector.threshold) if schur_stable(scaled.den) else None
+    when it does not reach.  Both tests read the scaled coefficients."""
+    num, den = _arg_scaled(shifted, rho)
+    return _level_crossings(_circle_gains(num, den), sector.threshold) if schur_stable(den) else None
 
 
 def _certifies(test: LevelCrossing | None) -> bool:

@@ -8,7 +8,8 @@ well defined.  Common num/den roots are never cancelled.
 The level tests of one system share its Chebyshev series, built once.  A
 rate certificate costs one Schur-Cohn test and one level test at the
 threshold: that test decides the verdict, and its largest gain seeds the
-climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.
+climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.  Both tests
+work on the scaled coefficient tuples, building no transfer-function object.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import numpy as np
 from .errors import InvalidParameterError, UnstableSystemError
 from .polynomials import (
     Polynomial,
+    _quadratic_roots,
+    _trimmed,
     poly_eval,
     poly_mul,
-    poly_roots,
     poly_scale,
     poly_sub,
     schur_stable,
@@ -43,6 +45,21 @@ def _as_poly(value) -> Polynomial:
     return value if isinstance(value, Polynomial) else Polynomial(tuple(value))
 
 
+def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ascending coefficients of num/den, trailing zeros trimmed and both
+    divided by den's leading one; raises for a zero or improper pair."""
+    num, den = _trimmed(num), _trimmed(den)
+    if den == (0.0,):
+        raise InvalidParameterError("transfer function denominator is zero")
+    lead = den[-1]
+    if lead != 1.0:
+        num, den = _trimmed([c / lead for c in num]), _trimmed([c / lead for c in den])
+    if len(num) > len(den):
+        raise InvalidParameterError(f"improper transfer function: numerator degree "
+                                    f"{len(num) - 1} exceeds denominator degree {len(den) - 1}")
+    return num, den
+
+
 @dataclass(frozen=True)
 class RationalTF:
     """Proper rational transfer function num(z)/den(z), denominator monic."""
@@ -51,20 +68,9 @@ class RationalTF:
     den: Polynomial
 
     def __post_init__(self) -> None:
-        num, den = _as_poly(self.num), _as_poly(self.den)
-        if den.is_zero:
-            raise InvalidParameterError("transfer function denominator is zero")
-        lead = den.coeffs[-1]
-        if lead != 1.0:
-            num = Polynomial(tuple(c / lead for c in num.coeffs))
-            den = Polynomial(tuple(c / lead for c in den.coeffs))
-        if num.degree > den.degree:
-            raise InvalidParameterError(
-                "improper transfer function: numerator degree "
-                f"{num.degree} exceeds denominator degree {den.degree}"
-            )
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = _monic(_as_poly(self.num).coeffs, _as_poly(self.den).coeffs)
+        object.__setattr__(self, "num", Polynomial(num))
+        object.__setattr__(self, "den", Polynomial(den))
 
     @property
     def order(self) -> int:
@@ -76,19 +82,23 @@ def tf_mul(a: RationalTF, b: RationalTF) -> RationalTF:
 
 
 def tf_arg_scale(t: RationalTF, rho: float) -> RationalTF:
-    """Substitute ``z -> rho*z`` in both numerator and denominator (as
-    :func:`poly_arg_scale` does), building the monic pair once."""
+    """Substitute ``z -> rho*z`` in both numerator and denominator."""
+    return RationalTF(*_arg_scaled(t, rho))
+
+
+def _arg_scaled(t: RationalTF, rho: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The coefficients of ``t(rho*z)`` as the pair of :func:`_monic`: every
+    scaling of a system goes through here, and a rate test works on the
+    pair without building a :class:`RationalTF`."""
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidParameterError(f"argument scale must be positive, got {rho}")
     powers = [1.0]
     for _ in range(t.order):
         powers.append(powers[-1] * rho)
-    num = [c * p for c, p in zip(t.num.coeffs, powers)]
     den = [c * p for c, p in zip(t.den.coeffs, powers)]
     # the last nonzero coefficient leads: rho**n can underflow
     lead = next((c for c in reversed(den) if c != 0.0), 1.0)
-    return RationalTF(Polynomial(tuple(c / lead for c in num)),
-                      Polynomial(tuple(c / lead for c in den)))
+    return _monic([c * p / lead for c, p in zip(t.num.coeffs, powers)], [c / lead for c in den])
 
 
 def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
@@ -171,16 +181,16 @@ class _CircleGains(NamedTuple):
     den_series: list[float]
 
 
-def _circle_gains(t: RationalTF) -> _CircleGains:
-    size = t.order + 1
-    return _CircleGains(t.num.coeffs[::-1], t.den.coeffs[::-1],
-                        _gain_series(t.num, size), _gain_series(t.den, size))
+def _circle_gains(num: tuple[float, ...], den: tuple[float, ...]) -> _CircleGains:
+    """The shared data of num/den, given by ascending coefficients."""
+    size = len(den)
+    return _CircleGains(num[::-1], den[::-1], _gain_series(num, size), _gain_series(den, size))
 
 
-def _gain_series(p: Polynomial, size: int) -> list[float]:
-    """Chebyshev coefficients in x = cos(theta) of |p(e^{j theta})|^2, from
-    the autocorrelation r_k: r_0 + 2 sum_k r_k cos(k theta), padded to size."""
-    c = p.coeffs
+def _gain_series(c: tuple[float, ...], size: int) -> list[float]:
+    """Chebyshev coefficients in x = cos(theta) of |p(e^{j theta})|^2 for p
+    with ascending coefficients ``c``, from the autocorrelation r_k:
+    r_0 + 2 sum_k r_k cos(k theta), padded to size."""
     r = [sum(a * b for a, b in zip(c, c[k:])) for k in range(size)]
     return [r[0]] + [2.0 * rk for rk in r[1:]]
 
@@ -202,10 +212,11 @@ def _chebyshev_roots(c: list[float]) -> list[complex]:
     n = max((k for k, ck in enumerate(c) if abs(ck) > cut), default=0)
     if n == 0:
         return []
-    if n <= 2:
-        # T_1 = x, T_2 = 2x^2 - 1
-        power = (c[0], c[1]) if n == 1 else (c[0] - c[2], c[1], 2.0 * c[2])
-        return poly_roots(Polynomial(power))
+    # T_1 = x, T_2 = 2x^2 - 1
+    if n == 1:
+        return [complex(-c[0] / c[1])]
+    if n == 2:
+        return _quadratic_roots(2.0 * c[2], c[1], c[0] - c[2])
     # numpy's chebroots layout, coefficients down the first column: with it
     # balancing keeps close roots apart, the transpose merged such a pair
     colleague = _colleague_template(n).copy()
@@ -271,7 +282,7 @@ def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
 def level_crossing(t: RationalTF, level: float) -> LevelCrossing:
     """The level test of ``t`` at ``level``; its ``reaches`` is the yes/no
     answer, and :func:`climb_to_peak` takes it on to the peak."""
-    return _level_crossings(_circle_gains(t), level)
+    return _level_crossings(_circle_gains(t.num.coeffs, t.den.coeffs), level)
 
 
 def gain_reaches(t: RationalTF, level: float) -> bool:
@@ -300,7 +311,7 @@ def hinf_peak(t: RationalTF) -> tuple[float, float]:
     The climb starts from the gains by the poles (the points deciding an
     infinite level).  Raises for systems not Schur stable.
     """
-    if not schur_stable(t.den):
+    if not schur_stable(t.den.coeffs):
         raise UnstableSystemError(
             "H-infinity norm requested for a system with a pole of modulus >= 1"
         )

@@ -24,11 +24,7 @@ class Polynomial:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(float(c) for c in self.coeffs) or (0.0,)
-        cut = len(raw)
-        while cut > 1 and raw[cut - 1] == 0.0:
-            cut -= 1
-        object.__setattr__(self, "coeffs", raw[:cut])
+        object.__setattr__(self, "coeffs", _trimmed([float(c) for c in self.coeffs]))
 
     @property
     def degree(self) -> int:
@@ -37,6 +33,14 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
+
+
+def _trimmed(coeffs) -> tuple[float, ...]:
+    """``coeffs`` without trailing exact zeros, the zero polynomial as (0.0,)."""
+    cut = len(coeffs)
+    while cut > 1 and coeffs[cut - 1] == 0.0:
+        cut -= 1
+    return tuple(coeffs[:cut]) or (0.0,)
 
 
 def poly_eval(p: Polynomial, z: complex) -> complex:
@@ -67,18 +71,6 @@ def poly_scale(a: Polynomial, c: float) -> Polynomial:
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
-
-
-def poly_arg_scale(p: Polynomial, rho: float) -> Polynomial:
-    """Substitute ``z -> rho*z``: returns q with q(z) = p(rho*z), i.e. each
-    coefficient is multiplied by rho**i."""
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise InvalidParameterError(f"argument scale must be positive, got {rho}")
-    out, power = [], 1.0
-    for c in p.coeffs:
-        out.append(c * power)
-        power *= rho
-    return Polynomial(tuple(out))
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
@@ -117,16 +109,17 @@ def poly_roots(p: Polynomial) -> list[complex]:
     return np.linalg.eigvals(comp).tolist()
 
 
-def schur_stable(p: Polynomial) -> bool:
-    """True when every root of nonzero ``p`` lies strictly inside the unit
-    circle, decided exactly for the stored coefficients: each Schur-Cohn step
-    needs |p(0)| < |lead| and passes to (lead p(z) - p(0) z^n p(1/z)) / z,
-    which by Rouche keeps the roots on or outside the circle.  Floats are
-    dyadic rationals, so the steps run on integers, each row divided by its
-    gcd (in floats, double roots 1e-5 from the circle were misjudged)."""
-    if not all(map(math.isfinite, p.coeffs)):
+def schur_stable(coeffs) -> bool:
+    """True when every root of the nonzero polynomial p with ascending
+    coefficients ``coeffs`` lies strictly inside the unit circle, decided
+    exactly for the stored coefficients: each Schur-Cohn step needs |p(0)| <
+    |lead| and passes to (lead p(z) - p(0) z^n p(1/z)) / z, which by Rouche
+    keeps the roots on or outside the circle.  Floats are dyadic rationals,
+    so the steps run on integers, each row divided by its gcd (in floats,
+    double roots 1e-5 from the circle were misjudged)."""
+    if not all(map(math.isfinite, coeffs)):
         return False
-    ratios = [c.as_integer_ratio() for c in p.coeffs]
+    ratios = [c.as_integer_ratio() for c in coeffs]
     scale = max(den for _, den in ratios)
     c = [num * (scale // den) for num, den in ratios]
     while len(c) > 1:

@@ -253,6 +253,14 @@ class NoiseRobustnessReport:
     median_optimal_sector: float
 
 
+def _median(values) -> np.ndarray:
+    """``np.median(values, axis=0)`` without its import of ``numpy.ma``: the
+    middle value, or the mean of the middle pair, and NaN where any is."""
+    s = np.sort(values, axis=0)
+    h = len(s) // 2
+    return np.where(np.isnan(s[-1]), np.nan, s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2.0)
+
+
 def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
                                 noise_sigma: float, seeds, iters: int = 3000,
                                 x0=None) -> NoiseRobustnessReport:
@@ -289,7 +297,7 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     tail = max(1, (iters + 1) // 10)
     _, residuals = _closed_loop((a_mat, b_col, c_cols), oracle.centered_grad, u0, oracle.xstar,
                                 iters, noise, tail)
-    steady = [float(r) for r in np.median(residuals, axis=0)]
+    steady = [float(r) for r in _median(residuals)]
     ss_std = tuple(steady[:len(seeds)])
     ss_opt = tuple(steady[len(seeds):])
     return NoiseRobustnessReport(
@@ -302,8 +310,8 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
         alpha_optimal_sector=alpha_opt,
         steady_state_standard=ss_std,
         steady_state_optimal_sector=ss_opt,
-        median_standard=float(np.median(ss_std)),
-        median_optimal_sector=float(np.median(ss_opt)),
+        median_standard=float(_median(ss_std)),
+        median_optimal_sector=float(_median(ss_opt)),
     )
 
 

@@ -1,8 +1,11 @@
 """Helpers shared by the test modules."""
 
+import math
+
 import numpy as np
 
 from loopshift import (
+    InvalidParameterError,
     Polynomial,
     RationalTF,
     StateSpace,
@@ -21,6 +24,18 @@ def poly_from_roots(roots, leading: float = 1.0) -> Polynomial:
     for r in roots:
         acc = np.convolve(acc, np.array([-r, 1.0 + 0.0j]))
     return Polynomial(tuple((leading * acc).real))
+
+
+def poly_arg_scale(p: Polynomial, rho: float) -> Polynomial:
+    """Substitute ``z -> rho*z``: returns q with q(z) = p(rho*z), i.e. each
+    coefficient is multiplied by rho**i."""
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise InvalidParameterError(f"argument scale must be positive, got {rho}")
+    out, power = [], 1.0
+    for c in p.coeffs:
+        out.append(c * power)
+        power *= rho
+    return Polynomial(tuple(out))
 
 
 def constant_tf(c: float) -> RationalTF:

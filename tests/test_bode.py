@@ -113,6 +113,24 @@ def test_crossover_none_when_gain_below_one():
     assert crossover_frequency(constant_tf(0.5)) is None
 
 
+@pytest.mark.parametrize("den", [(49.5, 1.0), (-49.5, 1.0)])
+def test_crossover_none_when_gain_touches_one_at_the_ends(den):
+    # |50.5 / (z +- 49.5)| is 1 at f = 0 (or 0.5) and above 1 elsewhere
+    assert crossover_frequency(RationalTF((50.5,), den)) is None
+
+
+def test_crossover_smallest_of_several():
+    # |K| = 0.3 / |z^2 - 1.9 cos(0.6) z + 0.9025| is below 1 at f = 0 and
+    # 0.5 and above it around the resonance at theta = 0.6: the first of the
+    # two crossings, against a dense grid
+    k = RationalTF((0.3,), (0.9025, -1.9 * math.cos(0.6), 1.0))
+    fs = np.linspace(1e-6, 0.5, 1 << 16)
+    above = np.abs(np.polyval([0.3], np.exp(2j * np.pi * fs))
+                   / np.polyval([1.0, -1.9 * math.cos(0.6), 0.9025], np.exp(2j * np.pi * fs))) > 1
+    first = fs[np.argmax(above != above[0])]
+    assert crossover_frequency(k) == pytest.approx(first, abs=1e-5)
+
+
 def test_gain_metrics_integrator_slope():
     metrics = gain_metrics(integrator(0.1))
     assert metrics.crossover_hz == pytest.approx(math.asin(0.05) / math.pi, abs=1e-6)

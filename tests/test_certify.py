@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopshift import (
@@ -13,6 +13,7 @@ from loopshift import (
     InvalidParameterError,
     MethodSpec,
     NoCertificateError,
+    Polynomial,
     QuadraticOracle,
     RationalTF,
     SectorClass,
@@ -32,7 +33,7 @@ from loopshift import (
 )
 from loopshift import certify, lti
 from loopshift.cli import _json_safe
-from loopshift.lti import climb_to_peak, gain_reaches, golden_section
+from loopshift.lti import climb_to_peak, gain_reaches, golden_section, level_crossing
 from loopshift.polynomials import schur_stable
 
 from helpers import poly_from_roots
@@ -494,7 +495,7 @@ def test_one_pass_certificate_decides_as_the_separate_tests(system):
     sec = SectorClass(1.0, L)
     spec = _custom_with_scaled_system(pairs, real_poles, num, rho, sec)
     scaled = tf_arg_scale(loop_shift(build_controller(spec), sec), rho)
-    stable = schur_stable(scaled.den)
+    stable = schur_stable(scaled.den.coeffs)
     assume(stable)
     cert = certify_rate(spec, sec, rho)
     assert cert.certified == (stable and not gain_reaches(scaled, sec.threshold))
@@ -539,6 +540,74 @@ def test_bisection_final_certificate_retests_nothing(monkeypatch, spec):
     # one test per bisection step, the test at RHO_MAX included
     assert len(calls) == result.iterations
     assert result.certificate.certified and result.certificate.rho == result.rho_star
+
+
+lean_systems = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=n + 1),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=n, max_size=n),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1.05, max_value=20.0),
+))
+
+
+@settings(deadline=None, max_examples=200)
+@given(lean_systems, st.booleans())
+# the scaled top numerator coefficient 5e-324 * 0.25 rounds to 0 and is trimmed
+@example(([1.0, 0.0], [0.1], 0.25, 10.0), True)
+def test_threshold_test_equals_the_transfer_function_route(system, tiny_top):
+    num, den, rho, L = system
+    if tiny_top:
+        num = num[:-1] + [5e-324]
+    t = RationalTF(tuple(num), tuple(den) + (1.0,))
+    sec = SectorClass(1.0, L)
+    try:
+        scaled = tf_arg_scale(t, rho)
+    except InvalidParameterError as exc:
+        with pytest.raises(InvalidParameterError, match=str(exc)):
+            certify._threshold_test(t, sec, rho)
+        return
+    step = certify._threshold_test(t, sec, rho)
+    assert (step is not None) == schur_stable(scaled.den.coeffs)
+    if step is not None:
+        want = level_crossing(scaled, sec.threshold)
+        assert (step.level, step.gain, step.theta) == (want.level, want.gain, want.theta)
+        assert step.gains == want.gains
+
+
+def test_scaled_top_numerator_underflow_is_trimmed():
+    t = RationalTF((1.0, 5e-324), (0.1, 1.0))
+    assert tf_arg_scale(t, 0.25).num.coeffs == (1.0 / 0.25,)
+    assert lti._arg_scaled(t, 0.25) == ((1.0 / 0.25,), (0.1 / 0.25, 1.0))
+
+
+@pytest.mark.parametrize("spec", [
+    gradient(0.1),
+    MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5),
+    MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
+        (0.16037083383833653, -0.21533252642457526, 0.13773884700201308, 0.018181818181818184),
+        (0.8820395861108509, -1.1843288953351638, -0.22251673958693807, 1.5248060488112511,
+         -1.0))),
+])
+def test_bisection_steps_build_no_transfer_function(monkeypatch, spec):
+    built = []
+    for cls in (RationalTF, Polynomial):
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    per_step = []
+    threshold_test = certify._threshold_test
+
+    def step(*args):
+        before = len(built)
+        test = threshold_test(*args)
+        per_step.append(len(built) - before)
+        return test
+
+    monkeypatch.setattr(certify, "_threshold_test", step)
+    result = bisect_rate(spec, SEC)
+    assert built  # the controller and its loop shift are built once
+    assert per_step == [0] * result.iterations
 
 
 def _count_climbs(monkeypatch):

@@ -25,6 +25,7 @@ from loopshift import (
     simulate_shifted_run,
     trajectory_csv_text,
 )
+from loopshift.simulate import _median
 
 from helpers import reference_run
 
@@ -296,6 +297,18 @@ def test_noise_robustness_scales_roughly_linearly():
     for a, b in ((low.median_standard, high.median_standard),
                  (low.median_optimal_sector, high.median_optimal_sector)):
         assert b / a == pytest.approx(2.0, rel=0.2)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (31, 4), (300, 40)])
+def test_median_equals_numpy_median(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    values = np.abs(rng.standard_normal(shape)) * 10.0 ** rng.uniform(-12, 0, shape)
+    values[0] = values[-1]  # a tie
+    want = np.asarray(np.median(values, axis=0))
+    assert want.tobytes() == np.asarray(_median(values)).tobytes()
+    values[shape[0] // 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.median(values, axis=0)).all() and np.isnan(_median(values)).all()
 
 
 def test_trajectory_csv_text():
