@@ -166,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, required=True)
     add_common(p)
 
-    p = sub.add_parser("rate", help="bisect for the best certifiable rate")
+    p = sub.add_parser("rate", help="search for the best certifiable rate")
     p.add_argument("--method")
     add_sector(p)
     p.add_argument("--tol", type=float)
@@ -403,7 +403,7 @@ def _cmd_rate(run: Run) -> int:
     }
     summary = (
         f"{spec.label}: rho_star={result.rho_star:.6g} "
-        f"({result.iterations} certificates, hinf={result.certificate.hinf:.6g}, "
+        f"({result.iterations} tests, hinf={result.certificate.hinf:.6g}, "
         f"threshold={result.certificate.threshold:.6g})"
     )
     _emit(run, payload, summary)

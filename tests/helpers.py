@@ -6,6 +6,7 @@ import numpy as np
 
 from loopshift import (
     InvalidParameterError,
+    NoCertificateError,
     Polynomial,
     RationalTF,
     StateSpace,
@@ -15,6 +16,8 @@ from loopshift import (
     poly_sub,
     realize,
 )
+from loopshift.certify import RHO_MAX, _certifies, _threshold_test, loop_shift
+from loopshift.polynomials import poly_roots
 
 
 def poly_from_roots(roots, leading: float = 1.0) -> Polynomial:
@@ -105,3 +108,29 @@ def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
         xs[iters] = c_row @ s + xstar
         residuals = np.linalg.norm(xs - xstar, axis=-1)
     return xs, residuals
+
+
+def reference_bisect(spec, sector,
+                     tol: float) -> tuple[float, int, tuple[tuple[float, float], ...]]:
+    """The final ``hi``, the number of threshold tests and the bracket
+    history of plain bisection for the best certified rate, from the
+    stability radius up to RHO_MAX, one midpoint step at a time: an oracle
+    for the interpolating search of :func:`loopshift.bisect_rate`, on the
+    same threshold test.  Raises NoCertificateError when RHO_MAX does not
+    certify."""
+    shifted = loop_shift(build_controller(spec), sector)
+    hi = RHO_MAX
+    if not _certifies(_threshold_test(shifted, sector, hi)):
+        raise NoCertificateError(f"{spec.label} admits no certified rate below one")
+    radius = max(map(abs, poly_roots(shifted.den))) if shifted.den.degree else 0.0
+    lo = min(radius, hi)
+    evaluations, history = 1, [(lo, hi)]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        evaluations += 1
+        if _certifies(_threshold_test(shifted, sector, mid)):
+            hi = mid
+        else:
+            lo = mid
+        history.append((lo, hi))
+    return hi, evaluations, tuple(history)

@@ -33,10 +33,10 @@ from loopshift import (
 )
 from loopshift import certify, lti
 from loopshift.cli import _json_safe
-from loopshift.lti import climb_to_peak, gain_reaches, golden_section, level_crossing
+from loopshift.lti import LevelCrossing, climb_to_peak, gain_reaches, golden_section, level_crossing
 from loopshift.polynomials import schur_stable
 
-from helpers import poly_from_roots
+from helpers import poly_from_roots, reference_bisect
 
 SEC = SectorClass(1.0, 10.0)
 
@@ -608,6 +608,101 @@ def test_bisection_steps_build_no_transfer_function(monkeypatch, spec):
     result = bisect_rate(spec, SEC)
     assert built  # the controller and its loop shift are built once
     assert per_step == [0] * result.iterations
+
+
+def _search_test_bound(result, tol):
+    """The most tests a search may take: two steps per halving of its
+    starting bracket, plus the test at RHO_MAX and one spare step."""
+    lo0 = result.bracket_history[0][0]
+    return 2 * math.ceil(math.log2(max((certify.RHO_MAX - lo0) / tol, 1.0))) + 2
+
+
+def _check_search_against_reference(spec, sec, tol):
+    try:
+        ref_hi, _, _ = reference_bisect(spec, sec, tol)
+    except NoCertificateError:
+        with pytest.raises(NoCertificateError):
+            bisect_rate(spec, sec, tol)
+        return None
+    result = bisect_rate(spec, sec, tol)
+    assert abs(result.rho_star - ref_hi) <= tol
+    assert certify_rate(spec, sec, result.rho_star).certified
+    lo, hi = result.bracket_history[-1]
+    assert hi == result.rho_star and hi - lo <= tol
+    assert result.iterations <= _search_test_bound(result, tol)
+    return result
+
+
+# family, alpha * L and beta
+catalog_specs = st.tuples(
+    st.sampled_from([Family.GRADIENT, Family.HEAVY_BALL, Family.NESTEROV, Family.PID]),
+    st.floats(min_value=0.02, max_value=2.2), st.floats(min_value=0.0, max_value=0.95))
+search_sectors = st.sampled_from([(1.0, 10.0), (0.01, 1.0), (1.0, 1.5), (0.5, 40.0)])
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.one_of(catalog_specs.map(lambda t: ("catalog", t)),
+                 scaled_systems.map(lambda t: ("custom", t))),
+       search_sectors, st.sampled_from([1e-6, 1e-9, 1e-3]))
+def test_interpolating_search_matches_reference_bisection(case, m_L, tol):
+    kind, data = case
+    if kind == "catalog":
+        family, step, beta = data
+        sec = SectorClass(*m_L)
+        alpha = step / sec.L
+        spec = MethodSpec(family, alpha=alpha, beta=None if family is Family.GRADIENT else beta)
+    else:
+        pairs, real_poles, num, rho, L = data
+        sec = SectorClass(m_L[0], m_L[0] * L)
+        spec = _custom_with_scaled_system(pairs, real_poles, num, rho, sec)
+    _check_search_against_reference(spec, sec, tol)
+
+
+SAFEGUARD_SPECS = [
+    gradient(0.1),
+    gradient(2.0 / 11.0),
+    MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5),
+    MethodSpec(Family.NESTEROV, alpha=0.1, beta=0.5),
+    MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
+        (0.16037083383833653, -0.21533252642457526, 0.13773884700201308, 0.018181818181818184),
+        (0.8820395861108509, -1.1843288953351638, -0.22251673958693807, 1.5248060488112511,
+         -1.0))),
+]
+
+
+@pytest.mark.parametrize("spec", SAFEGUARD_SPECS)
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_search_safeguard_bounds_a_stalling_interpolation(monkeypatch, spec, tol):
+    # a vanishing gap at every certified rate sends each secant step to
+    # hi - tol/2, which shrinks the bracket by tol/2 only
+    monkeypatch.setattr(certify, "_gap",
+                        lambda test, threshold: 1e-300 if certify._certifies(test) else -1.0)
+    result = _check_search_against_reference(spec, SEC, tol)
+    lo0, hi0 = result.bracket_history[0]
+    assert result.bracket_history[1] == (lo0, hi0 - 0.5 * tol)
+
+
+@pytest.mark.parametrize("spec", SAFEGUARD_SPECS)
+def test_non_finite_secant_step_is_a_midpoint(monkeypatch, spec):
+    # an infinite gap at hi makes every secant root inf/inf, NaN
+    monkeypatch.setattr(certify, "_gap",
+                        lambda test, threshold: math.inf if certify._certifies(test) else -1.0)
+    result = bisect_rate(spec, SEC)
+    hi, evaluations, history = reference_bisect(spec, SEC, 1e-6)
+    assert (result.rho_star, result.iterations, result.bracket_history) == (hi, evaluations, history)
+
+
+def test_gap_takes_the_verdicts_sign():
+    threshold = SEC.threshold
+    assert certify._gap(None, threshold) == -1.0
+    # a zero gain is an infinite gap, whose secant step is a midpoint
+    assert certify._gap(LevelCrossing(threshold, 0.0, 0.0, None), threshold) == math.inf
+    assert certify._gap(LevelCrossing(threshold, math.inf, 0.0, None), threshold) == -1.0
+    assert certify._gap(LevelCrossing(threshold, threshold / 2, 0.0, None), threshold) == 1.0
+    # a gain within LEVEL_RTOL below the threshold reaches it: the gap is
+    # pushed below zero to agree with that verdict
+    touching = LevelCrossing(threshold, threshold * (1.0 - 0.5 * lti.LEVEL_RTOL), 0.0, None)
+    assert touching.reaches and certify._gap(touching, threshold) == -1e-300
 
 
 def _count_climbs(monkeypatch):

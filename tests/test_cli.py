@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from loopshift import Family, MethodSpec, SectorClass, bisect_rate
 from loopshift.cli import RunConfig, main, parse_args, split_method_list
 
 
@@ -86,6 +87,9 @@ def test_rate_command_prints_recovered_rate(capsys):
     out = capsys.readouterr().out
     value = float(out.split("rho_star=")[1].split()[0])
     assert value == pytest.approx(max(1 - 0.18182, 10 * 0.18182 - 1), abs=1e-4)
+    # the count is of threshold tests; only the final rate gets a certificate
+    result = bisect_rate(MethodSpec(Family.GRADIENT, alpha=0.18182), SectorClass(1.0, 10.0))
+    assert f"({result.iterations} tests, hinf=" in out
 
 
 def test_not_certified_is_a_successful_run(capsys):
