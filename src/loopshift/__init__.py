@@ -1,17 +1,15 @@
 """loopshift: first-order optimization methods as discrete-time feedback
 controllers, with worst-case convergence-rate certification over
 sector-bounded gradients, loop-shaping diagnostics, and simulation
-cross-checks."""
+cross-checks.
 
-from .bode import (
-    FrequencyRow,
-    GainMetrics,
-    bode_csv_text,
-    bode_svg_text,
-    bode_table,
-    crossover_frequency,
-    gain_metrics,
-)
+The certificate layers import without numpy.  Names from ``bode``,
+``sectors`` and ``simulate``, which do array work, load their module on
+first access (PEP 562).
+"""
+
+import importlib
+
 from .certify import (
     RateCertificate,
     RateSearchResult,
@@ -39,7 +37,6 @@ from .lti import (
     StateSpace,
     freq_response,
     freq_response_many,
-    hinf_peak,
     realize,
     tf_allclose,
     tf_arg_scale,
@@ -49,6 +46,7 @@ from .methods import (
     FactorForm,
     Family,
     MethodSpec,
+    SectorClass,
     build_controller,
     derivative_form_check,
     factor_controller,
@@ -66,29 +64,26 @@ from .polynomials import (
     poly_scale,
     poly_sub,
 )
-from .sectors import (
-    GradientOracle,
-    PiecewiseLinearOracle,
-    QuadraticOracle,
-    SectorClass,
-    SeparableOracle,
-    oracle_from_json,
-    parse_oracle,
-    random_rotation,
-    sector_check,
-    sector_membership_sampled,
-    shifted_plant_apply,
-)
-from .simulate import (
-    NoiseRobustnessReport,
-    RateEstimate,
-    Trajectory,
-    estimate_rate,
-    noise_robustness_experiment,
-    simulate_run,
-    simulate_shifted_run,
-    trajectory_csv_text,
-)
+
+_LAZY = {name: module for module, names in (
+    ("bode", ("FrequencyRow", "GainMetrics", "bode_csv_text", "bode_svg_text", "bode_table",
+              "crossover_frequency", "gain_metrics")),
+    ("sectors", ("GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle", "SeparableOracle",
+                 "oracle_from_json", "parse_oracle", "random_rotation", "shifted_plant_apply")),
+    ("simulate", ("NoiseRobustnessReport", "RateEstimate", "Trajectory", "estimate_rate",
+                  "noise_robustness_experiment", "simulate_run", "simulate_shifted_run",
+                  "trajectory_csv_text")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    """Load a name of a numpy layer, or the layer itself, on first use."""
+    if name in ("bode", "sectors", "simulate"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -102,7 +97,7 @@ __all__ = [
     "LoopShiftError", "NoCertificateError", "UnstableSystemError",
     "UnsupportedFactorizationError", "UnsupportedPresetError",
     "RationalTF", "StateSpace", "freq_response", "freq_response_many",
-    "hinf_peak", "realize", "tf_allclose", "tf_arg_scale", "tf_mul",
+    "realize", "tf_allclose", "tf_arg_scale", "tf_mul",
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",
     "nesterov_derivative_tf", "parse_method", "preset",
@@ -110,8 +105,7 @@ __all__ = [
     "poly_scale", "poly_sub",
     "GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle",
     "SectorClass", "SeparableOracle", "oracle_from_json",
-    "parse_oracle", "random_rotation", "sector_check",
-    "sector_membership_sampled", "shifted_plant_apply",
+    "parse_oracle", "random_rotation", "shifted_plant_apply",
     "NoiseRobustnessReport", "RateEstimate", "Trajectory", "estimate_rate",
     "noise_robustness_experiment", "simulate_run", "simulate_shifted_run",
     "trajectory_csv_text",

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ImproperShiftError, InvalidParameterError, NoCertificateError
 from .lti import (
     LevelCrossing,
@@ -28,9 +26,8 @@ from .lti import (
     golden_section,
     tf_arg_scale,
 )
-from .methods import Family, MethodSpec, build_controller
+from .methods import Family, MethodSpec, SectorClass, build_controller
 from .polynomials import poly_roots, poly_scale, poly_sub, schur_stable
-from .sectors import SectorClass
 
 # The largest rate a rate search tries; certifying only closer to one is none.
 RHO_MAX = 1.0 - 1e-9
@@ -140,7 +137,8 @@ def _check_tol(tol: float) -> None:
 
 
 def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> RateSearchResult:
-    """Smallest certifiable rate, to bracket width ``tol``.
+    """Smallest certifiable rate, to bracket width ``tol`` met to float
+    resolution (the search also ends at two adjacent floats).
 
     The certified set is an interval [rho*, 1), so one test at RHO_MAX
     decides whether there is a certificate, and a bracketing search from the
@@ -188,13 +186,15 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
     largest gain each test already has, so no step climbs to the peak.
     Each step is the Illinois variant of regula falsi (Dowell and Jarratt,
     1971) on the gap at the bracket's ends, the radius counting as -1: the
-    secant root, kept tol/2 inside the bracket, with the gap of an end that
-    stays put for a second step in a row halved.  The step is the midpoint
-    instead when the secant root is not finite, or when the bracket is
-    wider than the starting width halved once per two steps taken; that
-    safeguard caps the search at 2*ceil(log2(width/tol)) + 1 steps.
-    Verdicts alone move the ends, so ``hi`` has always certified and ``lo``
-    is uncertified or the radius.
+    secant root, kept tol/2 and at least one float inside the bracket,
+    with the gap of an end that stays put for a second step in a row
+    halved.  The step is the midpoint instead when the secant root is not
+    finite, or when the bracket is wider than the starting width halved
+    once per two steps taken; that safeguard caps the search at
+    2*ceil(log2(width/tol)) + 1 steps.  The search also ends when no float
+    lies strictly between the ends, so any positive ``tol`` is met to float
+    resolution.  Verdicts alone move the ends, so ``hi`` has always
+    certified and ``lo`` is uncertified or the radius.
     """
     hi = RHO_MAX
     evaluations = 1
@@ -211,10 +211,12 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
     g_lo, g_hi = -1.0, _gap(passed, sector.threshold)
     budget, moved = hi - lo, 0
     history = [(lo, hi)]
-    while hi - lo > tol:
+    while hi - lo > tol and math.nextafter(lo, hi) < hi:
         x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
         if math.isfinite(x) and hi - lo <= budget:
-            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+            # at least one float inside each end when tol is below the spacing
+            x = min(max(x, lo + 0.5 * tol, math.nextafter(lo, hi)),
+                    hi - 0.5 * tol, math.nextafter(hi, lo))
         else:
             x = 0.5 * (lo + hi)
         evaluations += 1
@@ -287,6 +289,21 @@ def search_stepsize(sector: SectorClass, tol: float = 1e-6) -> tuple[float, floa
     return best_alpha, best_rho
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, bit for bit
+    ``np.linspace(start, stop, num).tolist()``: point i is i*step + start,
+    or i/div*delta + start when the step underflows to 0, and the last point
+    is ``stop``."""
+    div, delta = num - 1, stop - start
+    if div <= 0:
+        return [i * delta + start for i in range(num)]
+    step = delta / div
+    points = ([i * step + start for i in range(num)] if step else
+              [i / div * delta + start for i in range(num)])
+    points[-1] = stop
+    return points
+
+
 @dataclass(frozen=True)
 class TwoParamResult:
     alpha: float
@@ -341,10 +358,10 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
         if alpha_span == 0.0 and beta_span == 0.0:
             break
         a0, b0, _ = best
-        a_list = [a0] if alpha_span == 0.0 else np.linspace(
-            max(a0 - alpha_span, alpha_span * 1e-6), a0 + alpha_span, len(alphas)).tolist()
-        b_list = [b0] if beta_span == 0.0 else np.linspace(
-            max(b0 - beta_span, 0.0), min(b0 + beta_span, 1.0 - 1e-12), len(betas)).tolist()
+        a_list = [a0] if alpha_span == 0.0 else linspace(
+            max(a0 - alpha_span, alpha_span * 1e-6), a0 + alpha_span, len(alphas))
+        b_list = [b0] if beta_span == 0.0 else linspace(
+            max(b0 - beta_span, 0.0), min(b0 + beta_span, 1.0 - 1e-12), len(betas))
         sweep(a_list, b_list)
         alpha_span /= max(len(alphas) - 1, 1)
         beta_span /= max(len(betas) - 1, 1)

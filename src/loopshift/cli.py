@@ -5,6 +5,10 @@ report.  Artifacts (JSON/CSV/SVG) are written atomically and byte-identical
 for identical configs and seeds; "not certified" is a successful run that
 reports data, not a failure.  Exit codes: 0 success, 1 computation error
 (structured JSON on stderr), 2 usage error.
+
+The commands that simulate, use an oracle or draw Bode plots import those
+layers, and with them numpy, when they run; certify, rate, curve and search
+on controllers of order up to 2 never import numpy.
 """
 
 from __future__ import annotations
@@ -20,13 +24,11 @@ import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .bode import bode_csv_text, bode_svg_text, bode_table, gain_metrics
 from .certify import (
     bisect_rate,
     certified_rate_curve,
     certify_rate,
+    linspace,
     search_stepsize,
     search_two_param,
 )
@@ -37,22 +39,11 @@ from .errors import (
     UnsupportedPresetError,
     json_number,
 )
-from .methods import Family, MethodSpec, build_controller, method_from_json, parse_method, preset
-from .sectors import (
-    GradientOracle,
-    PiecewiseLinearOracle,
-    QuadraticOracle,
-    SectorClass,
-    oracle_from_json,
-    parse_oracle,
-    random_rotation,
-)
-from .simulate import (
-    estimate_rate,
-    noise_robustness_experiment,
-    simulate_run,
-    trajectory_csv_text,
-)
+from .methods import (Family, MethodSpec, SectorClass, build_controller, method_from_json,
+                      parse_method, preset)
+
+if typing.TYPE_CHECKING:
+    from .sectors import GradientOracle
 
 _SEARCH_FAMILIES = tuple(f.value for f in Family if f is not Family.CUSTOM)
 
@@ -310,10 +301,11 @@ def _resolve(config: RunConfig) -> Run:
         method = parse_method(config.method, config.m, config.L)
     methods = tuple(parse_method(text, config.m, config.L) for text in config.methods)
     oracle = None
-    if config.oracle_json is not None:
-        oracle = oracle_from_json(config.oracle_json)
-    elif config.oracle is not None:
-        oracle = parse_oracle(config.oracle)
+    if config.oracle_json is not None or config.oracle is not None:
+        from .sectors import oracle_from_json, parse_oracle
+
+        oracle = (parse_oracle(config.oracle) if config.oracle_json is None
+                  else oracle_from_json(config.oracle_json))
     return Run(config, sector, method, methods, oracle, alphas, betas)
 
 
@@ -326,13 +318,13 @@ def _alpha_grid(config: RunConfig, sector: SectorClass | None) -> list[float] | 
     given = [a for a in (lo, hi) if a is not None]
     if given and not 0.0 < given[0] <= given[-1]:
         raise InvalidParameterError("need 0 < alpha-min <= alpha-max")
-    return None if sector is None else list(np.linspace(lo, hi, config.alpha_steps))
+    return None if sector is None else linspace(lo, hi, config.alpha_steps)
 
 
 def _beta_grid(config: RunConfig) -> list[float]:
     if not 0.0 <= config.beta_min <= config.beta_max < 1.0:
         raise InvalidParameterError("need 0 <= beta-min <= beta-max < 1")
-    return list(np.linspace(config.beta_min, config.beta_max, config.beta_steps))
+    return linspace(config.beta_min, config.beta_max, config.beta_steps)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -460,6 +452,10 @@ def _cmd_search(run: Run) -> int:
 
 
 def _cmd_simulate(run: Run) -> int:
+    import numpy as np
+
+    from .simulate import estimate_rate, simulate_run, trajectory_csv_text
+
     config, spec, oracle = run.config, run.method, run.oracle
     x0 = np.asarray(config.x0, dtype=float) if config.x0 else oracle.xstar + 1.0
     traj = simulate_run(spec, oracle, x0, config.iters, config.noise_sigma, config.seed)
@@ -494,6 +490,8 @@ def _cmd_simulate(run: Run) -> int:
 
 
 def _cmd_robustness(run: Run) -> int:
+    from .simulate import noise_robustness_experiment
+
     config = run.config
     report = noise_robustness_experiment(
         run.sector, run.oracle, config.noise_sigma, range(config.n_seeds), config.iters
@@ -512,6 +510,8 @@ def _slug(label: str) -> str:
 
 
 def _cmd_bode(run: Run) -> int:
+    from .bode import bode_csv_text, bode_svg_text, bode_table, gain_metrics
+
     config = run.config
     curves = []
     infos = []
@@ -540,6 +540,8 @@ def _cmd_bode(run: Run) -> int:
 
 
 def _report_oracles(sector: SectorClass):
+    from .sectors import PiecewiseLinearOracle, QuadraticOracle, random_rotation
+
     mid = 0.5 * (sector.m + sector.L)
     return [
         QuadraticOracle([sector.m, sector.L]),
@@ -549,6 +551,8 @@ def _report_oracles(sector: SectorClass):
 
 
 def _cmd_report(run: Run) -> int:
+    from .simulate import estimate_rate, simulate_run
+
     config, sector = run.config, run.sector
     presets = [
         ("gradient", "standard"),

@@ -10,6 +10,10 @@ rate certificate costs one Schur-Cohn test and one level test at the
 threshold: that test decides the verdict, and its largest gain seeds the
 climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.  Both tests
 work on the scaled coefficient tuples, building no transfer-function object.
+
+A certificate of order up to 2 is pure Python: numpy loads on first use, in
+the roots of a Chebyshev series of degree 3 or more, the vectorized
+frequency response and the state-space realization.
 """
 
 from __future__ import annotations
@@ -17,26 +21,20 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .errors import InvalidParameterError
+from .polynomials import (Polynomial, _quadratic_roots, _trimmed, poly_eval, poly_mul, poly_scale,
+                          poly_sub)
 
-from .errors import InvalidParameterError, UnstableSystemError
-from .polynomials import (
-    Polynomial,
-    _quadratic_roots,
-    _trimmed,
-    poly_eval,
-    poly_mul,
-    poly_scale,
-    poly_sub,
-    schur_stable,
-)
+if TYPE_CHECKING:
+    import numpy as np
 
 # A gain this close below a level (a few ulps) counts as reaching it, so a
 # gain that only touches the level (a tangency) never passes for below it.
-LEVEL_RTOL = 8.0 * np.finfo(float).eps
+LEVEL_RTOL = 8.0 * sys.float_info.epsilon
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -132,6 +130,8 @@ def freq_response(t: RationalTF, f: float) -> complex:
 
 def freq_response_many(t: RationalTF, fs) -> np.ndarray:
     """Vectorized :func:`freq_response` over an array of frequencies."""
+    import numpy as np
+
     fs = np.asarray(fs, dtype=float)
     if fs.size and not (np.all(fs > 0.0) and np.all(fs <= 0.5)):
         raise InvalidParameterError("frequencies must lie in (0, 0.5]")
@@ -144,8 +144,10 @@ def freq_response_many(t: RationalTF, fs) -> np.ndarray:
 
 def golden_section(f, a: float, b: float, tol: float):
     """Minimise ``f`` on ``[a, b]`` by golden-section search down to bracket
-    width ``tol``; returns ``((a, b), (x_best, f_best))``, the final bracket
-    and the first evaluated point with the smallest value.
+    width ``tol``, met to float resolution: the search also ends when no
+    float lies strictly between the ends.  Returns ``((a, b), (x_best,
+    f_best))``, the final bracket and the first evaluated point with the
+    smallest value.
 
     ``f(x, rival)`` gets the other interior point's value (inf for the first
     point) and may return inf for any ``x`` whose value exceeds a finite
@@ -156,7 +158,7 @@ def golden_section(f, a: float, b: float, tol: float):
     f1 = f(x1, math.inf)
     f2 = f(x2, f1)
     x_best, f_best = (x1, f1) if f1 <= f2 else (x2, f2)
-    while b - a > tol:
+    while b - a > tol and math.nextafter(a, b) < b:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x = x1 = b - _INVPHI * (b - a)
@@ -199,6 +201,8 @@ def _gain_series(c: tuple[float, ...], size: int) -> list[float]:
 def _colleague_template(n: int) -> np.ndarray:
     """The coefficient-free part of the size-n colleague matrix; callers
     fill in a copy."""
+    import numpy as np
+
     colleague = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
     colleague[-2, -1] = 1.0
     return colleague
@@ -217,6 +221,8 @@ def _chebyshev_roots(c: list[float]) -> list[complex]:
         return [complex(-c[0] / c[1])]
     if n == 2:
         return _quadratic_roots(2.0 * c[2], c[1], c[0] - c[2])
+    import numpy as np
+
     # numpy's chebroots layout, coefficients down the first column: with it
     # balancing keeps close roots apart, the transpose merged such a pair
     colleague = _colleague_template(n).copy()
@@ -279,43 +285,19 @@ def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
     return LevelCrossing(level, best, math.acos(best_x), g)
 
 
-def level_crossing(t: RationalTF, level: float) -> LevelCrossing:
-    """The level test of ``t`` at ``level``; its ``reaches`` is the yes/no
-    answer, and :func:`climb_to_peak` takes it on to the peak."""
-    return _level_crossings(_circle_gains(t.num.coeffs, t.den.coeffs), level)
-
-
-def gain_reaches(t: RationalTF, level: float) -> bool:
-    """Whether the gain of Schur-stable ``t`` reaches ``level`` anywhere on
-    the unit circle; a tangency (within LEVEL_RTOL below) reaches."""
-    return level_crossing(t, level).reaches
-
-
 def climb_to_peak(start: LevelCrossing) -> tuple[float, float]:
     """Peak gain of a Schur-stable system and its frequency, climbing from
     the largest gain of a level test: the level rises to the largest gain at
     the points deciding it until none exceeds it by LEVEL_RTOL; arc
-    midpoints make the climb quadratic near the peak (Bruinsma-Steinbuch)."""
+    midpoints make the climb quadratic near the peak (Bruinsma-Steinbuch).
+    It ends: each step raises the level by a factor above 1 + LEVEL_RTOL,
+    and the step after an infinite gain returns."""
     level, theta = start.gain, start.theta
     while True:
         step = _level_crossings(start.gains, level)
         if step.gain <= level * (1.0 + LEVEL_RTOL):
             return level, theta / (2.0 * math.pi)
         level, theta = step.gain, step.theta
-
-
-def hinf_peak(t: RationalTF) -> tuple[float, float]:
-    """Peak gain over the unit circle and the frequency (cycles/iteration,
-    in [0, 0.5] by symmetry) where it is attained.
-
-    The climb starts from the gains by the poles (the points deciding an
-    infinite level).  Raises for systems not Schur stable.
-    """
-    if not schur_stable(t.den.coeffs):
-        raise UnstableSystemError(
-            "H-infinity norm requested for a system with a pole of modulus >= 1"
-        )
-    return climb_to_peak(level_crossing(t, math.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,24 +313,12 @@ class StateSpace:
     def order(self) -> int:
         return self.A.shape[0]
 
-    def impulse(self, steps: int) -> np.ndarray:
-        """First ``steps`` impulse-response samples (D, CB, CAB, ...)."""
-        out = np.zeros(steps)
-        if steps == 0:
-            return out
-        out[0] = float(self.D[0, 0]) if self.D.size else 0.0
-        if self.order == 0:
-            return out
-        x = self.B[:, 0].copy()
-        for k in range(1, steps):
-            out[k] = float(self.C[0] @ x)
-            x = self.A @ x
-        return out
-
 
 def realize(t: RationalTF) -> StateSpace:
     """Controllable canonical form; D is the leading-coefficient ratio when
     the function is biproper and 0 otherwise."""
+    import numpy as np
+
     n = t.den.degree
     d = t.num.coeffs[n] if t.num.degree == n and n > 0 else 0.0
     if n == 0:

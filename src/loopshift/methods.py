@@ -1,4 +1,5 @@
-"""Controller catalog for first-order optimization methods.
+"""Controller catalog for first-order optimization methods, and the sector
+class S(m, L) they are certified on.
 
 Every catalog controller carries integral action (an exact pole at z = 1):
 that is what regulates the gradient to zero at an unknown minimizer.
@@ -34,6 +35,42 @@ class Family(str, Enum):
     NESTEROV = "nesterov"
     PID = "pid"
     CUSTOM = "custom"
+
+
+@dataclass(frozen=True)
+class SectorClass:
+    """Sector bounds 0 < m < L and the constants derived from them."""
+
+    m: float
+    L: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.m) and math.isfinite(self.L) and 0.0 < self.m < self.L):
+            # m = 0 is rejected on purpose: the certification threshold
+            # (L+m)/(L-m) collapses to 1 there and no finite-rate statement
+            # survives.
+            raise InvalidParameterError(
+                f"sector needs 0 < m < L, got m={self.m}, L={self.L}"
+            )
+
+    @property
+    def kappa(self) -> float:
+        return self.L / self.m
+
+    @property
+    def sector_gain(self) -> float:
+        """Gain bound of the loop-shifted plant, (L-m)/(L+m) in (0, 1)."""
+        return (self.L - self.m) / (self.L + self.m)
+
+    @property
+    def threshold(self) -> float:
+        """Small-gain certification threshold (L+m)/(L-m) > 1."""
+        return (self.L + self.m) / (self.L - self.m)
+
+    @property
+    def shift(self) -> float:
+        """Loop-shift coefficient 2/(L+m)."""
+        return 2.0 / (self.L + self.m)
 
 
 def _fmt(x: float) -> str:

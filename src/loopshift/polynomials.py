@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError
 
 
@@ -70,6 +68,8 @@ def poly_scale(a: Polynomial, c: float) -> Polynomial:
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    import numpy as np
+
     return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
 
 
@@ -104,6 +104,8 @@ def poly_roots(p: Polynomial) -> list[complex]:
         return [complex(-c[0] / c[1])]
     if p.degree == 2:
         return _quadratic_roots(c[2], c[1], c[0])
+    import numpy as np
+
     comp = np.eye(p.degree, k=-1)
     comp[0] = -np.asarray(c[-2::-1]) / c[-1]
     return np.linalg.eigvals(comp).tolist()
@@ -114,7 +116,8 @@ def schur_stable(coeffs) -> bool:
     coefficients ``coeffs`` lies strictly inside the unit circle, decided
     exactly for the stored coefficients: each Schur-Cohn step needs |p(0)| <
     |lead| and passes to (lead p(z) - p(0) z^n p(1/z)) / z, which by Rouche
-    keeps the roots on or outside the circle.  Floats are dyadic rationals,
+    keeps the roots on or outside the circle.  Each row is one degree lower,
+    so the test ends after at most deg p rows.  Floats are dyadic rationals,
     so the steps run on integers, each row divided by its gcd (in floats,
     double roots 1e-5 from the circle were misjudged)."""
     if not all(map(math.isfinite, coeffs)):

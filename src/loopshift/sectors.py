@@ -1,5 +1,6 @@
-"""Sector classes, gradient oracles with known minimizers, and the plant maps
-used in the feedback interconnection.
+"""Gradient oracles with known minimizers, and the plant map used in the
+feedback interconnection.  :class:`SectorClass` lives in :mod:`methods`,
+which needs no numpy, and is re-exported here.
 
 A gradient map g belongs to the sector S(m, L) relative to its stationary
 point when (g(x) - m(x-x*)) . (L(x-x*) - g(x)) >= 0 for all x.  Oracles here
@@ -11,49 +12,12 @@ need not look anything like a convex quadratic).
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, json_block, json_keys, json_number, json_numbers
-
-
-@dataclass(frozen=True)
-class SectorClass:
-    """Sector bounds 0 < m < L and the constants derived from them."""
-
-    m: float
-    L: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.L) and 0.0 < self.m < self.L):
-            # m = 0 is rejected on purpose: the certification threshold
-            # (L+m)/(L-m) collapses to 1 there and no finite-rate statement
-            # survives.
-            raise InvalidParameterError(
-                f"sector needs 0 < m < L, got m={self.m}, L={self.L}"
-            )
-
-    @property
-    def kappa(self) -> float:
-        return self.L / self.m
-
-    @property
-    def sector_gain(self) -> float:
-        """Gain bound of the loop-shifted plant, (L-m)/(L+m) in (0, 1)."""
-        return (self.L - self.m) / (self.L + self.m)
-
-    @property
-    def threshold(self) -> float:
-        """Small-gain certification threshold (L+m)/(L-m) > 1."""
-        return (self.L + self.m) / (self.L - self.m)
-
-    @property
-    def shift(self) -> float:
-        """Loop-shift coefficient 2/(L+m)."""
-        return 2.0 / (self.L + self.m)
+from .methods import SectorClass
 
 
 class GradientOracle(ABC):
@@ -302,23 +266,6 @@ class SeparableOracle(GradientOracle):
         return "sep(" + ";".join(c.describe() for c in self._components) + ")"
 
 
-def _in_sector(u: np.ndarray, v: np.ndarray, sector: SectorClass) -> np.ndarray:
-    """Row-wise membership of the pairs (u, v) along the last axis."""
-    tol = 1e-9 * (1.0 + np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1))
-    return np.sum((v - sector.m * u) * (sector.L * u - v), axis=-1) >= -tol
-
-
-def sector_check(u, v, sector: SectorClass) -> bool:
-    """Membership test for the pair (u, v): (v - m u) . (L u - v) >= -tol with
-    a tolerance that scales with the squared magnitudes, since an absolute
-    tolerance misfires far from the origin."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if u.shape != v.shape or u.ndim != 1:
-        raise InvalidParameterError("sector check needs equal-dimension points")
-    return bool(_in_sector(u, v, sector))
-
-
 def shifted_plant_apply(oracle: GradientOracle, sector: SectorClass, u) -> np.ndarray:
     """Loop-shifted plant u - (2/(L+m)) grad(u + xstar); centering the sector
     this way bounds its gain by (L-m)/(L+m).  Batches like ``centered_grad``."""
@@ -326,15 +273,6 @@ def shifted_plant_apply(oracle: GradientOracle, sector: SectorClass, u) -> np.nd
     if u.shape[-1] != oracle.dim:
         raise InvalidParameterError(f"expected shape (..., {oracle.dim}), got {u.shape}")
     return u - sector.shift * oracle.centered_grad(u)
-
-
-def sector_membership_sampled(oracle: GradientOracle, sector: SectorClass,
-                              samples: int = 10_000, radius: float = 10.0,
-                              seed: int = 0) -> bool:
-    """Sampled sector membership at ``samples`` random points around xstar,
-    drawn and evaluated as one batch."""
-    u = radius * np.random.default_rng(seed).standard_normal((samples, oracle.dim))
-    return bool(np.all(_in_sector(u, oracle.centered_grad(u), sector)))
 
 
 def parse_oracle(text: str) -> GradientOracle:

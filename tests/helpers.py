@@ -5,11 +5,14 @@ import math
 import numpy as np
 
 from loopshift import (
+    GradientOracle,
     InvalidParameterError,
     NoCertificateError,
     Polynomial,
     RationalTF,
+    SectorClass,
     StateSpace,
+    UnstableSystemError,
     build_controller,
     poly_add,
     poly_mul,
@@ -17,7 +20,8 @@ from loopshift import (
     realize,
 )
 from loopshift.certify import RHO_MAX, _certifies, _threshold_test, loop_shift
-from loopshift.polynomials import poly_roots
+from loopshift.lti import LevelCrossing, _circle_gains, _level_crossings, climb_to_peak
+from loopshift.polynomials import poly_roots, schur_stable
 
 
 def poly_from_roots(roots, leading: float = 1.0) -> Polynomial:
@@ -55,6 +59,74 @@ def tf_sub(a: RationalTF, b: RationalTF) -> RationalTF:
     return RationalTF(num, poly_mul(a.den, b.den))
 
 
+def level_crossing(t: RationalTF, level: float) -> LevelCrossing:
+    """The level test of ``t`` at ``level``; its ``reaches`` is the yes/no
+    answer, and :func:`loopshift.lti.climb_to_peak` takes it on to the peak."""
+    return _level_crossings(_circle_gains(t.num.coeffs, t.den.coeffs), level)
+
+
+def gain_reaches(t: RationalTF, level: float) -> bool:
+    """Whether the gain of Schur-stable ``t`` reaches ``level`` anywhere on
+    the unit circle; a tangency (within LEVEL_RTOL below) reaches.  The
+    reference verdict of the tests."""
+    return level_crossing(t, level).reaches
+
+
+def hinf_peak(t: RationalTF) -> tuple[float, float]:
+    """Peak gain over the unit circle and the frequency (cycles/iteration,
+    in [0, 0.5] by symmetry) where it is attained.
+
+    The climb starts from the gains by the poles (the points deciding an
+    infinite level).  Raises for systems not Schur stable.
+    """
+    if not schur_stable(t.den.coeffs):
+        raise UnstableSystemError(
+            "H-infinity norm requested for a system with a pole of modulus >= 1"
+        )
+    return climb_to_peak(level_crossing(t, math.inf))
+
+
+def _in_sector(u: np.ndarray, v: np.ndarray, sector: SectorClass) -> np.ndarray:
+    """Row-wise membership of the pairs (u, v) along the last axis."""
+    tol = 1e-9 * (1.0 + np.sum(u * u, axis=-1) + np.sum(v * v, axis=-1))
+    return np.sum((v - sector.m * u) * (sector.L * u - v), axis=-1) >= -tol
+
+
+def sector_check(u, v, sector: SectorClass) -> bool:
+    """Membership test for the pair (u, v): (v - m u) . (L u - v) >= -tol with
+    a tolerance that scales with the squared magnitudes, since an absolute
+    tolerance misfires far from the origin."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if u.shape != v.shape or u.ndim != 1:
+        raise InvalidParameterError("sector check needs equal-dimension points")
+    return bool(_in_sector(u, v, sector))
+
+
+def sector_membership_sampled(oracle: GradientOracle, sector: SectorClass,
+                              samples: int = 10_000, radius: float = 10.0,
+                              seed: int = 0) -> bool:
+    """Sampled sector membership at ``samples`` random points around xstar,
+    drawn and evaluated as one batch."""
+    u = radius * np.random.default_rng(seed).standard_normal((samples, oracle.dim))
+    return bool(np.all(_in_sector(u, oracle.centered_grad(u), sector)))
+
+
+def impulse(ss: StateSpace, steps: int) -> np.ndarray:
+    """First ``steps`` impulse-response samples (D, CB, CAB, ...) of ``ss``."""
+    out = np.zeros(steps)
+    if steps == 0:
+        return out
+    out[0] = float(ss.D[0, 0]) if ss.D.size else 0.0
+    if ss.order == 0:
+        return out
+    x = ss.B[:, 0].copy()
+    for k in range(1, steps):
+        out[k] = float(ss.C[0] @ x)
+        x = ss.A @ x
+    return out
+
+
 def impulse_series(t: RationalTF, steps: int) -> np.ndarray:
     """Impulse response by long division of num/den in powers of 1/z; an
     oracle for :func:`loopshift.realize` independent of it."""
@@ -78,7 +150,7 @@ def verify_realization(t: RationalTF, ss: StateSpace, steps: int = 50,
     """Check the realization against the long-division impulse response."""
     reference = impulse_series(t, steps)
     scale = max(1.0, float(np.max(np.abs(reference))))
-    return bool(np.max(np.abs(ss.impulse(steps) - reference)) <= tol * scale)
+    return bool(np.max(np.abs(impulse(ss, steps) - reference)) <= tol * scale)
 
 
 def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,

@@ -22,7 +22,6 @@ from loopshift import (
     certified_rate_curve,
     certify_rate,
     complementary_sensitivity,
-    hinf_peak,
     loop_shift,
     preset,
     search_stepsize,
@@ -33,10 +32,10 @@ from loopshift import (
 )
 from loopshift import certify, lti
 from loopshift.cli import _json_safe
-from loopshift.lti import LevelCrossing, climb_to_peak, gain_reaches, golden_section, level_crossing
+from loopshift.lti import LevelCrossing, climb_to_peak, golden_section
 from loopshift.polynomials import schur_stable
 
-from helpers import poly_from_roots, reference_bisect
+from helpers import gain_reaches, hinf_peak, level_crossing, poly_from_roots, reference_bisect
 
 SEC = SectorClass(1.0, 10.0)
 
@@ -515,7 +514,6 @@ def _count_schur_tests(monkeypatch):
         return schur_stable(p)
 
     monkeypatch.setattr(certify, "schur_stable", counted)
-    monkeypatch.setattr(lti, "schur_stable", counted)
     return calls
 
 
@@ -775,3 +773,50 @@ def test_narrow_resonance_peak_against_mpmath():
     scaled = tf_arg_scale(loop_shift(build_controller(spec), SEC), 0.99)
     exact = _mp_peak(scaled, cert.peak_frequency)
     assert abs(cert.hinf - exact) <= 1e-11 * exact
+
+
+def test_rate_search_below_float_spacing_ends():
+    # ran until killed when the search only compared the width with tol
+    result = bisect_rate(gradient(0.1), SEC, tol=1e-16)
+    lo, hi = result.bracket_history[-1]
+    assert hi == result.rho_star and math.nextafter(lo, hi) == hi
+    assert result.rho_star == pytest.approx(0.9, abs=1e-15)
+
+
+# tolerances from the benchmark's down to the smallest subnormal
+tiny_tols = st.one_of(st.just(5e-324), st.floats(min_value=5e-324, max_value=1e-6),
+                      st.integers(min_value=-1074, max_value=-20).map(lambda e: 2.0 ** e))
+
+
+@settings(deadline=None, max_examples=60)
+@given(catalog_specs, search_sectors, tiny_tols)
+def test_rate_search_ends_within_its_cap_at_any_tol(data, m_L, tol):
+    family, step, beta = data
+    sec = SectorClass(*m_L)
+    spec = MethodSpec(family, alpha=step / sec.L,
+                      beta=None if family is Family.GRADIENT else beta)
+    try:
+        result = bisect_rate(spec, sec, tol)
+    except NoCertificateError:
+        return
+    lo, hi = result.bracket_history[-1]
+    assert hi == result.rho_star and (hi - lo <= tol or math.nextafter(lo, hi) == hi)
+    # the cap of _search_test_bound, its ratio taken in logs: width/tol can overflow
+    width = certify.RHO_MAX - result.bracket_history[0][0]
+    assert result.iterations <= 2 * math.ceil(max(math.log2(width) - math.log2(tol), 0.0)) + 2
+    assert result.certificate.certified
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=-1e3, max_value=1e3),
+       st.integers(min_value=1, max_value=40), st.booleans())
+@example(1.0, 3.0, 1, False)
+@example(0.0, 0.005, 40, True)  # a step of 5e-323 / 39 underflows to 0
+def test_linspace_is_numpys_bit_for_bit(start, stop, num, tiny):
+    if tiny:
+        # subnormal spans, where the step can underflow to 0
+        start, stop = start * 1e-320, stop * 1e-320
+    for a, b in ((start, stop), (start, start)):
+        got = certify.linspace(a, b, num)
+        want = np.linspace(a, b, num).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want]

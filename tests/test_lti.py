@@ -13,16 +13,18 @@ from loopshift import (
     UnstableSystemError,
     freq_response,
     freq_response_many,
-    hinf_peak,
     realize,
     tf_allclose,
     tf_arg_scale,
     tf_mul,
 )
-from loopshift.lti import gain_reaches
+from loopshift.lti import golden_section
 
 from helpers import (
     constant_tf,
+    gain_reaches,
+    hinf_peak,
+    impulse,
     impulse_series,
     poly_from_roots,
     tf_add,
@@ -199,7 +201,7 @@ def test_hinf_peak_against_dense_grid(system):
 def test_realize_gradient_impulse():
     ss = realize(integrator(0.1))
     assert ss.order == 1
-    h = ss.impulse(6)
+    h = impulse(ss, 6)
     assert h[0] == 0.0
     assert np.allclose(h[1:], -0.1, atol=1e-15)
 
@@ -208,14 +210,14 @@ def test_realize_momentum_matches_long_division():
     t = RationalTF((0.0, -1.0), (0.5, -1.5, 1.0))
     ss = realize(t)
     assert ss.order == 2
-    assert np.max(np.abs(ss.impulse(50) - impulse_series(t, 50))) < 1e-9
+    assert np.max(np.abs(impulse(ss, 50) - impulse_series(t, 50))) < 1e-9
 
 
 def test_realize_constant_has_order_zero():
     ss = realize(constant_tf(2.0))
     assert ss.order == 0
     assert ss.D[0, 0] == 2.0
-    assert ss.impulse(4)[0] == 2.0
+    assert impulse(ss, 4)[0] == 2.0
 
 
 def test_realize_biproper_direct_term():
@@ -230,3 +232,18 @@ def test_verify_realization_on_random_systems():
     for _ in range(20):
         t = _random_stable_tf(rng)
         assert verify_realization(t, realize(t))
+
+
+def test_golden_section_below_float_spacing_ends():
+    # ran until killed when the loop only compared the width with tol
+    (a, b), (x, fx) = golden_section(lambda x, rival: (x - 0.3) ** 2, 0.0, 2.0, 1e-17)
+    assert math.nextafter(a, b) == b and a <= 0.3 <= b
+    assert x == pytest.approx(0.3, abs=1e-15)
+
+
+@settings(max_examples=60)
+@given(st.floats(min_value=0.0, max_value=2.0), st.floats(min_value=5e-324, max_value=1e-3))
+def test_golden_section_ends_at_any_tol(c, tol):
+    (a, b), _ = golden_section(lambda x, rival: abs(x - c), 0.0, 2.0, tol)
+    assert 0.0 <= a <= b <= 2.0
+    assert b - a <= tol or math.nextafter(a, b) == b

@@ -14,10 +14,10 @@ from loopshift import (
     oracle_from_json,
     parse_oracle,
     random_rotation,
-    sector_check,
-    sector_membership_sampled,
     shifted_plant_apply,
 )
+
+from helpers import sector_check, sector_membership_sampled
 
 
 def oracle_suite(sector):

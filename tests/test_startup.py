@@ -1,0 +1,90 @@
+"""The package surface and fresh-interpreter checks: the certificate
+commands start without numpy, and searches with a tolerance below the float
+spacing end."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import loopshift
+import loopshift.sectors
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# prints, as its last line, the numpy modules the code before it loaded
+NUMPY_LOADED = ("\nprint(json.dumps(sorted(m for m in sys.modules "
+                "if m.partition('.')[0] == 'numpy')))")
+
+
+def _fresh(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + old if old else ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=str(cwd), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _numpy_modules(code: str, cwd: Path) -> list[str]:
+    proc = _fresh("import json, sys\n" + code + NUMPY_LOADED, cwd)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+CERTIFICATE_COMMANDS = [
+    ["certify", "--method", "heavyball:alpha=0.05,beta=0.5", "--m", "1", "--L", "10",
+     "--rho", "0.95"],
+    ["rate", "--method", "nesterov:preset", "--m", "1", "--L", "10"],
+    ["curve", "--m", "1", "--L", "10", "--alpha-steps", "5"],
+    ["search", "--m", "1", "--L", "10"],
+    ["search", "--family", "heavyball", "--m", "1", "--L", "10", "--alpha-steps", "3",
+     "--beta-steps", "3"],
+]
+
+
+def test_every_public_name_resolves():
+    for name in loopshift.__all__:
+        assert getattr(loopshift, name) is not None, name
+    assert loopshift.sectors.SectorClass is loopshift.SectorClass
+    with pytest.raises(AttributeError):
+        loopshift.hinf_peak
+
+
+def test_import_leaves_numpy_out(tmp_path):
+    assert _numpy_modules("import loopshift", tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", CERTIFICATE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_certificate_commands_run_without_numpy(tmp_path, argv):
+    code = (f"from loopshift.cli import main\n"
+            f"assert main({argv + ['--json', 'out.json']!r}) == 0")
+    assert _numpy_modules(code, tmp_path) == []
+    assert json.loads((tmp_path / "out.json").read_text())
+
+
+def test_order_three_controller_loads_numpy_on_first_use(tmp_path):
+    config = {"method_json": {"family": "custom", "num": [0.0, 0.03, -0.1],
+                              "den": [-0.06, 0.46, -1.4, 1.0]}}
+    (tmp_path / "custom.json").write_text(json.dumps(config))
+    argv = ["rate", "--m", "1", "--L", "10", "--config", "custom.json", "--json", "out.json"]
+    code = f"from loopshift.cli import main\nassert main({argv!r}) == 0"
+    assert "numpy" in _numpy_modules(code, tmp_path)
+    # the same rate as when numpy loaded at import
+    assert json.loads((tmp_path / "out.json").read_text())["rho_star"] == 0.8941386635576845
+
+
+@pytest.mark.parametrize("argv, want", [
+    # gradient descent with alpha = 0.1 on S(1, 10): rho* = 0.9
+    (["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10", "--tol", "1e-20"], 0.9),
+    # the best stepsize on S(0.01, 1) has rate (L - m)/(L + m)
+    (["search", "--m", "0.01", "--L", "1", "--tol", "1e-16"], 0.99 / 1.01),
+], ids=["rate", "search"])
+def test_searches_below_float_spacing_end(tmp_path, argv, want):
+    # both ran until killed when the loops only compared the width with tol
+    _fresh(f"from loopshift.cli import main\n"
+           f"assert main({argv + ['--json', 'out.json']!r}) == 0", tmp_path)
+    got = json.loads((tmp_path / "out.json").read_text())["rho_star"]
+    assert got == pytest.approx(want, abs=1e-13)
