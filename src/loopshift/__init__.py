@@ -28,7 +28,6 @@ from .errors import (
     InvalidParameterError,
     LoopShiftError,
     NoCertificateError,
-    UnstableSystemError,
     UnsupportedFactorizationError,
     UnsupportedPresetError,
 )
@@ -56,7 +55,6 @@ from .methods import (
     preset,
 )
 from .polynomials import (
-    Polynomial,
     poly_add,
     poly_eval,
     poly_mul,
@@ -94,15 +92,15 @@ __all__ = [
     "certified_rate_curve", "certify_rate", "complementary_sensitivity",
     "loop_shift", "search_stepsize", "search_two_param",
     "ImproperShiftError", "InsufficientDataError", "InvalidParameterError",
-    "LoopShiftError", "NoCertificateError", "UnstableSystemError",
-    "UnsupportedFactorizationError", "UnsupportedPresetError",
+    "LoopShiftError", "NoCertificateError", "UnsupportedFactorizationError",
+    "UnsupportedPresetError",
     "RationalTF", "StateSpace", "freq_response", "freq_response_many",
     "realize", "tf_allclose", "tf_arg_scale", "tf_mul",
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",
     "nesterov_derivative_tf", "parse_method", "preset",
-    "Polynomial", "poly_add", "poly_eval", "poly_mul", "poly_roots",
-    "poly_scale", "poly_sub",
+    "poly_add", "poly_eval", "poly_mul", "poly_roots", "poly_scale",
+    "poly_sub",
     "GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle",
     "SectorClass", "SeparableOracle", "oracle_from_json",
     "parse_oracle", "random_rotation", "shifted_plant_apply",

@@ -88,7 +88,7 @@ def crossover_frequency(tf: RationalTF) -> float | None:
     Chebyshev series of |N|^2 - |D|^2 where it changes sign, the largest root
     first; the gain is even about f = 0 and 0.5: roots within LEVEL_RTOL of
     x = +-1 only touch."""
-    gains = _circle_gains(tf.num.coeffs, tf.den.coeffs)
+    gains = _circle_gains(tf.num, tf.den)
     series = [a - b for a, b in zip(gains.num_series, gains.den_series)]
     xs = sorted({-1.0, 1.0} | {r.real for r in _chebyshev_roots(series)
                                if abs(r.real) < 1.0 - LEVEL_RTOL})

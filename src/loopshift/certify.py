@@ -51,7 +51,7 @@ def loop_shift(controller: RationalTF, sector: SectorClass) -> RationalTF:
     """
     num = controller.num
     shifted_den = poly_sub(num, poly_scale(controller.den, sector.shift))
-    if shifted_den.is_zero or num.degree > shifted_den.degree:
+    if shifted_den == (0.0,) or len(num) > len(shifted_den):
         raise ImproperShiftError(
             "loop shift produced an improper system; the controller shape is "
             "outside the supported feedback form"
@@ -206,7 +206,7 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
         )
     # the shifted denominator's roots are every closed-loop mode, and the
     # largest modulus is the stability radius
-    radius = max(map(abs, poly_roots(shifted.den))) if shifted.den.degree else 0.0
+    radius = max(map(abs, poly_roots(shifted.den))) if shifted.order else 0.0
     lo = min(radius, hi)
     g_lo, g_hi = -1.0, _gap(passed, sector.threshold)
     budget, moved = hi - lo, 0

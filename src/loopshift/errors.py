@@ -20,10 +20,6 @@ class ImproperShiftError(LoopShiftError):
     """
 
 
-class UnstableSystemError(LoopShiftError):
-    """An H-infinity norm was requested for a system that is not stable."""
-
-
 class UnsupportedPresetError(LoopShiftError, ValueError):
     """No parameter preset is defined for the requested method family."""
 

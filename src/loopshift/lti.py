@@ -2,8 +2,10 @@
 state-space realization, frequency response, and gains on the unit circle
 (a level-crossing test and the H-infinity norm, no grid).
 
-Transfer functions keep a monic denominator so coefficient-level equality is
-well defined.  Common num/den roots are never cancelled.
+A transfer function holds its numerator and denominator as polynomials of
+:mod:`loopshift.polynomials`, plain ascending coefficient tuples, and keeps
+the denominator monic so coefficient-level equality is well defined.  Common
+num/den roots are never cancelled.
 
 The level tests of one system share its Chebyshev series, built once.  A
 rate certificate costs one Schur-Cohn test and one level test at the
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError
-from .polynomials import (Polynomial, _quadratic_roots, _trimmed, poly_eval, poly_mul, poly_scale,
-                          poly_sub)
+from .polynomials import _quadratic_roots, _trimmed, poly_eval, poly_mul, poly_scale, poly_sub
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,10 +38,6 @@ if TYPE_CHECKING:
 LEVEL_RTOL = 8.0 * sys.float_info.epsilon
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _as_poly(value) -> Polynomial:
-    return value if isinstance(value, Polynomial) else Polynomial(tuple(value))
 
 
 def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -60,19 +57,20 @@ def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class RationalTF:
-    """Proper rational transfer function num(z)/den(z), denominator monic."""
+    """Proper rational transfer function num(z)/den(z), denominator monic;
+    built from any two sequences of real coefficients, ascending."""
 
-    num: Polynomial
-    den: Polynomial
+    num: tuple[float, ...]
+    den: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        num, den = _monic(_as_poly(self.num).coeffs, _as_poly(self.den).coeffs)
-        object.__setattr__(self, "num", Polynomial(num))
-        object.__setattr__(self, "den", Polynomial(den))
+        num, den = _monic([float(c) for c in self.num], [float(c) for c in self.den])
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def order(self) -> int:
-        return self.den.degree
+        return len(self.den) - 1
 
 
 def tf_mul(a: RationalTF, b: RationalTF) -> RationalTF:
@@ -93,10 +91,10 @@ def _arg_scaled(t: RationalTF, rho: float) -> tuple[tuple[float, ...], tuple[flo
     powers = [1.0]
     for _ in range(t.order):
         powers.append(powers[-1] * rho)
-    den = [c * p for c, p in zip(t.den.coeffs, powers)]
+    den = [c * p for c, p in zip(t.den, powers)]
     # the last nonzero coefficient leads: rho**n can underflow
     lead = next((c for c in reversed(den) if c != 0.0), 1.0)
-    return _monic([c * p / lead for c, p in zip(t.num.coeffs, powers)], [c / lead for c in den])
+    return _monic([c * p / lead for c, p in zip(t.num, powers)], [c / lead for c in den])
 
 
 def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
@@ -104,10 +102,10 @@ def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
     return _poly_close(a.num, b.num, rtol) and _poly_close(a.den, b.den, rtol)
 
 
-def _poly_close(a: Polynomial, b: Polynomial, rtol: float) -> bool:
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0.0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0.0,) * (n - len(b.coeffs))
+def _poly_close(a: tuple[float, ...], b: tuple[float, ...], rtol: float) -> bool:
+    n = max(len(a), len(b))
+    ca = a + (0.0,) * (n - len(a))
+    cb = b + (0.0,) * (n - len(b))
     scale = max(max(abs(c) for c in ca), max(abs(c) for c in cb))
     if scale == 0.0:
         return True
@@ -138,7 +136,7 @@ def freq_response_many(t: RationalTF, fs) -> np.ndarray:
     zs = np.exp(2j * np.pi * fs)
     zs[fs == 0.5] = -1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.polyval(t.num.coeffs[::-1], zs) / np.polyval(t.den.coeffs[::-1], zs)
+        out = np.polyval(t.num[::-1], zs) / np.polyval(t.den[::-1], zs)
     return out
 
 
@@ -319,22 +317,22 @@ def realize(t: RationalTF) -> StateSpace:
     the function is biproper and 0 otherwise."""
     import numpy as np
 
-    n = t.den.degree
-    d = t.num.coeffs[n] if t.num.degree == n and n > 0 else 0.0
+    n = t.order
+    d = t.num[n] if len(t.num) == n + 1 and n > 0 else 0.0
     if n == 0:
         return StateSpace(
             np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
-            np.array([[t.num.coeffs[0]]]),
+            np.array([[t.num[0]]]),
         )
     rem = poly_sub(t.num, poly_scale(t.den, d)) if d != 0.0 else t.num
     a = np.zeros((n, n))
     a[1:, :-1] = np.eye(n - 1)
-    a[0, :] = [-t.den.coeffs[n - 1 - j] for j in range(n)]
+    a[0, :] = [-t.den[n - 1 - j] for j in range(n)]
     b = np.zeros((n, 1))
     b[0, 0] = 1.0
     c = np.zeros((1, n))
     for j in range(n):
         idx = n - 1 - j
-        if idx < len(rem.coeffs):
-            c[0, j] = rem.coeffs[idx]
+        if idx < len(rem):
+            c[0, j] = rem[idx]
     return StateSpace(a, b, c, np.array([[float(d)]]))

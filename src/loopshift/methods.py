@@ -95,9 +95,9 @@ class MethodSpec:
             if self.alpha is not None or self.beta is not None:
                 raise InvalidParameterError("custom method takes no alpha/beta")
             den = self.custom_tf.den
-            if not all(map(math.isfinite, self.custom_tf.num.coeffs + den.coeffs)):
+            if not all(map(math.isfinite, self.custom_tf.num + den)):
                 raise InvalidParameterError("custom controller coefficients must be finite")
-            scale = max(abs(c) for c in den.coeffs)
+            scale = max(abs(c) for c in den)
             if abs(poly_eval(den, 1.0)) > 1e-9 * scale:
                 raise InvalidParameterError(
                     "custom controller needs an exact pole at z = 1 "

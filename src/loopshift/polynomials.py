@@ -1,36 +1,18 @@
 """Real-coefficient univariate polynomials: arithmetic, complex evaluation,
 root finding, and the Schur stability test.
 
-Coefficients are stored in ascending degree order, so ``coeffs[i]`` multiplies
-``z**i``.  The zero polynomial is represented by the single coefficient 0.
+A polynomial is the plain tuple of its coefficients in ascending degree
+order, so ``p[i]`` multiplies ``z**i``: Python floats with trailing exact
+zeros trimmed, the zero polynomial being ``(0.0,)``.  Tiny leading
+coefficients stay: the degree never changes implicitly.  The functions
+below accept any sequence of real numbers and return such tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Immutable real polynomial with trailing exact zeros trimmed (the zero
-    polynomial keeps a single 0.0).  Tiny leading coefficients stay: the
-    degree never changes implicitly."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _trimmed([float(c) for c in self.coeffs]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0,)
 
 
 def _trimmed(coeffs) -> tuple[float, ...]:
@@ -41,36 +23,41 @@ def _trimmed(coeffs) -> tuple[float, ...]:
     return tuple(coeffs[:cut]) or (0.0,)
 
 
-def poly_eval(p: Polynomial, z: complex) -> complex:
+def _floats(coeffs) -> tuple[float, ...]:
+    """``coeffs`` as a polynomial: Python floats, trailing exact zeros trimmed."""
+    return _trimmed([float(c) for c in coeffs])
+
+
+def poly_eval(p, z: complex) -> complex:
     """Evaluate ``p`` at a (possibly complex) point, Horner order from the
     highest degree down."""
     acc: complex = 0j
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * z + c
     return acc
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    out = [0.0] * max(len(a.coeffs), len(b.coeffs))
-    for i, c in enumerate(a.coeffs):
+def poly_add(a, b) -> tuple[float, ...]:
+    out = [0.0] * max(len(a), len(b))
+    for i, c in enumerate(a):
         out[i] += c
-    for i, c in enumerate(b.coeffs):
+    for i, c in enumerate(b):
         out[i] += c
-    return Polynomial(tuple(out))
+    return _floats(out)
 
 
-def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
+def poly_sub(a, b) -> tuple[float, ...]:
     return poly_add(a, poly_scale(b, -1.0))
 
 
-def poly_scale(a: Polynomial, c: float) -> Polynomial:
-    return Polynomial(tuple(c * x for x in a.coeffs))
+def poly_scale(a, c: float) -> tuple[float, ...]:
+    return _floats([c * x for x in a])
 
 
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+def poly_mul(a, b) -> tuple[float, ...]:
     import numpy as np
 
-    return Polynomial(tuple(np.convolve(a.coeffs, b.coeffs)))
+    return _floats(np.convolve(a, b))
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
@@ -88,25 +75,26 @@ def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
     return [complex(re, -im), complex(re, im)]
 
 
-def poly_roots(p: Polynomial) -> list[complex]:
+def poly_roots(p) -> list[complex]:
     """All complex roots of ``p`` with multiplicity.
 
     Degrees 1 and 2 are solved in closed form; higher degrees go through the
     companion-matrix eigenvalues, in the layout of ``np.roots`` (coefficients
     in the first row), with which balancing keeps close roots apart.
     """
-    if p.is_zero:
+    c = _floats(p)
+    degree = len(c) - 1
+    if c == (0.0,):
         raise InvalidParameterError("the zero polynomial has no root set")
-    if p.degree == 0:
+    if degree == 0:
         raise InvalidParameterError("a nonzero constant has no roots")
-    c = p.coeffs
-    if p.degree == 1:
+    if degree == 1:
         return [complex(-c[0] / c[1])]
-    if p.degree == 2:
+    if degree == 2:
         return _quadratic_roots(c[2], c[1], c[0])
     import numpy as np
 
-    comp = np.eye(p.degree, k=-1)
+    comp = np.eye(degree, k=-1)
     comp[0] = -np.asarray(c[-2::-1]) / c[-1]
     return np.linalg.eigvals(comp).tolist()
 

@@ -7,12 +7,11 @@ import numpy as np
 from loopshift import (
     GradientOracle,
     InvalidParameterError,
+    LoopShiftError,
     NoCertificateError,
-    Polynomial,
     RationalTF,
     SectorClass,
     StateSpace,
-    UnstableSystemError,
     build_controller,
     poly_add,
     poly_mul,
@@ -21,32 +20,36 @@ from loopshift import (
 )
 from loopshift.certify import RHO_MAX, _certifies, _threshold_test, loop_shift
 from loopshift.lti import LevelCrossing, _circle_gains, _level_crossings, climb_to_peak
-from loopshift.polynomials import poly_roots, schur_stable
+from loopshift.polynomials import _floats, poly_roots, schur_stable
 
 
-def poly_from_roots(roots, leading: float = 1.0) -> Polynomial:
+class UnstableSystemError(LoopShiftError):
+    """An H-infinity norm was requested for a system that is not stable."""
+
+
+def poly_from_roots(roots, leading: float = 1.0) -> tuple[float, ...]:
     """Real polynomial ``leading * prod(z - r)``; imaginary residue left by a
     conjugate-closed root set is discarded."""
     acc = np.array([1.0 + 0.0j])
     for r in roots:
         acc = np.convolve(acc, np.array([-r, 1.0 + 0.0j]))
-    return Polynomial(tuple((leading * acc).real))
+    return _floats((leading * acc).real)
 
 
-def poly_arg_scale(p: Polynomial, rho: float) -> Polynomial:
+def poly_arg_scale(p: tuple[float, ...], rho: float) -> tuple[float, ...]:
     """Substitute ``z -> rho*z``: returns q with q(z) = p(rho*z), i.e. each
     coefficient is multiplied by rho**i."""
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidParameterError(f"argument scale must be positive, got {rho}")
     out, power = [], 1.0
-    for c in p.coeffs:
+    for c in p:
         out.append(c * power)
         power *= rho
-    return Polynomial(tuple(out))
+    return _floats(out)
 
 
 def constant_tf(c: float) -> RationalTF:
-    return RationalTF(Polynomial((float(c),)), Polynomial((1.0,)))
+    return RationalTF((c,), (1.0,))
 
 
 def tf_add(a: RationalTF, b: RationalTF) -> RationalTF:
@@ -62,7 +65,7 @@ def tf_sub(a: RationalTF, b: RationalTF) -> RationalTF:
 def level_crossing(t: RationalTF, level: float) -> LevelCrossing:
     """The level test of ``t`` at ``level``; its ``reaches`` is the yes/no
     answer, and :func:`loopshift.lti.climb_to_peak` takes it on to the peak."""
-    return _level_crossings(_circle_gains(t.num.coeffs, t.den.coeffs), level)
+    return _level_crossings(_circle_gains(t.num, t.den), level)
 
 
 def gain_reaches(t: RationalTF, level: float) -> bool:
@@ -79,7 +82,7 @@ def hinf_peak(t: RationalTF) -> tuple[float, float]:
     The climb starts from the gains by the poles (the points deciding an
     infinite level).  Raises for systems not Schur stable.
     """
-    if not schur_stable(t.den.coeffs):
+    if not schur_stable(t.den):
         raise UnstableSystemError(
             "H-infinity norm requested for a system with a pole of modulus >= 1"
         )
@@ -130,12 +133,9 @@ def impulse(ss: StateSpace, steps: int) -> np.ndarray:
 def impulse_series(t: RationalTF, steps: int) -> np.ndarray:
     """Impulse response by long division of num/den in powers of 1/z; an
     oracle for :func:`loopshift.realize` independent of it."""
-    n = t.den.degree
-    num_rev = [
-        t.num.coeffs[n - k] if 0 <= n - k < len(t.num.coeffs) else 0.0
-        for k in range(n + 1)
-    ]
-    den_rev = [t.den.coeffs[n - k] for k in range(n + 1)]
+    n = t.order
+    num_rev = [t.num[n - k] if 0 <= n - k < len(t.num) else 0.0 for k in range(n + 1)]
+    den_rev = [t.den[n - k] for k in range(n + 1)]
     h = np.zeros(steps)
     for k in range(steps):
         acc = num_rev[k] if k <= n else 0.0
@@ -194,7 +194,7 @@ def reference_bisect(spec, sector,
     hi = RHO_MAX
     if not _certifies(_threshold_test(shifted, sector, hi)):
         raise NoCertificateError(f"{spec.label} admits no certified rate below one")
-    radius = max(map(abs, poly_roots(shifted.den))) if shifted.den.degree else 0.0
+    radius = max(map(abs, poly_roots(shifted.den))) if shifted.order else 0.0
     lo = min(radius, hi)
     evaluations, history = 1, [(lo, hi)]
     while hi - lo > tol:

@@ -80,8 +80,8 @@ def test_criterion_03_exact_shift_identity():
         sector = SectorClass(m, L)
         spec = preset(Family.GRADIENT, m, L, "optimal_sector")
         shifted = loop_shift(build_controller(spec), sector)
-        num = shifted.num.coeffs + (0.0,) * (2 - len(shifted.num.coeffs))
-        den = shifted.den.coeffs + (0.0,) * (2 - len(shifted.den.coeffs))
+        num = shifted.num + (0.0,) * (2 - len(shifted.num))
+        den = shifted.den + (0.0,) * (2 - len(shifted.den))
         worst = max(worst, abs(num[0] - 1.0), abs(num[1]), abs(den[0]), abs(den[1] - 1.0))
     ok = worst <= 1e-12
     _report(3, f"loop shift at alpha=2/(m+L) equals 1/z to {worst:.2e}", ok)

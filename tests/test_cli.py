@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,32 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path):
         main(args + [flag, str(out1)])
         main(args + [flag, str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# Catalog-only certificate commands, none of which loads numpy, and the exact
+# bytes they write.  A refactor that keeps every verdict and rate keeps these
+# files.  peak_frequency comes from libm's acos, so the bytes are those of
+# Linux/glibc.
+@pytest.mark.parametrize("name, argv", [
+    ("certify-nesterov-0.97.json",
+     ["certify", "--method", "nesterov:preset", "--m", "1", "--L", "10", "--rho", "0.97", "--json"]),
+    ("certify-nesterov-0.5.json",
+     ["certify", "--method", "nesterov:preset", "--m", "1", "--L", "10", "--rho", "0.5", "--json"]),
+    ("rate-gradient.json",
+     ["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10", "--json"]),
+    ("curve.csv",
+     ["curve", "--m", "1", "--L", "10", "--alpha-min", "0.02", "--alpha-max", "0.19",
+      "--alpha-steps", "25", "--csv"]),
+    ("search-heavyball.json",
+     ["search", "--m", "1", "--L", "10", "--family", "heavyball", "--beta-steps", "8", "--json"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_artifacts_match_golden_bytes(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(argv + [str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_bode_writes_svg_and_per_method_csv(tmp_path):

@@ -44,8 +44,8 @@ def test_nesterov_preset_coefficients():
 
 def test_pid_controller_denominator():
     k = build_controller(MethodSpec(Family.PID, alpha=0.2, beta=0.5))
-    assert k.den.coeffs == (0.0, -1.0, 1.0)
-    assert k.num.coeffs == (0.2 * 0.5, -0.2 * 1.5)
+    assert k.den == (0.0, -1.0, 1.0)
+    assert k.num == (0.2 * 0.5, -0.2 * 1.5)
 
 
 def test_every_catalog_controller_has_integral_action():
@@ -57,7 +57,7 @@ def test_every_catalog_controller_has_integral_action():
                                     beta=float(rng.uniform(0, 0.99))))
     for spec in specs:
         den = build_controller(spec).den
-        scale = max(abs(c) for c in den.coeffs)
+        scale = max(abs(c) for c in den)
         assert abs(poly_eval(den, 1.0)) <= 1e-12 * scale
 
 
@@ -121,7 +121,7 @@ def test_factor_nesterov_zero_location():
 def test_factor_gradient_is_bare_integrator():
     form = factor_controller(MethodSpec(Family.GRADIENT, alpha=0.3))
     assert form.lag_pole is None and form.zero is None
-    assert form.residual.num.coeffs == (1.0,) and form.residual.den.coeffs == (1.0,)
+    assert form.residual.num == (1.0,) and form.residual.den == (1.0,)
     assert tf_allclose(form.product(), build_controller(MethodSpec(Family.GRADIENT, alpha=0.3)), rtol=1e-12)
 
 

@@ -11,7 +11,6 @@ from loopshift import (
     InvalidParameterError,
     MethodSpec,
     PiecewiseLinearOracle,
-    Polynomial,
     QuadraticOracle,
     RationalTF,
     SectorClass,
@@ -241,7 +240,7 @@ def test_heavy_ball_oscillatory_fit_matches_spectral_radius():
     est = estimate_rate(traj)
     rate = 0.0
     for lam in eigs:
-        roots = poly_roots(Polynomial((beta, -(1.0 + beta - alpha * lam), 1.0)))
+        roots = poly_roots((beta, -(1.0 + beta - alpha * lam), 1.0))
         rate = max(rate, max(abs(r) for r in roots))
     assert abs(est.rho_hat - rate) / rate < 0.02
 
