@@ -11,7 +11,8 @@ The level tests of one system share its Chebyshev series, built once.  A
 rate certificate costs one Schur-Cohn test and one level test at the
 threshold: that test decides the verdict, and its largest gain seeds the
 climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.  Both tests
-work on the scaled coefficient tuples, building no transfer-function object.
+work on the scaled coefficient tuples, building no transfer-function object,
+and a level test evaluates the gain once at each distinct candidate point.
 
 A certificate of order up to 2 is pure Python: numpy loads on first use, in
 the roots of a Chebyshev series of degree 3 or more, the vectorized
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError
-from .polynomials import _quadratic_roots, _trimmed, poly_eval, poly_mul, poly_scale, poly_sub
+from .polynomials import (_eigvals, _quadratic_roots, _trimmed, poly_eval, poly_mul, poly_scale,
+                          poly_sub)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,6 +57,17 @@ def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return num, den
 
 
+def _real(c) -> float:
+    """A coefficient as a Python float: ints and numpy reals convert, while
+    bools, strings and complex numbers raise."""
+    import numbers
+
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise InvalidParameterError(f"transfer-function coefficients must be real numbers, "
+                                    f"got {c!r}")
+    return float(c)
+
+
 @dataclass(frozen=True)
 class RationalTF:
     """Proper rational transfer function num(z)/den(z), denominator monic;
@@ -64,7 +77,8 @@ class RationalTF:
     den: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        num, den = _monic([float(c) for c in self.num], [float(c) for c in self.den])
+        num, den = _monic([c if type(c) is float else _real(c) for c in self.num],
+                          [c if type(c) is float else _real(c) for c in self.den])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -191,7 +205,14 @@ def _gain_series(c: tuple[float, ...], size: int) -> list[float]:
     """Chebyshev coefficients in x = cos(theta) of |p(e^{j theta})|^2 for p
     with ascending coefficients ``c``, from the autocorrelation r_k:
     r_0 + 2 sum_k r_k cos(k theta), padded to size."""
-    r = [sum(a * b for a, b in zip(c, c[k:])) for k in range(size)]
+    # an explicit loop from 0.0: sum() of floats is compensated since
+    # Python 3.12, which would make the series depend on the version
+    r = []
+    for k in range(size):
+        acc = 0.0
+        for a, b in zip(c, c[k:]):
+            acc += a * b
+        r.append(acc)
     return [r[0]] + [2.0 * rk for rk in r[1:]]
 
 
@@ -225,7 +246,7 @@ def _chebyshev_roots(c: list[float]) -> list[complex]:
     # balancing keeps close roots apart, the transpose merged such a pair
     colleague = _colleague_template(n).copy()
     colleague[:, 0] -= np.array(c[n - 1::-1]) / (2.0 * c[n])
-    return np.linalg.eigvals(colleague).tolist()
+    return _eigvals(colleague)
 
 
 class LevelCrossing(NamedTuple):
@@ -260,7 +281,9 @@ def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
     # x = cos(angle) of the poles closest to the circle, where peaks are
     num_w, den_w = (0.0, 1.0) if math.isinf(level) else (1.0, level * level)
     series = [num_w * a - den_w * b for a, b in zip(g.num_series, g.den_series)]
-    xs = sorted([-1.0, 1.0] + [min(1.0, max(-1.0, r.real)) for r in _chebyshev_roots(series)])
+    # each distinct point once: a conjugate pair shares its real part, and
+    # every root outside [-1, 1] clips onto +-1
+    xs = sorted({-1.0, 1.0, *[min(1.0, max(-1.0, r.real)) for r in _chebyshev_roots(series)]})
     best, best_x = -1.0, 1.0
     num, den = g.num, g.den
     for x in xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]:

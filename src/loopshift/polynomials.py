@@ -96,7 +96,29 @@ def poly_roots(p) -> list[complex]:
 
     comp = np.eye(degree, k=-1)
     comp[0] = -np.asarray(c[-2::-1]) / c[-1]
-    return np.linalg.eigvals(comp).tolist()
+    return _eigvals(comp)
+
+
+def _eigvals(matrix) -> list[complex]:
+    """Eigenvalues of a real square matrix, complex even when real: the
+    LAPACK call of ``np.linalg.eigvals`` without the wrapper's conversions,
+    under its contract (an entry that is not finite, or no convergence,
+    raises ``np.linalg.LinAlgError``; no floating-point warning escapes)."""
+    import numpy as np
+
+    # attribute reads: a from-import would run the import machinery per call
+    linalg = np.linalg
+    if not np.isfinite(matrix).all():
+        raise linalg.LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return linalg._umath_linalg.eigvals(matrix, signature="d->D").tolist()
+
+
+def _no_convergence(err, flag):
+    import numpy as np
+
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def schur_stable(coeffs) -> bool:

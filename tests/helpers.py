@@ -19,8 +19,9 @@ from loopshift import (
     realize,
 )
 from loopshift.certify import RHO_MAX, _certifies, _threshold_test, loop_shift
-from loopshift.lti import LevelCrossing, _circle_gains, _level_crossings, climb_to_peak
-from loopshift.polynomials import _floats, poly_roots, schur_stable
+from loopshift.lti import (LEVEL_RTOL, LevelCrossing, _circle_gains, _CircleGains,
+                           _colleague_template, _level_crossings, climb_to_peak)
+from loopshift.polynomials import _floats, _quadratic_roots, poly_roots, schur_stable
 
 
 class UnstableSystemError(LoopShiftError):
@@ -87,6 +88,60 @@ def hinf_peak(t: RationalTF) -> tuple[float, float]:
             "H-infinity norm requested for a system with a pole of modulus >= 1"
         )
     return climb_to_peak(level_crossing(t, math.inf))
+
+
+def _reference_chebyshev_roots(c: list[float]) -> list[complex]:
+    """``lti._chebyshev_roots`` as it was before its LAPACK shortcut, through
+    ``np.linalg.eigvals``."""
+    cut = LEVEL_RTOL * max(map(abs, c))
+    n = max((k for k, ck in enumerate(c) if abs(ck) > cut), default=0)
+    if n == 0:
+        return []
+    if n == 1:
+        return [complex(-c[0] / c[1])]
+    if n == 2:
+        return _quadratic_roots(2.0 * c[2], c[1], c[0] - c[2])
+    colleague = _colleague_template(n).copy()
+    colleague[:, 0] -= np.array(c[n - 1::-1]) / (2.0 * c[n])
+    return np.linalg.eigvals(colleague).tolist()
+
+
+def reference_level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
+    """``lti._level_crossings`` as it was before it evaluated each distinct
+    point once: every root's clipped real part, +-1 and every midpoint
+    between neighbours, repeats included.  The reference of its answers."""
+    num_w, den_w = (0.0, 1.0) if math.isinf(level) else (1.0, level * level)
+    series = [num_w * a - den_w * b for a, b in zip(g.num_series, g.den_series)]
+    xs = sorted([-1.0, 1.0] + [min(1.0, max(-1.0, r.real))
+                               for r in _reference_chebyshev_roots(series)])
+    best, best_x = -1.0, 1.0
+    num, den = g.num, g.den
+    for x in xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]:
+        z = complex(x, math.sqrt((1.0 - x) * (1.0 + x)))
+        d = 0j
+        for c in den:
+            d = d * z + c
+        d = abs(d)
+        if d:
+            n = 0j
+            for c in num:
+                n = n * z + c
+            gain = abs(n) / d
+        else:
+            gain = math.inf
+        if gain > best:
+            best, best_x = gain, x
+    return LevelCrossing(level, best, math.acos(best_x), g)
+
+
+def reference_climb_to_peak(start: LevelCrossing) -> tuple[float, float]:
+    """``lti.climb_to_peak`` on :func:`reference_level_crossings`."""
+    level, theta = start.gain, start.theta
+    while True:
+        step = reference_level_crossings(start.gains, level)
+        if step.gain <= level * (1.0 + LEVEL_RTOL):
+            return level, theta / (2.0 * math.pi)
+        level, theta = step.gain, step.theta
 
 
 def _in_sector(u: np.ndarray, v: np.ndarray, sector: SectorClass) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopshift import (
@@ -16,7 +16,8 @@ from loopshift import (
     tf_arg_scale,
     tf_mul,
 )
-from loopshift.lti import golden_section
+from loopshift.lti import _circle_gains, _gain_series, _level_crossings, climb_to_peak, golden_section
+from loopshift.polynomials import poly_roots
 
 from helpers import (
     UnstableSystemError,
@@ -26,6 +27,8 @@ from helpers import (
     impulse,
     impulse_series,
     poly_from_roots,
+    reference_climb_to_peak,
+    reference_level_crossings,
     tf_add,
     tf_sub,
     verify_realization,
@@ -59,6 +62,25 @@ def test_monic_normalization_and_properness():
         RationalTF((1.0, 1.0), (1.0,))
     with pytest.raises(InvalidParameterError):
         RationalTF((1.0,), (0.0,))
+
+
+@pytest.mark.parametrize("num, den", [
+    (("1.5",), (1.0,)),
+    ((1.0,), (True, 1.0)),
+    ((1.0,), (np.bool_(True), 1.0)),
+    ((1j,), (1.0,)),
+    ((1.0,), (np.complex128(0.5), 1.0)),
+    ((1.0,), (b"0.5", 1.0)),
+])
+def test_rejects_coefficients_that_are_not_real_numbers(num, den):
+    with pytest.raises(InvalidParameterError):
+        RationalTF(num, den)
+
+
+def test_real_number_types_convert_to_floats():
+    t = RationalTF((1, np.float64(0.5)), (np.int64(2), np.float32(4.0)))
+    assert t == RationalTF((0.25, 0.125), (0.5, 1.0))
+    assert all(type(c) is float for c in t.num + t.den)
 
 
 def test_sub_constant_from_integrator():
@@ -195,6 +217,66 @@ def test_hinf_peak_against_dense_grid(system):
     if peak > 0.0:
         assert gain_reaches(t, peak * (1.0 - 10.0 * tol))
         assert not gain_reaches(t, peak * (1.0 + 10.0 * tol))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(min_value=-1e8, max_value=1e8), min_size=1, max_size=7),
+       st.integers(min_value=1, max_value=8))
+# sum() of floats is compensated since Python 3.12: 1e16 + 2 there, 1e16 here
+@example([1e8, 1.0, 1.0], 1)
+def test_gain_series_sums_left_to_right_from_zero(c, size):
+    want = []
+    for k in range(size):
+        acc = 0.0
+        for i in range(len(c) - k):
+            acc += c[i] * c[i + k]
+        want.append(acc if k == 0 else 2.0 * acc)
+    assert [x.hex() for x in _gain_series(tuple(c), size)] == [x.hex() for x in want]
+
+
+# order 1..6: per conjugate pole pair its distance 1e-6..0.1 from the unit
+# circle and its angle, real poles of modulus at most 0.99 for the rest of
+# the order, numerator coefficients up to the order, and L of S(1, L), whose
+# threshold (L+1)/(L-1) runs from 41 down to 1.1; then a polynomial of
+# degree 3..8
+resonant_systems = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.integers(min_value=0, max_value=n // 2).flatmap(lambda k: st.tuples(
+        st.lists(st.tuples(st.floats(min_value=-6.0, max_value=-1.0).map(lambda e: 10.0**e),
+                           st.floats(min_value=0.0, max_value=math.pi)),
+                 min_size=k, max_size=k),
+        st.lists(st.floats(min_value=-0.99, max_value=0.99),
+                 min_size=n - 2 * k, max_size=n - 2 * k),
+        st.lists(st.integers(min_value=-2000, max_value=2000).map(lambda j: j / 1000.0),
+                 min_size=1, max_size=n + 1),
+        st.floats(min_value=1.05, max_value=20.0),
+    )))
+companion_polys = st.lists(st.integers(min_value=-5000, max_value=5000).map(lambda j: j / 1000.0),
+                           min_size=4, max_size=9).filter(lambda c: c[-1] != 0.0)
+
+
+def _bits(crossing):
+    return [x.hex() for x in crossing[:3]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(resonant_systems, companion_polys)
+def test_level_test_and_roots_equal_the_numpy_reference(system, p):
+    pairs, real_poles, num, L = system
+    poles = [complex(x) for x in real_poles]
+    for gap, angle in pairs:
+        poles += [cmath.rect(1.0 - gap, angle), cmath.rect(1.0 - gap, -angle)]
+    t = RationalTF(num, poly_from_roots(poles))
+    g = _circle_gains(t.num, t.den)
+    threshold = (L + 1.0) / (L - 1.0)
+    gain = reference_level_crossings(g, threshold).gain
+    for level in (threshold, 1.0, math.inf, gain, gain * (1.0 + 1e-12), gain * (1.0 - 1e-12)):
+        got, want = _level_crossings(g, level), reference_level_crossings(g, level)
+        assert _bits(got) == _bits(want)
+        assert climb_to_peak(got) == reference_climb_to_peak(want)
+    # poly_roots' companion matrix, in np.roots' layout, through the wrapper
+    comp = np.eye(len(p) - 1, k=-1)
+    comp[0] = -np.asarray(p[-2::-1]) / p[-1]
+    assert poly_roots(p) == [complex(r) for r in np.linalg.eigvals(comp)]
 
 
 def test_realize_gradient_impulse():

@@ -15,7 +15,7 @@ from loopshift import (
     poly_scale,
     poly_sub,
 )
-from loopshift.polynomials import schur_stable
+from loopshift.polynomials import _eigvals, schur_stable
 
 from helpers import poly_arg_scale, poly_from_roots
 
@@ -192,3 +192,23 @@ def test_schur_stable_triple_root_near_circle(factor, stable):
     assert schur_stable(p) is stable
     assert bool(np.all(np.abs(np.roots(p[::-1])) < 1.0)) is stable
     assert schur_stable((3.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigvals_rejects_non_finite_entries_as_numpy_does(bad):
+    # a RuntimeWarning would fail the test (pyproject's filterwarnings)
+    m = np.diag([0.5, -0.25, 2.0, 1.0]) + np.eye(4, k=1)
+    m[2, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvals(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        _eigvals(m)
+
+
+def test_eigvals_are_numpys_as_complex_values():
+    # all real: the numpy wrapper returns them as floats, _eigvals as complex
+    m = np.diag([0.5, -0.25, 2.0, 1.0]) + np.eye(4, k=1)
+    got = _eigvals(m)
+    assert all(type(r) is complex for r in got)
+    assert got == [complex(r) for r in np.linalg.eigvals(m)]
+    assert sorted(r.real for r in got) == [-0.25, 0.5, 1.0, 2.0]
