@@ -33,10 +33,8 @@ from .errors import (
 )
 from .lti import (
     RationalTF,
-    StateSpace,
     freq_response,
     freq_response_many,
-    realize,
     tf_allclose,
     tf_arg_scale,
     tf_mul,
@@ -94,8 +92,8 @@ __all__ = [
     "ImproperShiftError", "InsufficientDataError", "InvalidParameterError",
     "LoopShiftError", "NoCertificateError", "UnsupportedFactorizationError",
     "UnsupportedPresetError",
-    "RationalTF", "StateSpace", "freq_response", "freq_response_many",
-    "realize", "tf_allclose", "tf_arg_scale", "tf_mul",
+    "RationalTF", "freq_response", "freq_response_many", "tf_allclose",
+    "tf_arg_scale", "tf_mul",
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",
     "nesterov_derivative_tf", "parse_method", "preset",

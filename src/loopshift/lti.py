@@ -1,6 +1,6 @@
 """Discrete-time SISO LTI systems: rational transfer-function algebra,
-state-space realization, frequency response, and gains on the unit circle
-(a level-crossing test and the H-infinity norm, no grid).
+frequency response, and gains on the unit circle (a level-crossing test and
+the H-infinity norm, no grid).
 
 A transfer function holds its numerator and denominator as polynomials of
 :mod:`loopshift.polynomials`, plain ascending coefficient tuples, and keeps
@@ -15,8 +15,8 @@ work on the scaled coefficient tuples, building no transfer-function object,
 and a level test evaluates the gain once at each distinct candidate point.
 
 A certificate of order up to 2 is pure Python: numpy loads on first use, in
-the roots of a Chebyshev series of degree 3 or more, the vectorized
-frequency response and the state-space realization.
+the roots of a Chebyshev series of degree 3 or more and the vectorized
+frequency response.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError
-from .polynomials import (_eigvals, _quadratic_roots, _trimmed, poly_eval, poly_mul, poly_scale,
-                          poly_sub)
+from .polynomials import _eigvals, _floats, _quadratic_roots, _trimmed, poly_eval, poly_mul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,9 +42,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Ascending coefficients of num/den, trailing zeros trimmed and both
-    divided by den's leading one; raises for a zero or improper pair."""
-    num, den = _trimmed(num), _trimmed(den)
+    """Ascending coefficients of num/den, given as polynomials (float tuples,
+    trailing zeros trimmed), both divided by den's leading one; raises for a
+    zero or improper pair."""
     if den == (0.0,):
         raise InvalidParameterError("transfer function denominator is zero")
     lead = den[-1]
@@ -57,17 +56,6 @@ def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return num, den
 
 
-def _real(c) -> float:
-    """A coefficient as a Python float: ints and numpy reals convert, while
-    bools, strings and complex numbers raise."""
-    import numbers
-
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):
-        raise InvalidParameterError(f"transfer-function coefficients must be real numbers, "
-                                    f"got {c!r}")
-    return float(c)
-
-
 @dataclass(frozen=True)
 class RationalTF:
     """Proper rational transfer function num(z)/den(z), denominator monic;
@@ -77,8 +65,7 @@ class RationalTF:
     den: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        num, den = _monic([c if type(c) is float else _real(c) for c in self.num],
-                          [c if type(c) is float else _real(c) for c in self.den])
+        num, den = _monic(_floats(self.num), _floats(self.den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -108,7 +95,8 @@ def _arg_scaled(t: RationalTF, rho: float) -> tuple[tuple[float, ...], tuple[flo
     den = [c * p for c, p in zip(t.den, powers)]
     # the last nonzero coefficient leads: rho**n can underflow
     lead = next((c for c in reversed(den) if c != 0.0), 1.0)
-    return _monic([c * p / lead for c, p in zip(t.num, powers)], [c / lead for c in den])
+    return _monic(_trimmed([c * p / lead for c, p in zip(t.num, powers)]),
+                  _trimmed([c / lead for c in den]))
 
 
 def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
@@ -319,43 +307,3 @@ def climb_to_peak(start: LevelCrossing) -> tuple[float, float]:
         if step.gain <= level * (1.0 + LEVEL_RTOL):
             return level, theta / (2.0 * math.pi)
         level, theta = step.gain, step.theta
-
-
-@dataclass(frozen=True, eq=False)
-class StateSpace:
-    """Controllable canonical realization of a proper SISO transfer function."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.A.shape[0]
-
-
-def realize(t: RationalTF) -> StateSpace:
-    """Controllable canonical form; D is the leading-coefficient ratio when
-    the function is biproper and 0 otherwise."""
-    import numpy as np
-
-    n = t.order
-    d = t.num[n] if len(t.num) == n + 1 and n > 0 else 0.0
-    if n == 0:
-        return StateSpace(
-            np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
-            np.array([[t.num[0]]]),
-        )
-    rem = poly_sub(t.num, poly_scale(t.den, d)) if d != 0.0 else t.num
-    a = np.zeros((n, n))
-    a[1:, :-1] = np.eye(n - 1)
-    a[0, :] = [-t.den[n - 1 - j] for j in range(n)]
-    b = np.zeros((n, 1))
-    b[0, 0] = 1.0
-    c = np.zeros((1, n))
-    for j in range(n):
-        idx = n - 1 - j
-        if idx < len(rem):
-            c[0, j] = rem[idx]
-    return StateSpace(a, b, c, np.array([[float(d)]]))

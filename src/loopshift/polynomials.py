@@ -23,9 +23,19 @@ def _trimmed(coeffs) -> tuple[float, ...]:
     return tuple(coeffs[:cut]) or (0.0,)
 
 
+def _real(c) -> float:
+    """A coefficient as a Python float: ints and numpy reals convert, while
+    bools, strings and complex numbers raise."""
+    import numbers
+
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise InvalidParameterError(f"coefficients must be real numbers, got {c!r}")
+    return float(c)
+
+
 def _floats(coeffs) -> tuple[float, ...]:
     """``coeffs`` as a polynomial: Python floats, trailing exact zeros trimmed."""
-    return _trimmed([float(c) for c in coeffs])
+    return _trimmed([c if type(c) is float else _real(c) for c in coeffs])
 
 
 def poly_eval(p, z: complex) -> complex:
@@ -39,11 +49,10 @@ def poly_eval(p, z: complex) -> complex:
 
 def poly_add(a, b) -> tuple[float, ...]:
     out = [0.0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _floats(out)
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] += c if type(c) is float else _real(c)
+    return _trimmed(out)
 
 
 def poly_sub(a, b) -> tuple[float, ...]:
@@ -51,13 +60,14 @@ def poly_sub(a, b) -> tuple[float, ...]:
 
 
 def poly_scale(a, c: float) -> tuple[float, ...]:
-    return _floats([c * x for x in a])
+    c = c if type(c) is float else _real(c)
+    return _trimmed([c * (x if type(x) is float else _real(x)) for x in a])
 
 
 def poly_mul(a, b) -> tuple[float, ...]:
     import numpy as np
 
-    return _floats(np.convolve(a, b))
+    return _trimmed(np.convolve(_floats(a), _floats(b)).tolist())
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:
@@ -92,10 +102,15 @@ def poly_roots(p) -> list[complex]:
         return [complex(-c[0] / c[1])]
     if degree == 2:
         return _quadratic_roots(c[2], c[1], c[0])
+    row = [-x / c[-1] for x in c[-2::-1]]
+    if not all(map(math.isfinite, row)):
+        raise InvalidParameterError(
+            f"companion matrix of {c} is not finite: a coefficient is not finite, "
+            f"or the leading one is too small against the others")
     import numpy as np
 
     comp = np.eye(degree, k=-1)
-    comp[0] = -np.asarray(c[-2::-1]) / c[-1]
+    comp[0] = row
     return _eigvals(comp)
 
 

@@ -27,20 +27,14 @@ class GradientOracle(ABC):
     exactly, which is what the feedback plant needs.  It takes ``u`` of shape
     ``(..., dim)``: the last axis is the coordinate and any leading axes index
     independent points, so one call evaluates a whole batch; each point gets
-    the same arithmetic as it would alone.
+    the same arithmetic as it would alone.  ``dim``, ``xstar`` (shape
+    ``(dim,)``) and ``kind`` are plain attributes; the constructors' ``xstar=``
+    places the stationary point.
     """
 
-    @property
-    @abstractmethod
-    def dim(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def xstar(self) -> np.ndarray: ...
-
-    @property
-    @abstractmethod
-    def kind(self) -> str: ...
+    dim: int
+    xstar: np.ndarray
+    kind: str
 
     @abstractmethod
     def centered_grad(self, u: np.ndarray) -> np.ndarray: ...
@@ -48,10 +42,6 @@ class GradientOracle(ABC):
     @abstractmethod
     def lies_in(self, sector: SectorClass) -> bool:
         """Analytic membership check from the oracle's construction data."""
-
-    @abstractmethod
-    def translated(self, t) -> "GradientOracle":
-        """Same function with the stationary point moved by ``t``."""
 
     @abstractmethod
     def describe(self) -> str: ...
@@ -78,50 +68,34 @@ class QuadraticOracle(GradientOracle):
     """Gradient of 0.5 (x - x*)^T Q (x - x*) with prescribed eigenvalues and
     an optional orthogonal rotation."""
 
+    kind = "quadratic"
+
     def __init__(self, eigenvalues, rotation: np.ndarray | None = None, xstar=None):
         eigs = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
         if eigs.ndim != 1 or eigs.size == 0 or not np.all((eigs > 0.0) & np.isfinite(eigs)):
             raise InvalidParameterError("eigenvalues must be a nonempty positive finite vector")
-        self._eigs = eigs
         if rotation is not None:
             rotation = np.asarray(rotation, dtype=float)
             if rotation.shape != (eigs.size, eigs.size):
                 raise InvalidParameterError("rotation shape does not match eigenvalues")
             if not np.allclose(rotation @ rotation.T, np.eye(eigs.size), atol=1e-8):
                 raise InvalidParameterError("rotation must be orthogonal")
+        self.eigenvalues = eigs
         self._rot = rotation
-        self._xstar = _as_xstar(xstar, eigs.size)
-
-    @property
-    def dim(self) -> int:
-        return self._eigs.size
-
-    @property
-    def xstar(self) -> np.ndarray:
-        return self._xstar
-
-    @property
-    def kind(self) -> str:
-        return "quadratic"
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigs
+        self.dim = eigs.size
+        self.xstar = _as_xstar(xstar, eigs.size)
 
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
         if self._rot is None:
-            return self._eigs * u
+            return self.eigenvalues * u
         # row form: (R^T diag(eigs) R u)^T = ((u^T R^T) * eigs) R, per point
-        return ((u @ self._rot.T) * self._eigs) @ self._rot
+        return ((u @ self._rot.T) * self.eigenvalues) @ self._rot
 
     def lies_in(self, sector: SectorClass) -> bool:
-        return bool(self._eigs.min() >= sector.m and self._eigs.max() <= sector.L)
-
-    def translated(self, t) -> "QuadraticOracle":
-        return QuadraticOracle(self._eigs, self._rot, self._xstar + np.asarray(t, dtype=float))
+        return bool(self.eigenvalues.min() >= sector.m and self.eigenvalues.max() <= sector.L)
 
     def describe(self) -> str:
-        tag = "quadratic:" + ",".join(f"{v:.10g}" for v in self._eigs)
+        tag = "quadratic:" + ",".join(f"{v:.10g}" for v in self.eigenvalues)
         return tag + ("(rotated)" if self._rot is not None else "")
 
 
@@ -143,6 +117,9 @@ class PiecewiseLinearOracle(GradientOracle):
     differentiable there.
     """
 
+    kind = "pwl"
+    dim = 1
+
     def __init__(self, breakpoints, slopes, xstar=None):
         bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
         sl = np.atleast_1d(np.asarray(slopes, dtype=float))
@@ -156,44 +133,25 @@ class PiecewiseLinearOracle(GradientOracle):
             raise InvalidParameterError("slopes must be positive and finite")
         self._bp = bp
         self._upper = bp[1:]
-        self._slopes = sl
+        self.slopes = sl
         vals = np.zeros(bp.size)
         for i in range(1, bp.size):
             vals[i] = vals[i - 1] + sl[i - 1] * (bp[i] - bp[i - 1])
         self._vals = vals
-        self._xstar = _as_xstar(xstar, 1)
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def xstar(self) -> np.ndarray:
-        return self._xstar
-
-    @property
-    def kind(self) -> str:
-        return "pwl"
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return self._slopes
+        self.xstar = _as_xstar(xstar, 1)
 
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
         a = np.abs(u)
         # the piece holding |u|: the count of breakpoints after 0 at or below it
         i = self._upper.searchsorted(a, side="right")
-        return np.copysign(self._vals.take(i) + self._slopes.take(i) * (a - self._bp.take(i)), u)
+        return np.copysign(self._vals.take(i) + self.slopes.take(i) * (a - self._bp.take(i)), u)
 
     def lies_in(self, sector: SectorClass) -> bool:
-        return bool(self._slopes.min() >= sector.m and self._slopes.max() <= sector.L)
-
-    def translated(self, t) -> "PiecewiseLinearOracle":
-        return PiecewiseLinearOracle(self._bp, self._slopes, self._xstar + np.asarray(t, dtype=float))
+        return bool(self.slopes.min() >= sector.m and self.slopes.max() <= sector.L)
 
     def describe(self) -> str:
         return "pwl:" + ",".join(
-            f"{b:.10g}:{s:.10g}" for b, s in zip(self._bp, self._slopes)
+            f"{b:.10g}:{s:.10g}" for b, s in zip(self._bp, self.slopes)
         )
 
 
@@ -204,7 +162,7 @@ def _scalar_pieces(oracle: GradientOracle) -> tuple[np.ndarray, np.ndarray, np.n
     if oracle.dim != 1:
         raise InvalidParameterError("separable components must be scalar oracles")
     if isinstance(oracle, PiecewiseLinearOracle):
-        return oracle._bp, oracle._vals, oracle._slopes
+        return oracle._bp, oracle._vals, oracle.slopes
     if isinstance(oracle, QuadraticOracle):
         return np.zeros(1), np.zeros(1), oracle.eigenvalues
     if isinstance(oracle, SeparableOracle):
@@ -218,6 +176,8 @@ def _scalar_pieces(oracle: GradientOracle) -> tuple[np.ndarray, np.ndarray, np.n
 class SeparableOracle(GradientOracle):
     """Coordinate-wise composition of scalar oracles, evaluated as one table
     of piecewise-linear pieces per coordinate."""
+
+    kind = "separable"
 
     def __init__(self, components, xstar=None):
         components = tuple(components)
@@ -235,19 +195,8 @@ class SeparableOracle(GradientOracle):
         # flat index of each row's first piece, less one for the breakpoint at 0
         self._row_base = width * np.arange(len(components)) - 1
         self._components = components
-        self._xstar = _as_xstar(xstar, len(components))
-
-    @property
-    def dim(self) -> int:
-        return len(self._components)
-
-    @property
-    def xstar(self) -> np.ndarray:
-        return self._xstar
-
-    @property
-    def kind(self) -> str:
-        return "separable"
+        self.dim = len(components)
+        self.xstar = _as_xstar(xstar, len(components))
 
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
         a = np.abs(u)
@@ -258,9 +207,6 @@ class SeparableOracle(GradientOracle):
 
     def lies_in(self, sector: SectorClass) -> bool:
         return all(comp.lies_in(sector) for comp in self._components)
-
-    def translated(self, t) -> "SeparableOracle":
-        return SeparableOracle(self._components, self._xstar + np.asarray(t, dtype=float))
 
     def describe(self) -> str:
         return "sep(" + ";".join(c.describe() for c in self._components) + ")"

@@ -1,9 +1,10 @@
 """Closed-loop execution of optimization methods, empirical rate fitting, and
 gradient-noise robustness experiments.
 
-The simulator realizes the method's SISO controller once and replicates it
-per coordinate and per run (state shape (order, runs*dim), so the seeds of a
-noise experiment advance together); the plant closes the loop with
+The simulator builds the controllable canonical form of the method's SISO
+controller from its coefficients once and replicates it per coordinate and
+per run (state shape (order, runs*dim), so the seeds of a noise experiment
+advance together); the plant closes the loop with
 v[k] = grad(u[k] + xstar) plus optional seeded Gaussian noise on the gradient
 output.  Order-1 controllers that share A and b may take one output row per
 state column, so a noise experiment runs both gradient tunings in one batch;
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidParameterError
-from .lti import realize
 from .methods import Family, MethodSpec, build_controller
 from .sectors import GradientOracle, SectorClass, shifted_plant_apply
 
@@ -43,10 +43,6 @@ class Trajectory:
     seed: int | None
 
     @property
-    def iters(self) -> int:
-        return len(self.residuals) - 1
-
-    @property
     def first_nonfinite(self) -> int | None:
         """First step whose residual overflowed to inf or nan, if any."""
         bad = np.flatnonzero(~np.isfinite(self.residuals))
@@ -61,20 +57,28 @@ def _check_x0(x0, dim: int) -> np.ndarray:
 
 
 def _feedback_matrices(spec: MethodSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, b, c) of the method's controller, checked to close the gradient loop."""
-    ss = realize(build_controller(spec))
-    if ss.order == 0 or (ss.D.size and ss.D[0, 0] != 0.0):
+    """(A, b, c) of the method's controller num/den of order n, checked to
+    close the gradient loop: the controllable canonical form, with A's first
+    row -den[n-1], ..., -den[0] above a shift, b = e_1 and c = num[n-1],
+    ..., num[0]."""
+    controller = build_controller(spec)
+    num, den, n = controller.num, controller.den, controller.order
+    if len(num) > n:
         raise InvalidParameterError(
             "controller with direct feedthrough cannot close the gradient "
             "loop (algebraic loop); use a strictly proper controller"
         )
-    c_row = ss.C[0]
+    a_mat = np.eye(n, k=-1)
+    a_mat[0] = [-c for c in den[-2::-1]]
+    b_col = np.zeros(n)
+    b_col[0] = 1.0
+    c_row = np.array((0.0,) * (n - len(num)) + num[::-1])
     if abs(float(c_row.sum())) <= 1e-12 * max(1.0, float(np.max(np.abs(c_row)))):
         raise InvalidParameterError(
             "controller has a zero at z = 1, so no equal-state "
             "initialization reproduces the start point"
         )
-    return ss.A, ss.B[:, 0], c_row
+    return a_mat, b_col, c_row
 
 
 def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarray | None:

@@ -11,17 +11,16 @@ from loopshift import (
     NoCertificateError,
     RationalTF,
     SectorClass,
-    StateSpace,
     build_controller,
     poly_add,
     poly_mul,
     poly_sub,
-    realize,
 )
 from loopshift.certify import RHO_MAX, _certifies, _threshold_test, loop_shift
 from loopshift.lti import (LEVEL_RTOL, LevelCrossing, _circle_gains, _CircleGains,
                            _colleague_template, _level_crossings, climb_to_peak)
 from loopshift.polynomials import _floats, _quadratic_roots, poly_roots, schur_stable
+from loopshift.simulate import _feedback_matrices
 
 
 class UnstableSystemError(LoopShiftError):
@@ -170,24 +169,20 @@ def sector_membership_sampled(oracle: GradientOracle, sector: SectorClass,
     return bool(np.all(_in_sector(u, oracle.centered_grad(u), sector)))
 
 
-def impulse(ss: StateSpace, steps: int) -> np.ndarray:
-    """First ``steps`` impulse-response samples (D, CB, CAB, ...) of ``ss``."""
+def impulse(a_mat: np.ndarray, b_col: np.ndarray, c_row: np.ndarray, steps: int) -> np.ndarray:
+    """First ``steps`` impulse-response samples (0, cb, cAb, ...) of the
+    strictly proper realization (A, b, c)."""
     out = np.zeros(steps)
-    if steps == 0:
-        return out
-    out[0] = float(ss.D[0, 0]) if ss.D.size else 0.0
-    if ss.order == 0:
-        return out
-    x = ss.B[:, 0].copy()
+    x = b_col.copy()
     for k in range(1, steps):
-        out[k] = float(ss.C[0] @ x)
-        x = ss.A @ x
+        out[k] = float(c_row @ x)
+        x = a_mat @ x
     return out
 
 
 def impulse_series(t: RationalTF, steps: int) -> np.ndarray:
     """Impulse response by long division of num/den in powers of 1/z; an
-    oracle for :func:`loopshift.realize` independent of it."""
+    oracle for ``simulate._feedback_matrices`` independent of it."""
     n = t.order
     num_rev = [t.num[n - k] if 0 <= n - k < len(t.num) else 0.0 for k in range(n + 1)]
     den_rev = [t.den[n - k] for k in range(n + 1)]
@@ -200,12 +195,13 @@ def impulse_series(t: RationalTF, steps: int) -> np.ndarray:
     return h
 
 
-def verify_realization(t: RationalTF, ss: StateSpace, steps: int = 50,
-                       tol: float = 1e-9) -> bool:
-    """Check the realization against the long-division impulse response."""
+def verify_realization(t: RationalTF, a_mat: np.ndarray, b_col: np.ndarray, c_row: np.ndarray,
+                       steps: int = 50, tol: float = 1e-9) -> bool:
+    """Check the realization (A, b, c) of ``t`` against the long-division
+    impulse response."""
     reference = impulse_series(t, steps)
     scale = max(1.0, float(np.max(np.abs(reference))))
-    return bool(np.max(np.abs(impulse(ss, steps) - reference)) <= tol * scale)
+    return bool(np.max(np.abs(impulse(a_mat, b_col, c_row, steps) - reference)) <= tol * scale)
 
 
 def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
@@ -217,8 +213,7 @@ def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
     one step at a time from equal states scaled to give u[0] = x0 - x*: an
     oracle for :func:`loopshift.simulate_run` with the same arithmetic and
     none of its batching."""
-    ss = realize(build_controller(spec))
-    a_mat, b_col, c_row = ss.A, ss.B[:, 0], ss.C[0]
+    a_mat, b_col, c_row = _feedback_matrices(spec)
     xstar = oracle.xstar
     noise = (np.random.default_rng(seed).normal(0.0, noise_sigma, (iters, oracle.dim))
              if noise_sigma else None)

@@ -7,17 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopshift import (
+    Family,
     InvalidParameterError,
+    MethodSpec,
     RationalTF,
     freq_response,
     freq_response_many,
-    realize,
+    poly_add,
+    poly_mul,
+    poly_roots,
+    poly_scale,
+    poly_sub,
     tf_allclose,
     tf_arg_scale,
     tf_mul,
 )
 from loopshift.lti import _circle_gains, _gain_series, _level_crossings, climb_to_peak, golden_section
-from loopshift.polynomials import poly_roots
+from loopshift.simulate import _feedback_matrices
 
 from helpers import (
     UnstableSystemError,
@@ -73,8 +79,11 @@ def test_monic_normalization_and_properness():
     ((1.0,), (b"0.5", 1.0)),
 ])
 def test_rejects_coefficients_that_are_not_real_numbers(num, den):
-    with pytest.raises(InvalidParameterError):
-        RationalTF(num, den)
+    # transfer functions and polynomials share one coefficient conversion
+    for build in (RationalTF, poly_add, poly_sub, poly_mul, lambda a, b: poly_scale(a + b, 2.0),
+                  lambda a, b: poly_roots(a + b)):
+        with pytest.raises(InvalidParameterError):
+            build(num, den)
 
 
 def test_real_number_types_convert_to_floats():
@@ -280,39 +289,28 @@ def test_level_test_and_roots_equal_the_numpy_reference(system, p):
 
 
 def test_realize_gradient_impulse():
-    ss = realize(integrator(0.1))
-    assert ss.order == 1
-    h = impulse(ss, 6)
+    matrices = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=0.1))
+    assert [m.shape for m in matrices] == [(1, 1), (1,), (1,)]
+    h = impulse(*matrices, 6)
     assert h[0] == 0.0
     assert np.allclose(h[1:], -0.1, atol=1e-15)
 
 
 def test_realize_momentum_matches_long_division():
     t = RationalTF((0.0, -1.0), (0.5, -1.5, 1.0))
-    ss = realize(t)
-    assert ss.order == 2
-    assert np.max(np.abs(impulse(ss, 50) - impulse_series(t, 50))) < 1e-9
-
-
-def test_realize_constant_has_order_zero():
-    ss = realize(constant_tf(2.0))
-    assert ss.order == 0
-    assert ss.D[0, 0] == 2.0
-    assert impulse(ss, 4)[0] == 2.0
-
-
-def test_realize_biproper_direct_term():
-    t = RationalTF((-0.5, 1.0), (-1.0, 1.0))  # (z - 0.5)/(z - 1)
-    ss = realize(t)
-    assert ss.D[0, 0] == pytest.approx(1.0)
-    assert verify_realization(t, ss)
+    matrices = _feedback_matrices(MethodSpec(Family.CUSTOM, custom_tf=t))
+    assert matrices[0].shape == (2, 2)
+    assert np.max(np.abs(impulse(*matrices, 50) - impulse_series(t, 50))) < 1e-9
 
 
 def test_verify_realization_on_random_systems():
+    # strictly proper controllers with integral action: a pole at z = 1
+    # times a random stable denominator
     rng = np.random.default_rng(23)
     for _ in range(20):
-        t = _random_stable_tf(rng)
-        assert verify_realization(t, realize(t))
+        stable = _random_stable_tf(rng)
+        t = RationalTF(stable.num, poly_mul(stable.den, (-1.0, 1.0)))
+        assert verify_realization(t, *_feedback_matrices(MethodSpec(Family.CUSTOM, custom_tf=t)))
 
 
 def test_golden_section_below_float_spacing_ends():

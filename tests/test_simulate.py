@@ -101,7 +101,7 @@ def test_translation_invariance_is_exact():
     x0 = np.array([1.0, 2.0])
     spec = MethodSpec(Family.NESTEROV, alpha=0.1, beta=0.25)
     base = simulate_run(spec, oracle, x0, 40)
-    moved = simulate_run(spec, oracle.translated(shift), x0 + shift, 40)
+    moved = simulate_run(spec, QuadraticOracle([1.0, 10.0], xstar=shift), x0 + shift, 40)
     assert np.array_equal(base.iterates + shift, moved.iterates)
 
 
@@ -135,29 +135,31 @@ def _specs(draw):
 
 
 @st.composite
-def _scalar_pwl(draw):
+def _scalar_pwl(draw, xstar=None):
     bps = [0.0]
     for gap in draw(st.lists(st.floats(0.05, 2.0), max_size=3)):
         bps.append(bps[-1] + gap)
     slopes = draw(st.lists(st.floats(0.5, 10.0), min_size=len(bps), max_size=len(bps)))
-    return PiecewiseLinearOracle(bps, slopes)
+    return PiecewiseLinearOracle(bps, slopes, xstar)
 
 
 @st.composite
 def _oracles(draw):
     kind = draw(st.sampled_from(["quadratic", "rotated", "pwl", "separable"]))
     if kind == "pwl":
-        base = draw(_scalar_pwl())
-    elif kind == "separable":
-        base = SeparableOracle(draw(st.lists(
+        return draw(_scalar_pwl(draw(_points(1))))
+    if kind == "separable":
+        comps = draw(st.lists(
             st.one_of(_scalar_pwl(), st.floats(0.5, 10.0).map(lambda e: QuadraticOracle([e]))),
-            min_size=1, max_size=4)))
-    else:
-        eigs = draw(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=4))
-        rotation = random_rotation(len(eigs), draw(st.integers(0, 99))) if kind == "rotated" else None
-        base = QuadraticOracle(eigs, rotation)
-    shift = draw(st.lists(st.floats(-3.0, 3.0), min_size=base.dim, max_size=base.dim))
-    return base.translated(shift)
+            min_size=1, max_size=4))
+        return SeparableOracle(comps, draw(_points(len(comps))))
+    eigs = draw(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=4))
+    rotation = random_rotation(len(eigs), draw(st.integers(0, 99))) if kind == "rotated" else None
+    return QuadraticOracle(eigs, rotation, draw(_points(len(eigs))))
+
+
+def _points(dim):
+    return st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)
 
 
 @settings(deadline=None, max_examples=60)

@@ -49,8 +49,9 @@ def test_every_public_name_resolves():
     for name in loopshift.__all__:
         assert getattr(loopshift, name) is not None, name
     assert loopshift.sectors.SectorClass is loopshift.SectorClass
-    with pytest.raises(AttributeError):
-        loopshift.hinf_peak
+    for gone in ("hinf_peak", "realize", "StateSpace"):
+        with pytest.raises(AttributeError):
+            getattr(loopshift, gone)
 
 
 def test_import_leaves_numpy_out(tmp_path):
