@@ -18,6 +18,8 @@ from .lti import (LEVEL_RTOL, RationalTF, _chebyshev_roots, _circle_gains, freq_
                   freq_response_many)
 
 NYQUIST = 0.5
+_LOW_HZ = 1e-3  # where gain_metrics reads the low-frequency gain
+_WIDTH, _HEIGHT = 800, 480  # the SVG canvas, px
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -107,16 +109,17 @@ class GainMetrics:
     slope_at_crossover_db_per_decade: float | None
 
 
-def gain_metrics(tf: RationalTF, f_low: float = 1e-3, f_high: float = NYQUIST) -> GainMetrics:
-    """Low/high-frequency gains plus the loop-gain slope near crossover.
+def gain_metrics(tf: RationalTF) -> GainMetrics:
+    """Low/high-frequency gains, at 1e-3 cycles/iteration and at Nyquist,
+    plus the loop-gain slope near crossover.
 
     The slope is a central difference of magnitude in dB over a half-decade
     bracket centered at the crossover frequency, clipped at Nyquist; "near
     crossover" has no canonical width, half a decade is this tool's
     convention.
     """
-    low = _mag_db(abs(freq_response(tf, f_low)))
-    high = _mag_db(abs(freq_response(tf, f_high)))
+    low = _mag_db(abs(freq_response(tf, _LOW_HZ)))
+    high = _mag_db(abs(freq_response(tf, NYQUIST)))
     fc = crossover_frequency(tf)
     if fc is None:
         return GainMetrics(low, high, None, None)
@@ -137,16 +140,15 @@ def bode_csv_text(rows: list[FrequencyRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bode_svg_text(curves: list[tuple[str, list[FrequencyRow]]],
-                  width: int = 800, height: int = 480) -> str:
+def bode_svg_text(curves: list[tuple[str, list[FrequencyRow]]]) -> str:
     """Self-contained SVG magnitude plot: log-frequency axis, one polyline
     per labelled curve, legend from the labels.  No timestamps or external
     assets, so identical inputs give identical bytes."""
     if not curves:
         raise InvalidParameterError("need at least one curve")
     margin_l, margin_r, margin_t, margin_b = 60, 20, 20, 42
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
     f_values = [r.f_hz for _, rows in curves for r in rows]
     mags = [r.mag_db for _, rows in curves for r in rows if math.isfinite(r.mag_db)]
     if not mags:
@@ -164,9 +166,9 @@ def bode_svg_text(curves: list[tuple[str, list[FrequencyRow]]],
         return margin_t + (y_hi - db) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
     ]
@@ -197,7 +199,7 @@ def bode_svg_text(curves: list[tuple[str, list[FrequencyRow]]],
         )
         level += y_step
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.2f}" y="{height - 8}" font-size="12" '
+        f'<text x="{margin_l + plot_w / 2:.2f}" y="{_HEIGHT - 8}" font-size="12" '
         'text-anchor="middle" font-family="sans-serif">frequency (cycles/iteration)</text>'
     )
     parts.append(

@@ -135,6 +135,42 @@ def split_method_list(text: str) -> list[str]:
     return groups
 
 
+# Each flag once, with its argparse keywords; a command lists the flags it
+# takes and overrides the few keywords that differ for it.
+_FLAGS = {
+    "--method": {},
+    "--methods": {"required": True, "help": "comma-separated method strings"},
+    "--m": {"type": float, "required": True, "help": "lower sector bound m > 0"},
+    "--L": {"type": float, "required": True, "help": "upper sector bound L > m"},
+    "--rho": {"type": float, "required": True},
+    "--family": {"choices": _SEARCH_FAMILIES},
+    "--tol": {"type": float},
+    "--alpha-min": {"type": float},
+    "--alpha-max": {"type": float},
+    "--alpha-steps": {"type": int},
+    "--beta-min": {"type": float},
+    "--beta-max": {"type": float},
+    "--beta-steps": {"type": int},
+    "--oracle": {},
+    "--x0": {"type": _csv_floats},
+    "--iters": {"type": int},
+    "--noise-sigma": {"type": float},
+    "--sigma": {"type": float, "dest": "noise_sigma", "required": True},
+    "--seeds": {"type": int, "dest": "n_seeds"},
+    "--seed": {"type": int},
+    "--f-min": {"type": float},
+    "--n": {"type": int, "dest": "n_freq"},
+    "--csv": {"dest": "csv_out"},
+    "--svg": {"dest": "svg_out"},
+    "--include-iterates": {"action": "store_true"},
+    "--config": {"help": "JSON config file; its fields override flags"},
+    "--json": {"dest": "json_out", "help": "write the JSON artifact here"},
+}
+_SECTOR = ("--m", "--L")
+_ALPHAS = ("--alpha-min", "--alpha-max", "--alpha-steps")
+_NO_SECTOR = {"--m": {"required": False}, "--L": {"required": False}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopshift",
@@ -142,84 +178,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "first-order methods viewed as feedback controllers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_sector(p, required=True):
-        p.add_argument("--m", type=float, required=required, help="lower sector bound m > 0")
-        p.add_argument("--L", type=float, required=required, help="upper sector bound L > m")
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; its fields override flags")
-        p.add_argument("--json", dest="json_out", help="write the JSON artifact here")
-
-    p = sub.add_parser("certify", help="small-gain rate test at a fixed rho")
-    p.add_argument("--method")
-    add_sector(p)
-    p.add_argument("--rho", type=float, required=True)
-    add_common(p)
-
-    p = sub.add_parser("rate", help="search for the best certifiable rate")
-    p.add_argument("--method")
-    add_sector(p)
-    p.add_argument("--tol", type=float)
-    add_common(p)
-
-    p = sub.add_parser("curve", help="certified rate versus gradient stepsize")
-    add_sector(p)
-    p.add_argument("--alpha-min", type=float, dest="alpha_min")
-    p.add_argument("--alpha-max", type=float, dest="alpha_max")
-    p.add_argument("--alpha-steps", type=int, dest="alpha_steps")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--csv", dest="csv_out")
-    add_common(p)
-
-    p = sub.add_parser("search", help="best certifiable parameters")
-    add_sector(p)
-    p.add_argument("--family", choices=_SEARCH_FAMILIES)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--alpha-min", type=float, dest="alpha_min")
-    p.add_argument("--alpha-max", type=float, dest="alpha_max")
-    p.add_argument("--alpha-steps", type=int, dest="alpha_steps")
-    p.add_argument("--beta-min", type=float, dest="beta_min")
-    p.add_argument("--beta-max", type=float, dest="beta_max")
-    p.add_argument("--beta-steps", type=int, dest="beta_steps")
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="run the feedback loop on an oracle")
-    p.add_argument("--method")
-    add_sector(p, required=False)
-    p.add_argument("--oracle")
-    p.add_argument("--x0", type=_csv_floats)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--csv", dest="csv_out")
-    p.add_argument("--include-iterates", action="store_true", dest="include_iterates")
-    add_common(p)
-
-    p = sub.add_parser("robustness", help="gradient-noise steady-state comparison")
-    add_sector(p)
-    p.add_argument("--oracle")
-    p.add_argument("--sigma", type=float, dest="noise_sigma", required=True)
-    p.add_argument("--seeds", type=int, dest="n_seeds")
-    p.add_argument("--iters", type=int, default=3000)
-    add_common(p)
-
-    p = sub.add_parser("bode", help="frequency-response tables and plots")
-    p.add_argument("--methods", required=True, help="comma-separated method strings")
-    add_sector(p, required=False)
-    p.add_argument("--f-min", type=float, dest="f_min")
-    p.add_argument("--n", type=int, dest="n_freq")
-    p.add_argument("--csv", dest="csv_out", help="CSV path (per-method suffix added for multiple methods)")
-    p.add_argument("--svg", dest="svg_out")
-    add_common(p)
-
-    p = sub.add_parser("report", help="preset rates, stepsize curve, soundness summary")
-    add_sector(p)
-    p.add_argument("--alpha-steps", type=int, dest="alpha_steps", default=21)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--tol", type=float)
-    add_common(p)
-
+    for command, (_, help_line, flags, changes) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flag in flags + ("--config", "--json"):
+            p.add_argument(flag, **{**_FLAGS[flag], **changes.get(flag, {})})
     return parser
 
 
@@ -361,7 +323,7 @@ def _emit(run: Run, payload: dict, summary: str) -> None:
         print(json.dumps(payload, sort_keys=True))
 
 
-def _cmd_certify(run: Run) -> int:
+def _cmd_certify(run: Run) -> tuple[dict, str]:
     config = run.config
     cert = certify_rate(run.method, run.sector, config.rho)
     verdict = "certified" if cert.certified else "not certified"
@@ -371,19 +333,17 @@ def _cmd_certify(run: Run) -> int:
         f"{verdict} (stable={cert.stable}, hinf={hinf}, "
         f"threshold={cert.threshold:.6g})"
     )
-    _emit(run, asdict(cert), summary)
-    return 0
+    return asdict(cert), summary
 
 
-def _cmd_rate(run: Run) -> int:
+def _cmd_rate(run: Run) -> tuple[dict, str]:
     config, spec = run.config, run.method
     try:
         result = bisect_rate(spec, run.sector, config.tol)
     except NoCertificateError as exc:
         payload = {"method": spec.label, "m": config.m, "L": config.L,
                    "rho_star": None, "certified": False, "reason": str(exc)}
-        _emit(run, payload, f"{spec.label}: no certificate (rates below 1 do not certify)")
-        return 0
+        return payload, f"{spec.label}: no certificate (rates below 1 do not certify)"
     payload = {
         "method": spec.label,
         "m": config.m,
@@ -398,11 +358,10 @@ def _cmd_rate(run: Run) -> int:
         f"({result.iterations} tests, hinf={result.certificate.hinf:.6g}, "
         f"threshold={result.certificate.threshold:.6g})"
     )
-    _emit(run, payload, summary)
-    return 0
+    return payload, summary
 
 
-def _cmd_curve(run: Run) -> int:
+def _cmd_curve(run: Run) -> tuple[dict, str]:
     config = run.config
     rows = certified_rate_curve(run.sector, run.alphas, tol=config.tol)
     if config.csv_out:
@@ -418,40 +377,33 @@ def _cmd_curve(run: Run) -> int:
         )
     else:
         summary = f"curve over {len(rows)} stepsizes: none certified"
-    payload = {"m": config.m, "L": config.L,
-               "curve": [[a, r] for a, r in rows]}
-    _emit(run, payload, summary)
-    return 0
+    return {"m": config.m, "L": config.L, "curve": [[a, r] for a, r in rows]}, summary
 
 
-def _cmd_search(run: Run) -> int:
+def _cmd_search(run: Run) -> tuple[dict, str]:
     config, sector = run.config, run.sector
     if config.family == Family.GRADIENT.value:
         try:
             alpha, rho = search_stepsize(sector, config.tol)
         except NoCertificateError as exc:
-            _emit(run, {"alpha_star": None, "rho_star": None, "reason": str(exc)},
-                  "stepsize search: no certifiable stepsize")
-            return 0
+            return ({"alpha_star": None, "rho_star": None, "reason": str(exc)},
+                    "stepsize search: no certifiable stepsize")
         payload = {"family": "gradient", "m": config.m, "L": config.L,
                    "alpha_star": alpha, "rho_star": rho}
-        _emit(run, payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}")
-        return 0
+        return payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}"
     result = search_two_param(sector, run.alphas, run.betas, Family(config.family), config.tol)
     if result is None:
-        _emit(run, {"family": config.family, "alpha": None, "beta": None, "rho_star": None},
-              f"{config.family} search: nothing on the grid certifies")
-        return 0
+        return ({"family": config.family, "alpha": None, "beta": None, "rho_star": None},
+                f"{config.family} search: nothing on the grid certifies")
     payload = {"family": config.family, "m": config.m, "L": config.L, **asdict(result)}
     summary = (
         f"{config.family} search: alpha={result.alpha:.6g} beta={result.beta:.6g} "
         f"rho_star={result.rho_star:.6g}"
     )
-    _emit(run, payload, summary)
-    return 0
+    return payload, summary
 
 
-def _cmd_simulate(run: Run) -> int:
+def _cmd_simulate(run: Run) -> tuple[dict, str]:
     import numpy as np
 
     from .simulate import estimate_rate, simulate_run, trajectory_csv_text
@@ -485,11 +437,10 @@ def _cmd_simulate(run: Run) -> int:
         f"{spec.label} on {traj.oracle_id}: {config.iters} steps, "
         f"final residual={traj.residuals[-1]:.6g}, {fitted}"
     )
-    _emit(run, payload, summary)
-    return 0
+    return payload, summary
 
 
-def _cmd_robustness(run: Run) -> int:
+def _cmd_robustness(run: Run) -> tuple[dict, str]:
     from .simulate import noise_robustness_experiment
 
     config = run.config
@@ -501,15 +452,10 @@ def _cmd_robustness(run: Run) -> int:
         f"median steady-state residual alpha=1/L -> {report.median_standard:.6g}, "
         f"alpha=2/(L+m) -> {report.median_optimal_sector:.6g}"
     )
-    _emit(run, asdict(report), summary)
-    return 0
+    return asdict(report), summary
 
 
-def _slug(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9.=_-]+", "_", label).strip("_")
-
-
-def _cmd_bode(run: Run) -> int:
+def _cmd_bode(run: Run) -> tuple[dict, str]:
     from .bode import bode_csv_text, bode_svg_text, bode_table, gain_metrics
 
     config = run.config
@@ -525,7 +471,8 @@ def _cmd_bode(run: Run) -> int:
         else:
             base = Path(config.csv_out)
             for label, rows in curves:
-                path = base.with_name(f"{base.stem}-{_slug(label)}{base.suffix or '.csv'}")
+                slug = re.sub(r"[^A-Za-z0-9.=_-]+", "_", label).strip("_")
+                path = base.with_name(f"{base.stem}-{slug}{base.suffix or '.csv'}")
                 _write_text(str(path), bode_csv_text(rows))
     if config.svg_out:
         _write_text(config.svg_out, bode_svg_text(curves))
@@ -535,22 +482,11 @@ def _cmd_bode(run: Run) -> int:
         f"{info['method']}@none"
         for info in infos
     )
-    _emit(run, payload, f"bode tables for {len(curves)} methods (crossovers: {crossings})")
-    return 0
+    return payload, f"bode tables for {len(curves)} methods (crossovers: {crossings})"
 
 
-def _report_oracles(sector: SectorClass):
+def _cmd_report(run: Run) -> tuple[dict, str]:
     from .sectors import PiecewiseLinearOracle, QuadraticOracle, random_rotation
-
-    mid = 0.5 * (sector.m + sector.L)
-    return [
-        QuadraticOracle([sector.m, sector.L]),
-        QuadraticOracle([sector.m, mid, sector.L], rotation=random_rotation(3, 0)),
-        PiecewiseLinearOracle([0.0, 1.0], [sector.m, sector.L]),
-    ]
-
-
-def _cmd_report(run: Run) -> int:
     from .simulate import estimate_rate, simulate_run
 
     config, sector = run.config, run.sector
@@ -582,9 +518,15 @@ def _cmd_report(run: Run) -> int:
         entries.append(entry)
     alpha_star, rho_star = search_stepsize(sector, config.tol)
     curve = certified_rate_curve(sector, run.alphas, tol=config.tol)
+    mid = 0.5 * (sector.m + sector.L)
+    oracles = [
+        QuadraticOracle([sector.m, sector.L]),
+        QuadraticOracle([sector.m, mid, sector.L], rotation=random_rotation(3, 0)),
+        PiecewiseLinearOracle([0.0, 1.0], [sector.m, sector.L]),
+    ]
     soundness = []
     for spec, rho in certified_entries:
-        for oracle in _report_oracles(sector):
+        for oracle in oracles:
             traj = simulate_run(spec, oracle, oracle.xstar + 1.0, config.iters)
             row = {"method": spec.label, "oracle": oracle.describe(), "rho_star": rho}
             try:
@@ -613,19 +555,33 @@ def _cmd_report(run: Run) -> int:
         f"soundness {verdict} over {len(checked)} of {len(soundness)} runs"
         + (f" ({unfit} without a rate fit)" if unfit else "")
     )
-    _emit(run, payload, summary)
-    return 0
+    return payload, summary
 
 
+# command -> (function, help line, its flags before --config/--json, keyword
+# changes per flag)
 _COMMANDS = {
-    "certify": _cmd_certify,
-    "rate": _cmd_rate,
-    "curve": _cmd_curve,
-    "search": _cmd_search,
-    "simulate": _cmd_simulate,
-    "robustness": _cmd_robustness,
-    "bode": _cmd_bode,
-    "report": _cmd_report,
+    "certify": (_cmd_certify, "small-gain rate test at a fixed rho",
+                ("--method", *_SECTOR, "--rho"), {}),
+    "rate": (_cmd_rate, "search for the best certifiable rate",
+             ("--method", *_SECTOR, "--tol"), {}),
+    "curve": (_cmd_curve, "certified rate versus gradient stepsize",
+              (*_SECTOR, *_ALPHAS, "--tol", "--csv"), {}),
+    "search": (_cmd_search, "best certifiable parameters",
+               (*_SECTOR, "--family", "--tol", *_ALPHAS, "--beta-min", "--beta-max",
+                "--beta-steps"), {}),
+    "simulate": (_cmd_simulate, "run the feedback loop on an oracle",
+                 ("--method", *_SECTOR, "--oracle", "--x0", "--iters", "--noise-sigma", "--seed",
+                  "--csv", "--include-iterates"), _NO_SECTOR),
+    "robustness": (_cmd_robustness, "gradient-noise steady-state comparison",
+                   (*_SECTOR, "--oracle", "--sigma", "--seeds", "--iters"),
+                   {"--iters": {"default": 3000}}),
+    "bode": (_cmd_bode, "frequency-response tables and plots",
+             ("--methods", *_SECTOR, "--f-min", "--n", "--csv", "--svg"),
+             {**_NO_SECTOR, "--csv": {
+                 "help": "CSV path (per-method suffix added for multiple methods)"}}),
+    "report": (_cmd_report, "preset rates, stepsize curve, soundness summary",
+               (*_SECTOR, "--alpha-steps", "--iters", "--tol"), {"--alpha-steps": {"default": 21}}),
 }
 
 
@@ -634,11 +590,13 @@ def main(argv=None) -> int:
     library call with identical results."""
     run = parse_args(argv)
     try:
-        return _COMMANDS[run.config.command](run)
+        payload, summary = _COMMANDS[run.config.command][0](run)
     except LoopShiftError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
+    _emit(run, payload, summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -191,7 +191,6 @@ class FactorForm:
     lag_pole: float | None
     zero: float | None
     zero_gain: float
-    residual: RationalTF
 
     def product(self) -> RationalTF:
         out = RationalTF((self.integrator_gain,), (-1.0, 1.0))
@@ -201,7 +200,7 @@ class FactorForm:
                 (-self.lag_pole, 1.0),
             )
             out = tf_mul(out, factor)
-        return tf_mul(out, self.residual)
+        return out
 
 
 def factor_controller(spec: MethodSpec) -> FactorForm:
@@ -211,14 +210,13 @@ def factor_controller(spec: MethodSpec) -> FactorForm:
     lag z/(z-beta) (zero at the origin); nesterov's lag carries a zero at
     beta/(1+beta) instead, which is what flattens its response near crossover.
     """
-    one = RationalTF((1.0,), (1.0,))
     if spec.family is Family.GRADIENT:
-        return FactorForm(-spec.alpha, None, None, 1.0, one)
+        return FactorForm(-spec.alpha, None, None, 1.0)
     if spec.family is Family.HEAVY_BALL:
-        return FactorForm(-spec.alpha, spec.beta, 0.0, 1.0, one)
+        return FactorForm(-spec.alpha, spec.beta, 0.0, 1.0)
     if spec.family is Family.NESTEROV:
         beta = spec.beta
-        return FactorForm(-spec.alpha, beta, beta / (1.0 + beta), 1.0 + beta, one)
+        return FactorForm(-spec.alpha, beta, beta / (1.0 + beta), 1.0 + beta)
     raise UnsupportedFactorizationError(
         f"no integrator/lag factorization for family {spec.family.value!r}"
     )

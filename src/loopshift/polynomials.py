@@ -10,6 +10,7 @@ below accept any sequence of real numbers and return such tuples.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import InvalidParameterError
@@ -90,7 +91,9 @@ def poly_roots(p) -> list[complex]:
 
     Degrees 1 and 2 are solved in closed form; higher degrees go through the
     companion-matrix eigenvalues, in the layout of ``np.roots`` (coefficients
-    in the first row), with which balancing keeps close roots apart.
+    in the first row), with which balancing keeps close roots apart.  A
+    coefficient, root or companion entry that is not finite raises
+    InvalidParameterError.
     """
     c = _floats(p)
     degree = len(c) - 1
@@ -98,20 +101,23 @@ def poly_roots(p) -> list[complex]:
         raise InvalidParameterError("the zero polynomial has no root set")
     if degree == 0:
         raise InvalidParameterError("a nonzero constant has no roots")
-    if degree == 1:
-        return [complex(-c[0] / c[1])]
-    if degree == 2:
-        return _quadratic_roots(c[2], c[1], c[0])
-    row = [-x / c[-1] for x in c[-2::-1]]
-    if not all(map(math.isfinite, row)):
-        raise InvalidParameterError(
-            f"companion matrix of {c} is not finite: a coefficient is not finite, "
-            f"or the leading one is too small against the others")
-    import numpy as np
+    if degree <= 2:
+        roots = [complex(-c[0] / c[1])] if degree == 1 else _quadratic_roots(c[2], c[1], c[0])
+        # with the leading coefficient finite, a lower one that is not finite
+        # makes a root infinite or nan
+        if math.isfinite(c[-1]) and cmath.isfinite(roots[0]) and cmath.isfinite(roots[-1]):
+            return roots
+    else:
+        row = [-x / c[-1] for x in c[-2::-1]]
+        if all(map(math.isfinite, row)):
+            import numpy as np
 
-    comp = np.eye(degree, k=-1)
-    comp[0] = row
-    return _eigvals(comp)
+            comp = np.eye(degree, k=-1)
+            comp[0] = row
+            return _eigvals(comp)
+    raise InvalidParameterError(
+        f"roots of {c} are not finite: a coefficient is not finite, "
+        f"or the leading one is too small against the others")
 
 
 def _eigvals(matrix) -> list[complex]:

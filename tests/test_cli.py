@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from loopshift import Family, MethodSpec, SectorClass, bisect_rate
-from loopshift.cli import RunConfig, main, parse_args, split_method_list
+from loopshift.cli import RunConfig, _build_parser, main, parse_args, split_method_list
 
 
 def test_parse_certify():
@@ -181,6 +182,31 @@ def test_artifacts_match_golden_bytes(tmp_path, name, argv):
     out = tmp_path / name
     assert main(argv + [str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _flag_description() -> dict:
+    """Each subcommand's help line and, in order, every action it declares."""
+    (commands,) = (a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    return {
+        name: {"help": helps[name], "actions": [
+            {"options": a.option_strings, "dest": a.dest, "default": a.default,
+             "required": a.required, "type": a.type and a.type.__name__,
+             "choices": a.choices and list(a.choices), "help": a.help,
+             "action": type(a).__name__}
+            for a in sub._actions]}
+        for name, sub in commands.choices.items()
+    }
+
+
+# Every command's flags as argparse holds them, which, unlike --help text,
+# does not depend on the Python version.
+def test_command_flags_match_golden():
+    golden = json.loads((GOLDEN / "cli-flags.json").read_text())
+    current = _flag_description()
+    assert list(current) == list(golden)
+    assert current == golden
 
 
 def test_bode_writes_svg_and_per_method_csv(tmp_path):

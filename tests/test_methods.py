@@ -121,7 +121,6 @@ def test_factor_nesterov_zero_location():
 def test_factor_gradient_is_bare_integrator():
     form = factor_controller(MethodSpec(Family.GRADIENT, alpha=0.3))
     assert form.lag_pole is None and form.zero is None
-    assert form.residual.num == (1.0,) and form.residual.den == (1.0,)
     assert tf_allclose(form.product(), build_controller(MethodSpec(Family.GRADIENT, alpha=0.3)), rtol=1e-12)
 
 

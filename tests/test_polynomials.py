@@ -116,6 +116,19 @@ def test_roots_with_non_finite_companion_rejected_without_warning(p):
             poly_roots(p)
 
 
+@pytest.mark.parametrize("p", [(1.0, 5e-324), (1.0, 1.0, 5e-324), (math.nan, 1.0),
+                               (1.0, math.inf, 1.0)] + [
+    base[:i] + (bad,) + base[i + 1:] for base in ((0.5, 1.0), (0.5, -1.3, 1.0))
+    for i in range(len(base)) for bad in (math.inf, -math.inf, math.nan)])
+def test_closed_form_roots_not_finite_rejected(p):
+    # degrees 1 and 2 returned infinite or nan roots without an error, and
+    # (0.5, inf) the finite root -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            poly_roots(p)
+
+
 def test_roots_degree_six_from_known_roots():
     known = [-0.9, -0.3, 0.2, 1.1, 0.5 + 0.4j, 0.5 - 0.4j]
     p = poly_from_roots(known, leading=2.0)
