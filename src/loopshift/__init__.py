@@ -34,10 +34,8 @@ from .errors import (
 from .lti import (
     RationalTF,
     freq_response,
-    freq_response_many,
     tf_allclose,
     tf_arg_scale,
-    tf_mul,
 )
 from .methods import (
     FactorForm,
@@ -52,14 +50,7 @@ from .methods import (
     parse_method,
     preset,
 )
-from .polynomials import (
-    poly_add,
-    poly_eval,
-    poly_mul,
-    poly_roots,
-    poly_scale,
-    poly_sub,
-)
+from .polynomials import poly_eval, poly_roots
 
 _LAZY = {name: module for module, names in (
     ("bode", ("FrequencyRow", "GainMetrics", "bode_csv_text", "bode_svg_text", "bode_table",
@@ -92,13 +83,11 @@ __all__ = [
     "ImproperShiftError", "InsufficientDataError", "InvalidParameterError",
     "LoopShiftError", "NoCertificateError", "UnsupportedFactorizationError",
     "UnsupportedPresetError",
-    "RationalTF", "freq_response", "freq_response_many", "tf_allclose",
-    "tf_arg_scale", "tf_mul",
+    "RationalTF", "freq_response", "tf_allclose", "tf_arg_scale",
     "FactorForm", "Family", "MethodSpec", "build_controller",
     "derivative_form_check", "factor_controller", "method_from_json",
     "nesterov_derivative_tf", "parse_method", "preset",
-    "poly_add", "poly_eval", "poly_mul", "poly_roots", "poly_scale",
-    "poly_sub",
+    "poly_eval", "poly_roots",
     "GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle",
     "SectorClass", "SeparableOracle", "oracle_from_json",
     "parse_oracle", "random_rotation", "shifted_plant_apply",

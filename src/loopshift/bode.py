@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .lti import (LEVEL_RTOL, RationalTF, _chebyshev_roots, _circle_gains, freq_response,
-                  freq_response_many)
+from .lti import LEVEL_RTOL, RationalTF, _chebyshev_roots, _circle_gains, freq_response
 
 NYQUIST = 0.5
 _LOW_HZ = 1e-3  # where gain_metrics reads the low-frequency gain
@@ -62,7 +61,11 @@ def bode_table(tf: RationalTF, f_min: float = 1e-4, n: int = 500) -> list[Freque
         raise InvalidParameterError(f"need at least 2 frequencies, got {n}")
     fs = np.geomspace(f_min, NYQUIST, n)
     fs[0], fs[-1] = f_min, NYQUIST
-    values = freq_response_many(tf, fs)
+    zs = np.exp(2j * np.pi * fs)
+    # exp(i*pi) carries rounding in its imaginary part; Nyquist is z = -1 exactly
+    zs[fs == NYQUIST] = -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.polyval(tf.num[::-1], zs) / np.polyval(tf.den[::-1], zs)
     mags = np.abs(values)
     finite = np.isfinite(mags) & (mags > 0.0)
     phase_rad = np.full(n, math.nan)

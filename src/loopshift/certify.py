@@ -27,7 +27,7 @@ from .lti import (
     tf_arg_scale,
 )
 from .methods import Family, MethodSpec, SectorClass, build_controller
-from .polynomials import poly_roots, poly_scale, poly_sub, schur_stable
+from .polynomials import _trimmed, poly_roots, schur_stable
 
 # The largest rate a rate search tries; certifying only closer to one is none.
 RHO_MAX = 1.0 - 1e-9
@@ -49,8 +49,8 @@ def loop_shift(controller: RationalTF, sector: SectorClass) -> RationalTF:
     denominator degree.  A biproper K whose leading coefficients cancel in
     the new denominator has no proper shifted form and is rejected.
     """
-    num = controller.num
-    shifted_den = poly_sub(num, poly_scale(controller.den, sector.shift))
+    num, den, s = controller.num, controller.den, sector.shift
+    shifted_den = _trimmed([a - s * b for a, b in zip(num + (0.0,) * (len(den) - len(num)), den)])
     if shifted_den == (0.0,) or len(num) > len(shifted_den):
         raise ImproperShiftError(
             "loop shift produced an improper system; the controller shape is "

@@ -386,14 +386,16 @@ def _cmd_search(run: Run) -> tuple[dict, str]:
         try:
             alpha, rho = search_stepsize(sector, config.tol)
         except NoCertificateError as exc:
-            return ({"alpha_star": None, "rho_star": None, "reason": str(exc)},
+            return ({"family": "gradient", "m": config.m, "L": config.L, "alpha_star": None,
+                     "rho_star": None, "reason": str(exc)},
                     "stepsize search: no certifiable stepsize")
         payload = {"family": "gradient", "m": config.m, "L": config.L,
                    "alpha_star": alpha, "rho_star": rho}
         return payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}"
     result = search_two_param(sector, run.alphas, run.betas, Family(config.family), config.tol)
     if result is None:
-        return ({"family": config.family, "alpha": None, "beta": None, "rho_star": None},
+        return ({"family": config.family, "m": config.m, "L": config.L, "alpha": None,
+                 "beta": None, "rho_star": None},
                 f"{config.family} search: nothing on the grid certifies")
     payload = {"family": config.family, "m": config.m, "L": config.L, **asdict(result)}
     summary = (

@@ -1,6 +1,6 @@
-"""Discrete-time SISO LTI systems: rational transfer-function algebra,
-frequency response, and gains on the unit circle (a level-crossing test and
-the H-infinity norm, no grid).
+"""Discrete-time SISO LTI systems: rational transfer functions, their
+``z -> rho*z`` scaling and frequency response, and gains on the unit circle
+(a level-crossing test and the H-infinity norm, no grid).
 
 A transfer function holds its numerator and denominator as polynomials of
 :mod:`loopshift.polynomials`, plain ascending coefficient tuples, and keeps
@@ -14,9 +14,9 @@ climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.  Both tests
 work on the scaled coefficient tuples, building no transfer-function object,
 and a level test evaluates the gain once at each distinct candidate point.
 
-A certificate of order up to 2 is pure Python: numpy loads on first use, in
-the roots of a Chebyshev series of degree 3 or more and the vectorized
-frequency response.
+A certificate of order up to 2 is pure Python: numpy loads on first use,
+only for the colleague eigenvalues that give the roots of a Chebyshev
+series of degree 3 or more.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError
-from .polynomials import _eigvals, _floats, _quadratic_roots, _trimmed, poly_eval, poly_mul
+from .polynomials import _eigvals, _floats, _quadratic_roots, _trimmed, poly_eval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,10 +72,6 @@ class RationalTF:
     @property
     def order(self) -> int:
         return len(self.den) - 1
-
-
-def tf_mul(a: RationalTF, b: RationalTF) -> RationalTF:
-    return RationalTF(poly_mul(a.num, b.num), poly_mul(a.den, b.den))
 
 
 def tf_arg_scale(t: RationalTF, rho: float) -> RationalTF:
@@ -126,20 +122,6 @@ def freq_response(t: RationalTF, f: float) -> complex:
     if den == 0:
         return complex(math.inf, 0.0)
     return poly_eval(t.num, z) / den
-
-
-def freq_response_many(t: RationalTF, fs) -> np.ndarray:
-    """Vectorized :func:`freq_response` over an array of frequencies."""
-    import numpy as np
-
-    fs = np.asarray(fs, dtype=float)
-    if fs.size and not (np.all(fs > 0.0) and np.all(fs <= 0.5)):
-        raise InvalidParameterError("frequencies must lie in (0, 0.5]")
-    zs = np.exp(2j * np.pi * fs)
-    zs[fs == 0.5] = -1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.polyval(t.num[::-1], zs) / np.polyval(t.den[::-1], zs)
-    return out
 
 
 def golden_section(f, a: float, b: float, tol: float):

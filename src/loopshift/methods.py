@@ -25,7 +25,7 @@ from .errors import (
     json_number,
     json_numbers,
 )
-from .lti import RationalTF, tf_allclose, tf_mul
+from .lti import RationalTF, tf_allclose
 from .polynomials import poly_eval
 
 
@@ -193,14 +193,12 @@ class FactorForm:
     zero_gain: float
 
     def product(self) -> RationalTF:
-        out = RationalTF((self.integrator_gain,), (-1.0, 1.0))
-        if self.lag_pole is not None:
-            factor = RationalTF(
-                (-self.zero_gain * self.zero, self.zero_gain),
-                (-self.lag_pole, 1.0),
-            )
-            out = tf_mul(out, factor)
-        return out
+        gain, pole = self.integrator_gain, self.lag_pole
+        if pole is None:
+            return RationalTF((gain,), (-1.0, 1.0))
+        # gain/(z-1) times zero_gain*(z-zero)/(z-pole), coefficients multiplied out
+        return RationalTF((gain * (-self.zero_gain * self.zero), gain * self.zero_gain),
+                          (pole, -1.0 - pole, 1.0))
 
 
 def factor_controller(spec: MethodSpec) -> FactorForm:

@@ -1,11 +1,12 @@
-"""Real-coefficient univariate polynomials: arithmetic, complex evaluation,
-root finding, and the Schur stability test.
+"""Real-coefficient univariate polynomials: complex evaluation, root
+finding, and the Schur stability test.
 
 A polynomial is the plain tuple of its coefficients in ascending degree
 order, so ``p[i]`` multiplies ``z**i``: Python floats with trailing exact
 zeros trimmed, the zero polynomial being ``(0.0,)``.  Tiny leading
 coefficients stay: the degree never changes implicitly.  The functions
-below accept any sequence of real numbers and return such tuples.
+below accept any sequence of real numbers.  Numpy loads only for the
+eigenvalues of companion and colleague matrices.
 """
 
 from __future__ import annotations
@@ -46,29 +47,6 @@ def poly_eval(p, z: complex) -> complex:
     for c in reversed(p):
         acc = acc * z + c
     return acc
-
-
-def poly_add(a, b) -> tuple[float, ...]:
-    out = [0.0] * max(len(a), len(b))
-    for p in (a, b):
-        for i, c in enumerate(p):
-            out[i] += c if type(c) is float else _real(c)
-    return _trimmed(out)
-
-
-def poly_sub(a, b) -> tuple[float, ...]:
-    return poly_add(a, poly_scale(b, -1.0))
-
-
-def poly_scale(a, c: float) -> tuple[float, ...]:
-    c = c if type(c) is float else _real(c)
-    return _trimmed([c * (x if type(x) is float else _real(x)) for x in a])
-
-
-def poly_mul(a, b) -> tuple[float, ...]:
-    import numpy as np
-
-    return _trimmed(np.convolve(_floats(a), _floats(b)).tolist())
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> list[complex]:

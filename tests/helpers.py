@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from loopshift import (
     GradientOracle,
@@ -12,9 +13,6 @@ from loopshift import (
     RationalTF,
     SectorClass,
     build_controller,
-    poly_add,
-    poly_mul,
-    poly_sub,
 )
 from loopshift.certify import RHO_MAX, _certifies, _threshold_test, loop_shift
 from loopshift.lti import (LEVEL_RTOL, LevelCrossing, _circle_gains, _CircleGains,
@@ -53,13 +51,13 @@ def constant_tf(c: float) -> RationalTF:
 
 
 def tf_add(a: RationalTF, b: RationalTF) -> RationalTF:
-    num = poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
-    return RationalTF(num, poly_mul(a.den, b.den))
+    num = P.polyadd(P.polymul(a.num, b.den), P.polymul(b.num, a.den))
+    return RationalTF(num, P.polymul(a.den, b.den))
 
 
 def tf_sub(a: RationalTF, b: RationalTF) -> RationalTF:
-    num = poly_sub(poly_mul(a.num, b.den), poly_mul(b.num, a.den))
-    return RationalTF(num, poly_mul(a.den, b.den))
+    num = P.polysub(P.polymul(a.num, b.den), P.polymul(b.num, a.den))
+    return RationalTF(num, P.polymul(a.den, b.den))
 
 
 def level_crossing(t: RationalTF, level: float) -> LevelCrossing:

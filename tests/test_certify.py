@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +79,53 @@ def test_loop_shift_rejects_degenerate_biproper_controller():
     custom = MethodSpec(Family.CUSTOM, custom_tf=RationalTF((-0.5, 1.0), (-1.0, 1.0)))
     with pytest.raises(ImproperShiftError):
         loop_shift(build_controller(custom), SectorClass(0.5, 1.5))
+
+
+def _reference_shift_den(k: RationalTF, sector: SectorClass) -> np.ndarray:
+    """N - s*D by numpy's polynomial subtraction, independent of
+    ``loop_shift``.  Its coefficients equal loop_shift's as floats; a zero
+    one may differ in sign, as numpy negates s*d where loop_shift subtracts
+    it from 0.0."""
+    return P.polysub(k.num, np.multiply(sector.shift, k.den))
+
+
+@pytest.mark.parametrize("family", [Family.GRADIENT, Family.HEAVY_BALL, Family.NESTEROV,
+                                    Family.PID])
+def test_loop_shift_matches_numpy_on_catalog_grid(family):
+    betas = (None,) if family is Family.GRADIENT else (0.0, -0.0, 0.1, 0.5, 9.0 / 11.0, 0.99)
+    for alpha in (0.01, 0.1, 2.0 / 11.0, 0.5, 1.0, 1.9802):
+        for beta in betas:
+            k = build_controller(MethodSpec(family, alpha=alpha, beta=beta))
+            for sector in (SEC, SectorClass(0.01, 1.0), SectorClass(1e-10, 1.0),
+                           SectorClass(2.0, 3.0)):
+                assert loop_shift(k, sector) == RationalTF(k.num, _reference_shift_den(k, sector))
+
+
+custom_controllers = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=n + 1),
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=n, max_size=n),
+    st.floats(min_value=0.1, max_value=3.0) | st.floats(min_value=-3.0, max_value=-0.1)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(custom_controllers, st.floats(min_value=0.01, max_value=5.0),
+       st.floats(min_value=0.1, max_value=50.0))
+@example(((0.0, 0.5), (0.25, 0.0), 1.0), 1.0, 9.0)
+@example(((0.5,), (0.25, 0.0), 1.0), 1.0, 9.0)
+@example(((-0.5, 1.0), (-1.0,), 1.0), 0.5, 1.0)
+def test_loop_shift_matches_numpy_on_custom_controllers(coeffs, m, width):
+    # numerators as long as the denominator down to constants; a biproper
+    # controller can lose its leading coefficient in the shift
+    num, den, lead = coeffs
+    k = RationalTF(num, [*den, lead])
+    sector = SectorClass(m, m + width)
+    reference_den = _reference_shift_den(k, sector)
+    try:
+        shifted = loop_shift(k, sector)
+    except ImproperShiftError:
+        assert not reference_den.any() or len(reference_den) < len(k.num)
+        return
+    assert shifted == RationalTF(k.num, reference_den)
 
 
 def test_certify_optimal_stepsize_at_rho_09():

@@ -110,6 +110,22 @@ def test_no_certificate_rate_is_data_not_failure(tmp_path, capsys):
     assert data["rho_star"] is None and data["certified"] is False
 
 
+@pytest.mark.parametrize("argv, nulls", [
+    (["search", "--m", "1e-10", "--L", "1"], {"alpha_star": None, "rho_star": None}),
+    (["search", "--family", "heavyball", "--m", "1", "--L", "10", "--alpha-min", "5",
+      "--alpha-max", "6", "--alpha-steps", "2", "--beta-steps", "2"],
+     {"alpha": None, "beta": None, "rho_star": None}),
+], ids=["gradient", "heavyball"])
+def test_search_without_certificate_keeps_the_sector_keys(tmp_path, argv, nulls):
+    out = tmp_path / "search.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    run = parse_args(argv)
+    assert data["family"] == run.config.family
+    assert (data["m"], data["L"]) == (run.config.m, run.config.L)
+    assert nulls.items() <= data.items()
+
+
 def test_certify_json_artifact_fields(tmp_path):
     out = tmp_path / "cert.json"
     main(["certify", "--method", "gradient:alpha=0.18182",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from loopshift import (
     Family,
@@ -11,7 +12,7 @@ from loopshift import (
     build_controller,
     derivative_form_check,
     factor_controller,
-    freq_response_many,
+    freq_response,
     method_from_json,
     nesterov_derivative_tf,
     parse_method,
@@ -29,8 +30,8 @@ def test_gradient_controller():
 def test_heavy_ball_with_zero_momentum_reduces_to_gradient():
     k = build_controller(MethodSpec(Family.HEAVY_BALL, alpha=1.0, beta=0.0))
     fs = np.linspace(0.01, 0.5, 50)
-    expected = freq_response_many(RationalTF((-1.0,), (-1.0, 1.0)), fs)
-    assert np.allclose(freq_response_many(k, fs), expected, rtol=1e-12, atol=0.0)
+    expected = [freq_response(RationalTF((-1.0,), (-1.0, 1.0)), f) for f in fs]
+    assert np.allclose([freq_response(k, f) for f in fs], expected, rtol=1e-12, atol=0.0)
 
 
 def test_nesterov_preset_coefficients():
@@ -122,6 +123,20 @@ def test_factor_gradient_is_bare_integrator():
     form = factor_controller(MethodSpec(Family.GRADIENT, alpha=0.3))
     assert form.lag_pole is None and form.zero is None
     assert tf_allclose(form.product(), build_controller(MethodSpec(Family.GRADIENT, alpha=0.3)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", [Family.GRADIENT, Family.HEAVY_BALL, Family.NESTEROV])
+def test_factor_product_matches_numpy_composition(family):
+    betas = (None,) if family is Family.GRADIENT else (0.0, -0.0, 0.1, 0.5, 9.0 / 11.0, 0.99)
+    for alpha in (0.01, 0.1, 2.0 / 11.0, 0.5, 1.0, 1.9802):
+        for beta in betas:
+            form = factor_controller(MethodSpec(family, alpha=alpha, beta=beta))
+            integrator = RationalTF((form.integrator_gain,), (-1.0, 1.0))
+            expected = integrator if form.lag_pole is None else RationalTF(
+                P.polymul(integrator.num, (-form.zero_gain * form.zero, form.zero_gain)),
+                P.polymul(integrator.den, (-form.lag_pole, 1.0)))
+            # equal as floats; at beta = -0.0 numpy's sum turns the constant -0.0 into 0.0
+            assert form.product() == expected
 
 
 def test_factor_rejects_pid_and_custom():

@@ -54,6 +54,15 @@ def test_every_public_name_resolves():
             getattr(loopshift, gone)
 
 
+def test_public_surface_matches_golden():
+    golden = json.loads((Path(__file__).resolve().parent / "golden/public-api.json").read_text())
+    assert sorted(loopshift.__all__) == golden
+    for gone in ("poly_add", "poly_sub", "poly_scale", "poly_mul", "tf_mul",
+                 "freq_response_many"):
+        with pytest.raises(AttributeError):
+            getattr(loopshift, gone)
+
+
 def test_import_leaves_numpy_out(tmp_path):
     assert _numpy_modules("import loopshift", tmp_path) == []
 
