@@ -344,15 +344,7 @@ def _cmd_rate(run: Run) -> tuple[dict, str]:
         payload = {"method": spec.label, "m": config.m, "L": config.L,
                    "rho_star": None, "certified": False, "reason": str(exc)}
         return payload, f"{spec.label}: no certificate (rates below 1 do not certify)"
-    payload = {
-        "method": spec.label,
-        "m": config.m,
-        "L": config.L,
-        "rho_star": result.rho_star,
-        "iterations": result.iterations,
-        "certificate": asdict(result.certificate),
-        "bracket_history": [list(b) for b in result.bracket_history],
-    }
+    payload = {"method": spec.label, "m": config.m, "L": config.L, **asdict(result)}
     summary = (
         f"{spec.label}: rho_star={result.rho_star:.6g} "
         f"({result.iterations} tests, hinf={result.certificate.hinf:.6g}, "
@@ -393,9 +385,10 @@ def _cmd_search(run: Run) -> tuple[dict, str]:
                    "alpha_star": alpha, "rho_star": rho}
         return payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}"
     result = search_two_param(sector, run.alphas, run.betas, Family(config.family), config.tol)
-    if result is None:
+    if result is None:  # nothing certified: each grid point was tested once, none refined
         return ({"family": config.family, "m": config.m, "L": config.L, "alpha": None,
-                 "beta": None, "rho_star": None},
+                 "beta": None, "rho_star": None,
+                 "evaluations": len(run.alphas) * len(run.betas)},
                 f"{config.family} search: nothing on the grid certifies")
     payload = {"family": config.family, "m": config.m, "L": config.L, **asdict(result)}
     summary = (

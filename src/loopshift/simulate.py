@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import loop_shift
 from .errors import InsufficientDataError, InvalidParameterError
-from .methods import Family, MethodSpec, build_controller
+from .lti import RationalTF
+from .methods import GRADIENT_PRESETS, Family, MethodSpec, build_controller, preset
 from .sectors import GradientOracle, SectorClass, shifted_plant_apply
 
 # Residuals at or below this are machine-precision noise; rate fits skip them.
@@ -56,12 +58,11 @@ def _check_x0(x0, dim: int) -> np.ndarray:
     return x0
 
 
-def _feedback_matrices(spec: MethodSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, b, c) of the method's controller num/den of order n, checked to
-    close the gradient loop: the controllable canonical form, with A's first
-    row -den[n-1], ..., -den[0] above a shift, b = e_1 and c = num[n-1],
+def _feedback_matrices(controller: RationalTF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, b, c) of a controller num/den of order n, checked to close the
+    loop: the controllable canonical form, with A's first row
+    -den[n-1], ..., -den[0] above a shift, b = e_1 and c = num[n-1],
     ..., num[0]."""
-    controller = build_controller(spec)
     num, den, n = controller.num, controller.den, controller.order
     if len(num) > n:
         raise InvalidParameterError(
@@ -160,27 +161,24 @@ def simulate_run(spec: MethodSpec, oracle: GradientOracle, x0, iters: int,
     _check_iters(iters)
     noise = _gradient_noise(noise_sigma, (seed,), iters, oracle.dim)
     x0 = _check_x0(x0, oracle.dim)
-    xs, residuals = _closed_loop(_feedback_matrices(spec), oracle.centered_grad,
+    xs, residuals = _closed_loop(_feedback_matrices(build_controller(spec)), oracle.centered_grad,
                                  (x0 - oracle.xstar)[None], oracle.xstar, iters, noise, iters + 1)
     return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), seed)
 
 
 def simulate_shifted_run(spec: MethodSpec, oracle: GradientOracle,
                          sector: SectorClass, x0, iters: int) -> Trajectory:
-    """Gradient descent through the loop-shifted interconnection:
+    """Any method through the loop-shifted interconnection: the shifted
+    controller K' = N/(N - sD) of :func:`loop_shift` (s = 2/(L+m)) in
+    feedback with the plant v[k] = u[k] - s grad(u[k] + xstar).
 
-        xi[k+1] = (1 - (m+L) a / 2) xi[k] + ((m+L) a / 2) v[k]
-        v[k]    = xi[k] - (2/(L+m)) grad(xi[k] + xstar)
-
-    The substitution collapses algebraically to xi[k+1] = xi[k] - a grad(..),
-    so this matches :func:`simulate_run` to machine precision.
+    Eliminating v gives back D u = N grad(u + xstar), and both loops start
+    from the same implied history (u constant at x0 - xstar, gradient 0), so
+    this matches :func:`simulate_run` to machine precision.
     """
-    if spec.family is not Family.GRADIENT:
-        raise InvalidParameterError("the shifted interconnection is defined for gradient descent")
     _check_iters(iters)
     x0 = _check_x0(x0, oracle.dim)
-    gain = 0.5 * (sector.m + sector.L) * spec.alpha
-    matrices = (np.array([[1.0 - gain]]), np.array([gain]), np.array([1.0]))
+    matrices = _feedback_matrices(loop_shift(build_controller(spec), sector))
     xs, residuals = _closed_loop(matrices, lambda u: shifted_plant_apply(oracle, sector, u),
                                  (x0 - oracle.xstar)[None], oracle.xstar, iters, None, iters + 1)
     return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), None)
@@ -289,13 +287,12 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     _check_iters(iters)
     noise = _gradient_noise(noise_sigma, seeds, iters, oracle.dim)
     x0 = oracle.xstar + 1.0 if x0 is None else _check_x0(x0, oracle.dim)
-    alpha_std = 1.0 / sector.L
-    alpha_opt = 2.0 / (sector.L + sector.m)
+    standard, optimal = [preset(Family.GRADIENT, sector.m, sector.L, v) for v in GRADIENT_PRESETS]
     # gradient descent realizes as A = [[1]], b = [1], c = [-alpha] for every
-    # alpha, so both tunings run as one batch told apart by the output row:
-    # the first half of the runs are alpha_std's seeds, the second alpha_opt's
-    a_mat, b_col, c_std = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=alpha_std))
-    c_opt = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=alpha_opt))[2]
+    # alpha, so both tunings run as one batch told apart by the output row,
+    # the standard tuning's seeds first
+    a_mat, b_col, c_std = _feedback_matrices(build_controller(standard))
+    c_opt = _feedback_matrices(build_controller(optimal))[2]
     c_cols = np.repeat(np.concatenate((c_std, c_opt)), len(seeds) * oracle.dim)[None]
     u0 = np.tile(x0 - oracle.xstar, (2 * len(seeds), 1))
     tail = max(1, (iters + 1) // 10)
@@ -310,8 +307,8 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
         sigma=noise_sigma,
         iters=iters,
         seeds=seeds,
-        alpha_standard=alpha_std,
-        alpha_optimal_sector=alpha_opt,
+        alpha_standard=standard.alpha,
+        alpha_optimal_sector=optimal.alpha,
         steady_state_standard=ss_std,
         steady_state_optimal_sector=ss_opt,
         median_standard=float(_median(ss_std)),

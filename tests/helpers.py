@@ -6,9 +6,11 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from loopshift import (
+    Family,
     GradientOracle,
     InvalidParameterError,
     LoopShiftError,
+    MethodSpec,
     NoCertificateError,
     RationalTF,
     SectorClass,
@@ -167,6 +169,29 @@ def sector_membership_sampled(oracle: GradientOracle, sector: SectorClass,
     return bool(np.all(_in_sector(u, oracle.centered_grad(u), sector)))
 
 
+def custom_controller(rng, order) -> MethodSpec:
+    """Integrator at a certifiable gradient gain times unit-DC-gain lead/lag
+    factors and, when two orders are left, a resonant pole pair near the
+    circle with zeros close by."""
+    num = np.array([-rng.uniform(0.05, 0.15)])
+    den = np.array([-1.0, 1.0])
+    left = order - 1
+    while left > 0:
+        if left >= 2 and rng.random() < 0.5:
+            theta, rp = rng.uniform(0.2, 2.5), rng.uniform(0.85, 0.97)
+            rz = rp * rng.uniform(0.97, 1.0)
+            poles = np.array([rp * rp, -2.0 * rp * math.cos(theta), 1.0])
+            zeros = np.array([rz * rz, -2.0 * rz * math.cos(theta), 1.0])
+            num, den = np.convolve(num, zeros * poles.sum() / zeros.sum()), np.convolve(den, poles)
+            left -= 2
+        else:
+            a, b = rng.uniform(-0.3, 0.3, size=2)
+            num = np.convolve(num, np.array([-a, 1.0]) * (1.0 - b) / (1.0 - a))
+            den = np.convolve(den, np.array([-b, 1.0]))
+            left -= 1
+    return MethodSpec(Family.CUSTOM, custom_tf=RationalTF(tuple(num), tuple(den)))
+
+
 def impulse(a_mat: np.ndarray, b_col: np.ndarray, c_row: np.ndarray, steps: int) -> np.ndarray:
     """First ``steps`` impulse-response samples (0, cb, cAb, ...) of the
     strictly proper realization (A, b, c)."""
@@ -211,7 +236,7 @@ def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
     one step at a time from equal states scaled to give u[0] = x0 - x*: an
     oracle for :func:`loopshift.simulate_run` with the same arithmetic and
     none of its batching."""
-    a_mat, b_col, c_row = _feedback_matrices(spec)
+    a_mat, b_col, c_row = _feedback_matrices(build_controller(spec))
     xstar = oracle.xstar
     noise = (np.random.default_rng(seed).normal(0.0, noise_sigma, (iters, oracle.dim))
              if noise_sigma else None)

@@ -194,20 +194,26 @@ def test_criterion_08_shifted_interconnection_equivalence():
     rng = np.random.default_rng(2024)
     sector = SectorClass(1.0, 10.0)
     worst = 0.0
-    for trial in range(10):
-        alpha = float(rng.uniform(0.01, 0.19))
-        if trial % 2 == 0:
+    families = (Family.GRADIENT, Family.HEAVY_BALL, Family.NESTEROV, Family.PID)
+    for trial in range(16):
+        family = families[trial % 4]
+        if family is Family.GRADIENT:
+            spec = MethodSpec(family, alpha=float(rng.uniform(0.01, 0.19)))
+        else:
+            spec = MethodSpec(family, alpha=float(rng.uniform(0.01, 0.08)),
+                              beta=float(rng.uniform(0.0, 0.4)))
+        if trial // 4 % 2 == 0:
             dim = int(rng.integers(1, 4))
             oracle = QuadraticOracle(rng.uniform(1.0, 10.0, dim))
         else:
             oracle = PiecewiseLinearOracle([0.0, 1.0], rng.uniform(1.0, 10.0, 2))
         x0 = rng.normal(size=oracle.dim)
-        spec = MethodSpec(Family.GRADIENT, alpha=alpha)
         plain = simulate_run(spec, oracle, x0, 100)
         shifted = simulate_shifted_run(spec, oracle, sector, x0, 100)
         worst = max(worst, float(np.max(np.abs(plain.iterates - shifted.iterates))))
     ok = worst < 1e-12
-    _report(8, f"shifted interconnection matches the plain loop to {worst:.2e}", ok)
+    _report(8, f"shifted interconnection matches the plain loop for every catalog family "
+               f"to {worst:.2e}", ok)
 
 
 def test_criterion_09_factorization_fidelity():

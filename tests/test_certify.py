@@ -35,7 +35,8 @@ from loopshift.cli import _json_safe
 from loopshift.lti import LevelCrossing, climb_to_peak, golden_section
 from loopshift.polynomials import schur_stable
 
-from helpers import gain_reaches, hinf_peak, level_crossing, poly_from_roots, reference_bisect
+from helpers import (custom_controller, gain_reaches, hinf_peak, level_crossing, poly_from_roots,
+                     reference_bisect)
 
 SEC = SectorClass(1.0, 10.0)
 
@@ -316,9 +317,20 @@ def test_two_param_empty_certification_reports_none():
     assert result is None
 
 
+def test_two_param_one_point_grids_refine_nothing():
+    # a grid of one point on both axes has no span to refine around
+    result = search_two_param(SEC, [0.1], [0.2], Family.HEAVY_BALL)
+    assert (result.alpha, result.beta, result.evaluations) == (0.1, 0.2, 1)
+    assert result.rho_star == bisect_rate(
+        MethodSpec(Family.HEAVY_BALL, alpha=0.1, beta=0.2), SEC).rho_star
+
+
 def test_two_param_validates_grids():
     with pytest.raises(InvalidParameterError):
         search_two_param(SEC, [], [0.0])
+    for alphas in ([0.0, 0.1], [-0.1]):
+        with pytest.raises(InvalidParameterError):
+            search_two_param(SEC, alphas, [0.0])
     with pytest.raises(InvalidParameterError):
         search_two_param(SEC, [0.1], [1.0])
     with pytest.raises(InvalidParameterError):
@@ -358,29 +370,6 @@ def test_complementary_sensitivity_at_rho_one_is_plain_shift():
     assert tf_allclose(complementary_sensitivity(k, SEC, 1.0), loop_shift(k, SEC), rtol=1e-14)
 
 
-def _custom_controller(rng, order):
-    """Integrator at a certifiable gradient gain times unit-DC-gain lead/lag
-    factors and, when two orders are left, a resonant pole pair near the
-    circle with zeros close by."""
-    num = np.array([-rng.uniform(0.05, 0.15)])
-    den = np.array([-1.0, 1.0])
-    left = order - 1
-    while left > 0:
-        if left >= 2 and rng.random() < 0.5:
-            theta, rp = rng.uniform(0.2, 2.5), rng.uniform(0.85, 0.97)
-            rz = rp * rng.uniform(0.97, 1.0)
-            poles = np.array([rp * rp, -2.0 * rp * math.cos(theta), 1.0])
-            zeros = np.array([rz * rz, -2.0 * rz * math.cos(theta), 1.0])
-            num, den = np.convolve(num, zeros * poles.sum() / zeros.sum()), np.convolve(den, poles)
-            left -= 2
-        else:
-            a, b = rng.uniform(-0.3, 0.3, size=2)
-            num = np.convolve(num, np.array([-a, 1.0]) * (1.0 - b) / (1.0 - a))
-            den = np.convolve(den, np.array([-b, 1.0]))
-            left -= 1
-    return MethodSpec(Family.CUSTOM, custom_tf=RationalTF(tuple(num), tuple(den)))
-
-
 def test_certified_set_monotone_on_catalog():
     # once a rate certifies, every larger rate below one certifies too
     rng = np.random.default_rng(5)
@@ -390,7 +379,7 @@ def test_certified_set_monotone_on_catalog():
         MethodSpec(Family.HEAVY_BALL, alpha=0.15, beta=0.1),
         MethodSpec(Family.PID, alpha=0.1, beta=0.2),
         MethodSpec(Family.PID, alpha=0.15, beta=0.6),
-    ] + [_custom_controller(rng, order) for order in (3, 4, 5, 6, 3, 4, 5, 6)]
+    ] + [custom_controller(rng, order) for order in (3, 4, 5, 6, 3, 4, 5, 6)]
     rhos = np.linspace(0.05, 0.999, 40)
     certified = 0
     for spec in specs:
@@ -869,3 +858,84 @@ def test_linspace_is_numpys_bit_for_bit(start, stop, num, tiny):
         got = certify.linspace(a, b, num)
         want = np.linspace(a, b, num).tolist()
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def _linear_worst_case(spec, sector):
+    """rho_lin: the largest root modulus of D - q N over q in [m, L], the
+    rate of the method on f = q |x|^2 / 2, a function in S(m, L).  numpy
+    roots pick q on a 101-point grid that holds both ends; the modulus at
+    that q is computed again, as an mpmath number, at 40 digits on the
+    stored coefficients."""
+    import mpmath
+    k = build_controller(spec)
+    num = k.num + (0.0,) * (len(k.den) - len(k.num))
+    qs = np.linspace(sector.m, sector.L, 101)
+    radii = [np.max(np.abs(np.roots((np.array(k.den) - q * np.array(num))[::-1]))) for q in qs]
+    q = float(qs[int(np.argmax(radii))])
+    with mpmath.workdps(40):
+        coeffs = [mpmath.mpf(d) - mpmath.mpf(q) * mpmath.mpf(n) for d, n in zip(k.den, num)]
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=100)
+        return +max(abs(r) for r in roots)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(catalog_specs.map(lambda t: ("catalog", t)),
+                 st.tuples(st.integers(0, 2**16), st.integers(1, 6)).map(lambda t: ("custom", t))),
+       search_sectors)
+def test_certified_rate_is_at_least_the_linear_worst_case(case, m_L):
+    # quadratics with curvature q in [m, L] lie in S(m, L), so a sound
+    # certificate can promise no rate below theirs; where the certificate is
+    # tight, the float level test can still certify up to one ulp below it
+    # (heavyball(0.002, 0) on S(1, 10) certifies the float 0.998, 1.7e-18
+    # under its rate); an exact final verdict would close that gap
+    import mpmath
+    kind, data = case
+    if kind == "catalog":
+        family, step, beta = data
+        sec = SectorClass(*m_L)
+        spec = MethodSpec(family, alpha=step / sec.L,
+                          beta=None if family is Family.GRADIENT else beta)
+    else:
+        seed, order = data
+        sec = SEC
+        spec = custom_controller(np.random.default_rng(seed), order)
+    try:
+        rho_star = bisect_rate(spec, sec).rho_star
+    except NoCertificateError:
+        return
+    rho_lin = _linear_worst_case(spec, sec)
+    with mpmath.workdps(40):
+        assert mpmath.mpf(rho_star) + math.ulp(rho_star) >= rho_lin - mpmath.mpf(10) ** -30
+
+
+# Catalog rates on S(1, 10): the closed-form order-2 rate that bisection
+# meets within tol, and rho_lin.  The first seven bind at an end of the
+# sector (q = m or q = L), where the two agree and the certificate is
+# tight.  The last two bind at an interior frequency, where no quadratic
+# attains the rate.
+RATE_TABLE = [
+    (gradient(0.05), 0.95, 0.95),
+    (gradient(0.1), 0.9, 0.9),
+    (gradient(2.0 / 11.0), 9.0 / 11.0, 9.0 / 11.0),
+    (gradient(0.19), 0.9, 0.9),
+    (MethodSpec(Family.NESTEROV, alpha=0.1, beta=0.2), 0.8740658618, 0.8740658618),
+    (MethodSpec(Family.HEAVY_BALL, alpha=0.1, beta=0.1), 0.8872983346, 0.8872983346),
+    (MethodSpec(Family.PID, alpha=0.05, beta=0.3), 0.9507765771, 0.9507765771),
+    (preset(Family.NESTEROV, 1.0, 10.0), 0.9669999669, 0.6837722365),
+    (MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5), 0.9672245531, 0.8850781059),
+]
+
+
+@pytest.mark.parametrize("spec, closed, linear", RATE_TABLE, ids=[r[0].label for r in RATE_TABLE])
+def test_rate_table_against_the_linear_worst_case(spec, closed, linear):
+    tol = 1e-9
+    rho_star = bisect_rate(spec, SEC, tol).rho_star
+    rho_lin = _linear_worst_case(spec, SEC)
+    assert float(rho_lin) == pytest.approx(linear, abs=1e-10)
+    assert closed - 1e-10 <= rho_star <= closed + tol + 1e-10
+    gap = float(rho_star - rho_lin)
+    if closed == linear:
+        assert 0.0 <= gap <= tol
+    else:
+        # 0.283 and 0.082: the conservatism of the sector-only test
+        assert gap > 0.08

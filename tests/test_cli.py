@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from loopshift import Family, MethodSpec, SectorClass, bisect_rate
+from loopshift import Family, MethodSpec, SectorClass, bisect_rate, certify
 from loopshift.cli import RunConfig, _build_parser, main, parse_args, split_method_list
 
 
@@ -124,6 +124,23 @@ def test_search_without_certificate_keeps_the_sector_keys(tmp_path, argv, nulls)
     assert data["family"] == run.config.family
     assert (data["m"], data["L"]) == (run.config.m, run.config.L)
     assert nulls.items() <= data.items()
+
+
+def test_search_without_certificate_counts_its_rate_tests(tmp_path, monkeypatch):
+    calls = []
+    rate_below = certify._rate_below
+
+    def counted(*args):
+        calls.append(args)
+        return rate_below(*args)
+    monkeypatch.setattr(certify, "_rate_below", counted)
+    out = tmp_path / "search.json"
+    assert main(["search", "--family", "heavyball", "--m", "1", "--L", "10", "--alpha-min", "5",
+                 "--alpha-max", "6", "--alpha-steps", "2", "--beta-steps", "2",
+                 "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["rho_star"] is None
+    assert data["evaluations"] == len(calls) == 4
 
 
 def test_certify_json_artifact_fields(tmp_path):
@@ -336,6 +353,29 @@ def test_report_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "report for S(1,10)" in out
     assert f"over {checked} of {len(data['soundness'])} runs" in out
+
+
+def test_report_nesterov_preset_without_certificate(tmp_path):
+    # on S(1, 100) the sector-only test certifies no rate for the preset
+    out = tmp_path / "report.json"
+    assert main(["report", "--m", "1", "--L", "100", "--alpha-steps", "3",
+                 "--iters", "400", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    nesterov = next(p for p in data["presets"] if p["family"] == "nesterov")
+    assert nesterov["available"] is True and nesterov["rho_star"] is None
+    assert "certificate" not in nesterov
+    assert {row["method"] for row in data["soundness"]} == {
+        p["method"] for p in data["presets"] if p["family"] == "gradient"}
+
+
+def test_report_without_any_rate_fit_says_unchecked(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["report", "--m", "1", "--L", "10", "--alpha-steps", "3",
+                 "--iters", "10", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert len(data["soundness"]) == 9
+    assert all(row["rho_hat"] is None and row["sound"] is None for row in data["soundness"])
+    assert "soundness unchecked over 0 of 9 runs (9 without a rate fit)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", [

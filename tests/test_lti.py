@@ -13,6 +13,7 @@ from loopshift import (
     InvalidParameterError,
     MethodSpec,
     RationalTF,
+    build_controller,
     freq_response,
     poly_roots,
     tf_allclose,
@@ -276,8 +277,16 @@ def test_level_test_and_roots_equal_the_numpy_reference(system, p):
     assert poly_roots(p) == [complex(r) for r in np.linalg.eigvals(comp)]
 
 
+def test_pole_on_the_circle_reads_as_infinite_gain():
+    # 1/(z - 1) has its pole at z = 1, the point x = 1 of the level test
+    crossing = _level_crossings(_circle_gains((1.0,), (-1.0, 1.0)), 10.0)
+    assert crossing.gain == math.inf and crossing.theta == 0.0
+    assert crossing.reaches
+    assert climb_to_peak(crossing) == (math.inf, 0.0)
+
+
 def test_realize_gradient_impulse():
-    matrices = _feedback_matrices(MethodSpec(Family.GRADIENT, alpha=0.1))
+    matrices = _feedback_matrices(build_controller(MethodSpec(Family.GRADIENT, alpha=0.1)))
     assert [m.shape for m in matrices] == [(1, 1), (1,), (1,)]
     h = impulse(*matrices, 6)
     assert h[0] == 0.0
@@ -286,7 +295,7 @@ def test_realize_gradient_impulse():
 
 def test_realize_momentum_matches_long_division():
     t = RationalTF((0.0, -1.0), (0.5, -1.5, 1.0))
-    matrices = _feedback_matrices(MethodSpec(Family.CUSTOM, custom_tf=t))
+    matrices = _feedback_matrices(t)
     assert matrices[0].shape == (2, 2)
     assert np.max(np.abs(impulse(*matrices, 50) - impulse_series(t, 50))) < 1e-9
 
@@ -298,7 +307,7 @@ def test_verify_realization_on_random_systems():
     for _ in range(20):
         stable = _random_stable_tf(rng)
         t = RationalTF(stable.num, P.polymul(stable.den, (-1.0, 1.0)))
-        assert verify_realization(t, *_feedback_matrices(MethodSpec(Family.CUSTOM, custom_tf=t)))
+        assert verify_realization(t, *_feedback_matrices(t))
 
 
 def test_golden_section_below_float_spacing_ends():

@@ -16,6 +16,7 @@ from loopshift import (
     SectorClass,
     SeparableOracle,
     Trajectory,
+    certify_rate,
     estimate_rate,
     noise_robustness_experiment,
     poly_roots,
@@ -26,7 +27,7 @@ from loopshift import (
 )
 from loopshift.simulate import _median
 
-from helpers import reference_run
+from helpers import custom_controller, reference_run
 
 SEC = SectorClass(1.0, 10.0)
 GRAD_OPT = MethodSpec(Family.GRADIENT, alpha=2.0 / 11.0)
@@ -55,15 +56,23 @@ def test_two_eigenvalue_residual_rate():
 
 
 def test_shifted_run_matches_plain_run():
+    # every catalog family, and custom controllers of order 3-6 that
+    # certify a rate below one, through K' = N/(N - sD) and u - s grad(u)
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        alpha = float(rng.uniform(0.01, 0.19))
-        oracle = QuadraticOracle(rng.uniform(1.0, 10.0, 2))
+    specs = [MethodSpec(Family.GRADIENT, alpha=float(rng.uniform(0.01, 0.19))) for _ in range(5)]
+    specs += [MethodSpec(family, alpha=float(rng.uniform(0.01, 0.08)),
+                         beta=float(rng.uniform(0.0, 0.4)))
+              for family in (Family.HEAVY_BALL, Family.NESTEROV, Family.PID) for _ in range(5)]
+    customs = [custom_controller(rng, order) for order in (3, 4, 5, 6) * 3]
+    specs += [spec for spec in customs if certify_rate(spec, SEC, 0.999).certified]
+    assert len(specs) >= 28
+    for spec in specs:
+        eigs = rng.uniform(1.0, 10.0, 2)
+        oracle = QuadraticOracle(eigs, random_rotation(2, int(rng.integers(99))))
         x0 = rng.normal(size=2)
-        spec = MethodSpec(Family.GRADIENT, alpha=alpha)
         a = simulate_run(spec, oracle, x0, 80)
         b = simulate_shifted_run(spec, oracle, SEC, x0, 80)
-        assert np.max(np.abs(a.iterates - b.iterates)) < 1e-12
+        assert np.max(np.abs(a.iterates - b.iterates)) < 1e-12, spec.label
 
 
 def test_shifted_run_constant_at_fixed_point():
@@ -71,12 +80,6 @@ def test_shifted_run_constant_at_fixed_point():
     traj = simulate_shifted_run(MethodSpec(Family.GRADIENT, alpha=0.1),
                                 oracle, SectorClass(1.0, 5.0), [2.0], 15)
     assert np.all(traj.iterates == 2.0)
-
-
-def test_shifted_run_requires_gradient_family():
-    with pytest.raises(InvalidParameterError):
-        simulate_shifted_run(MethodSpec(Family.HEAVY_BALL, alpha=0.1, beta=0.1),
-                             QuadraticOracle([2.0]), SEC, [1.0], 10)
 
 
 def test_momentum_initialization_matches_cold_start():
