@@ -81,13 +81,23 @@ class RateCertificate:
     peak_frequency: float
 
 
-def _threshold_test(shifted: RationalTF, sector: SectorClass,
-                    rho: float) -> LevelCrossing | None:
+def _threshold_test(shifted: RationalTF, sector: SectorClass, rho: float,
+                    radius: float | None = None) -> LevelCrossing | None:
     """The small-gain test at ``rho``: None when the scaled system is not
     Schur stable, else its level test at the threshold, which certifies
-    when it does not reach.  Both tests read the scaled coefficients."""
+    when it does not reach.  Both tests read the scaled coefficients.
+    Stability is decided exactly by Schur-Cohn, or, given the shifted
+    denominator's float stability ``radius``, by ``rho > radius`` (a search
+    step, whose answer the search retests exactly)."""
     num, den = _arg_scaled(shifted, rho)
-    return _level_crossings(_circle_gains(num, den), sector.threshold) if schur_stable(den) else None
+    stable = schur_stable(den) if radius is None else rho > radius
+    return _level_crossings(_circle_gains(num, den), sector.threshold) if stable else None
+
+
+def _stability_radius(shifted: RationalTF) -> float:
+    """Largest root modulus of the shifted denominator, whose roots are
+    every closed-loop mode: D(rho z) is stable for rho above it."""
+    return max(map(abs, poly_roots(shifted.den))) if shifted.order else 0.0
 
 
 def _certifies(test: LevelCrossing | None) -> bool:
@@ -147,16 +157,20 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
     test's own gain (see :func:`_bisect`): at tol = 1e-6 it takes about 3
     tests for a catalog method and about 10 for an order-3..6 controller,
     where bisection takes about 20, and never more than
-    2*ceil(log2((RHO_MAX - radius)/tol)) + 2.  ``iterations`` counts
-    those tests, the one at RHO_MAX included.  Search steps run the test
-    alone; the certificate is built once, at the final rate, from the test
-    that passed there.  Raises :class:`NoCertificateError` when not even
-    RHO_MAX certifies; batch callers should treat that as a definite
-    negative result, not a failure.
+    2*ceil(log2((RHO_MAX - radius)/tol)) + 2 unless the exact test refutes
+    the answer.  ``iterations`` counts those tests, the one at RHO_MAX
+    included.  Search steps run the test alone and take stability from the
+    float radius; the exact Schur-Cohn test runs at RHO_MAX and on the
+    answer, and should it refute the answer, the search goes on with exact
+    steps from there (see :func:`_bisect`).  The certificate is built
+    once, at the final rate, from the test that passed there.  Raises
+    :class:`NoCertificateError` when not even RHO_MAX certifies; batch
+    callers should treat that as a definite negative result, not a failure.
     """
     _check_tol(tol)
-    hi, passed, evaluations, history = _bisect(spec, loop_shift(build_controller(spec), sector),
-                                               sector, tol)
+    shifted = loop_shift(build_controller(spec), sector)
+    hi, passed, evaluations, history = _bisect(spec, shifted, sector, tol,
+                                               _stability_radius(shifted))
     # the test that last passed was made at hi: its certificate needs no retest
     return RateSearchResult(hi, _certificate(spec, sector, hi, passed), evaluations, history)
 
@@ -173,12 +187,12 @@ def _gap(test: LevelCrossing | None, threshold: float) -> float:
     return min(g, -1e-300) if test.reaches else max(g, 1e-300)
 
 
-def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
-            tol: float) -> tuple[float, LevelCrossing, int, tuple[tuple[float, float], ...]]:
+def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: float,
+            radius: float) -> tuple[float, LevelCrossing, int, tuple[tuple[float, float], ...]]:
     """The search of :func:`bisect_rate` on the method's already shifted
-    controller: the final ``hi``, the test that passed there, the number of
-    tests and the bracket history.  Callers that want only the rate build
-    no certificate.
+    controller and its float stability radius: the final ``hi``, the test
+    that passed there, the number of tests and the bracket history.
+    Callers that want only the rate build no certificate.
 
     Above the stability radius the peak gain is continuous and does not
     increase in rho, so threshold/peak - 1 rises through zero at rho*.  The
@@ -195,56 +209,68 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass,
     lies strictly between the ends, so any positive ``tol`` is met to float
     resolution.  Verdicts alone move the ends, so ``hi`` has always
     certified and ``lo`` is uncertified or the radius.
+
+    Steps decide stability by ``rho > radius``; the exact Schur-Cohn test
+    runs at RHO_MAX, which decides whether there is a certificate, and on
+    the answer.  Should it refute the answer, the float radius was too
+    low: the refuted ``hi`` becomes ``lo``, the bracket reopens up to
+    RHO_MAX's exact pass, and the same loop goes on with the exact test at
+    every step, so ``hi`` stays within ``tol`` of the exactly decided rho*.
     """
     hi = RHO_MAX
     evaluations = 1
-    passed = _threshold_test(shifted, sector, hi)
+    passed = top = _threshold_test(shifted, sector, hi)
     if not _certifies(passed):
         raise NoCertificateError(
             f"{spec.label} admits no certified rate below one on "
             f"S({sector.m:g}, {sector.L:g})"
         )
-    # the shifted denominator's roots are every closed-loop mode, and the
-    # largest modulus is the stability radius
-    radius = max(map(abs, poly_roots(shifted.den))) if shifted.order else 0.0
     lo = min(radius, hi)
     g_lo, g_hi = -1.0, _gap(passed, sector.threshold)
     budget, moved = hi - lo, 0
     history = [(lo, hi)]
-    while hi - lo > tol and math.nextafter(lo, hi) < hi:
-        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if math.isfinite(x) and hi - lo <= budget:
-            # at least one float inside each end when tol is below the spacing
-            x = min(max(x, lo + 0.5 * tol, math.nextafter(lo, hi)),
-                    hi - 0.5 * tol, math.nextafter(hi, lo))
-        else:
-            x = 0.5 * (lo + hi)
-        evaluations += 1
-        test = _threshold_test(shifted, sector, x)
-        g = _gap(test, sector.threshold)
-        if _certifies(test):
-            if moved > 0:
-                g_lo *= 0.5
-            hi, g_hi, passed, moved = x, g, test, 1
-        else:
-            if moved < 0:
-                g_hi *= 0.5
-            lo, g_lo, moved = x, g, -1
-        history.append((lo, hi))
-        if len(history) % 2:
-            budget *= 0.5
+    for step_radius in (radius, None):
+        while hi - lo > tol and math.nextafter(lo, hi) < hi:
+            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            if math.isfinite(x) and hi - lo <= budget:
+                # at least one float inside each end when tol is below the spacing
+                x = min(max(x, lo + 0.5 * tol, math.nextafter(lo, hi)),
+                        hi - 0.5 * tol, math.nextafter(hi, lo))
+            else:
+                x = 0.5 * (lo + hi)
+            evaluations += 1
+            test = _threshold_test(shifted, sector, x, step_radius)
+            g = _gap(test, sector.threshold)
+            if _certifies(test):
+                if moved > 0:
+                    g_lo *= 0.5
+                hi, g_hi, passed, moved = x, g, test, 1
+            else:
+                if moved < 0:
+                    g_hi *= 0.5
+                lo, g_lo, moved = x, g, -1
+            history.append((lo, hi))
+            if len(history) % 2:
+                budget *= 0.5
+        if step_radius is None or passed is top or schur_stable(_arg_scaled(shifted, hi)[1]):
+            break
+        # the float radius was too low: rho* lies above the refuted hi
+        lo, g_lo, hi, g_hi, passed = hi, -1.0, RHO_MAX, _gap(top, sector.threshold), top
+        budget, moved = hi - lo, 0
     return hi, passed, evaluations, tuple(history)
 
 
 def _rate_below(spec: MethodSpec, sector: SectorClass, bound: float, tol: float) -> float:
     """Searched rate of ``spec``, or inf when it has none or does not
     certify at a finite ``bound`` (its rate is then above ``bound``, the
-    certified set being [rho*, 1))."""
+    certified set being [rho*, 1)).  That prune, like a search step, takes
+    stability from the float radius."""
     shifted = loop_shift(build_controller(spec), sector)
-    if math.isfinite(bound) and not _certifies(_threshold_test(shifted, sector, bound)):
+    radius = _stability_radius(shifted)
+    if math.isfinite(bound) and not _certifies(_threshold_test(shifted, sector, bound, radius)):
         return math.inf
     try:
-        return _bisect(spec, shifted, sector, tol)[0]
+        return _bisect(spec, shifted, sector, tol, radius)[0]
     except NoCertificateError:
         return math.inf
 
@@ -327,6 +353,10 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
     family = Family(family)
     if family is Family.GRADIENT or family is Family.CUSTOM:
         raise InvalidParameterError("two-parameter search applies to momentum families")
+    if isinstance(refine_rounds, bool) or not isinstance(refine_rounds, int) or refine_rounds < 0:
+        raise InvalidParameterError(
+            f"refine_rounds must be a non-negative integer, got {refine_rounds!r}")
+    _check_tol(tol)
     alphas = sorted(float(a) for a in alpha_grid)
     betas = sorted(float(b) for b in beta_grid)
     if not alphas or not betas:

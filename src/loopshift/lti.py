@@ -10,9 +10,13 @@ num/den roots are never cancelled.
 The level tests of one system share its Chebyshev series, built once.  A
 rate certificate costs one Schur-Cohn test and one level test at the
 threshold: that test decides the verdict, and its largest gain seeds the
-climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.  Both tests
-work on the scaled coefficient tuples, building no transfer-function object,
-and a level test evaluates the gain once at each distinct candidate point.
+climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.  A rate
+search's steps run the level test alone, taking stability from the float
+stability radius; Schur-Cohn decides exactly at the search's top rate and
+on its answer, and the search falls back to exact steps should it refute
+the answer.  The tests work on the scaled coefficient tuples, building no
+transfer-function object, and a level test evaluates the gain once at each
+distinct candidate point.
 
 A certificate of order up to 2 is pure Python: numpy loads on first use,
 only for the colleague eigenvalues that give the roots of a Chebyshev

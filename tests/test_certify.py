@@ -33,7 +33,7 @@ from loopshift import (
 from loopshift import certify, lti
 from loopshift.cli import _json_safe
 from loopshift.lti import LevelCrossing, climb_to_peak, golden_section
-from loopshift.polynomials import schur_stable
+from loopshift.polynomials import poly_roots, schur_stable
 
 from helpers import (custom_controller, gain_reaches, hinf_peak, level_crossing, poly_from_roots,
                      reference_bisect)
@@ -272,6 +272,8 @@ def test_bisect_and_search_reject_bad_tolerance(tol):
         bisect_rate(gradient(0.1), SEC, tol=tol)
     with pytest.raises(InvalidParameterError):
         search_stepsize(SEC, tol=tol)
+    with pytest.raises(InvalidParameterError):
+        search_two_param(SEC, [0.1], [0.2], tol=tol)
 
 
 def test_search_stepsize_finds_sector_optimum():
@@ -323,6 +325,12 @@ def test_two_param_one_point_grids_refine_nothing():
     assert (result.alpha, result.beta, result.evaluations) == (0.1, 0.2, 1)
     assert result.rho_star == bisect_rate(
         MethodSpec(Family.HEAVY_BALL, alpha=0.1, beta=0.2), SEC).rho_star
+
+
+@pytest.mark.parametrize("rounds", [1.5, "2", -2, True, None])
+def test_two_param_validates_refine_rounds(rounds):
+    with pytest.raises(InvalidParameterError, match="refine_rounds"):
+        search_two_param(SEC, [0.1], [0.2], Family.HEAVY_BALL, refine_rounds=rounds)
 
 
 def test_two_param_validates_grids():
@@ -565,15 +573,53 @@ def test_certificate_runs_one_schur_cohn_test(monkeypatch, spec, rho):
     assert len(calls) == 1
 
 
+NARROW_RESONANCE = MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
+    (0.16037083383833653, -0.21533252642457526, 0.13773884700201308, 0.018181818181818184),
+    (0.8820395861108509, -1.1843288953351638, -0.22251673958693807, 1.5248060488112511, -1.0)))
+
+
 @pytest.mark.parametrize("spec", [
     gradient(0.1), gradient(2.0 / 11.0), MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5),
+    NARROW_RESONANCE,
 ])
 def test_bisection_final_certificate_retests_nothing(monkeypatch, spec):
     calls = _count_schur_tests(monkeypatch)
+    tests = []
+    threshold_test = certify._threshold_test
+
+    def counted(*args):
+        tests.append(args)
+        return threshold_test(*args)
+
+    monkeypatch.setattr(certify, "_threshold_test", counted)
     result = bisect_rate(spec, SEC)
-    # one test per bisection step, the test at RHO_MAX included
-    assert len(calls) == result.iterations
+    # steps take stability from the float radius: the exact test runs at
+    # RHO_MAX and on the answer only, and the certificate retests nothing
+    assert len(calls) == 2
+    assert len(tests) == result.iterations
     assert result.certificate.certified and result.certificate.rho == result.rho_star
+
+
+@pytest.mark.parametrize("scale", [0.9, 0.5])
+def test_too_low_float_radius_falls_back_to_exact_steps(monkeypatch, scale):
+    tol = 1e-6
+    want = bisect_rate(NARROW_RESONANCE, SEC, tol).rho_star
+    monkeypatch.setattr(certify, "poly_roots",
+                        lambda p: [scale * r for r in poly_roots(p)])
+    calls = _count_schur_tests(monkeypatch)
+    result = bisect_rate(NARROW_RESONANCE, SEC, tol)
+    assert len(calls) > 2  # the answer was refuted, and exact steps followed
+    assert abs(result.rho_star - want) <= tol
+    assert certify_rate(NARROW_RESONANCE, SEC, result.rho_star).certified
+    assert result.bracket_history[-1][1] == result.rho_star
+
+
+def test_too_high_float_radius_still_certifies(monkeypatch):
+    # the lower bracket end trusted the float radius before steps did
+    monkeypatch.setattr(certify, "poly_roots",
+                        lambda p: [1.02 * r for r in poly_roots(p)])
+    result = bisect_rate(NARROW_RESONANCE, SEC)
+    assert certify_rate(NARROW_RESONANCE, SEC, result.rho_star).certified
 
 
 lean_systems = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
@@ -699,10 +745,7 @@ SAFEGUARD_SPECS = [
     gradient(2.0 / 11.0),
     MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5),
     MethodSpec(Family.NESTEROV, alpha=0.1, beta=0.5),
-    MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
-        (0.16037083383833653, -0.21533252642457526, 0.13773884700201308, 0.018181818181818184),
-        (0.8820395861108509, -1.1843288953351638, -0.22251673958693807, 1.5248060488112511,
-         -1.0))),
+    NARROW_RESONANCE,
 ]
 
 
@@ -821,6 +864,41 @@ def test_rate_search_below_float_spacing_ends():
     assert result.rho_star == pytest.approx(0.9, abs=1e-15)
 
 
+def _drawn_method(case, m_L):
+    """The method and sector of a drawn catalog spec on ``m_L``, or of a
+    drawn ``helpers.custom_controller`` seed and order on S(1, 10)."""
+    kind, data = case
+    if kind == "catalog":
+        family, step, beta = data
+        sec = SectorClass(*m_L)
+        return MethodSpec(family, alpha=step / sec.L,
+                          beta=None if family is Family.GRADIENT else beta), sec
+    seed, order = data
+    return custom_controller(np.random.default_rng(seed), order), SEC
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(catalog_specs.map(lambda t: ("catalog", t)),
+                 st.tuples(st.integers(0, 2**16), st.integers(3, 6)).map(lambda t: ("custom", t))),
+       search_sectors)
+def test_float_radius_steps_equal_exact_steps(case, m_L):
+    spec, sec = _drawn_method(case, m_L)
+
+    def search():
+        try:
+            return repr(bisect_rate(spec, sec))
+        except NoCertificateError as exc:
+            return repr(exc)
+
+    got = search()
+    threshold_test = certify._threshold_test
+    with pytest.MonkeyPatch.context() as mp:
+        # every step decides stability by Schur-Cohn
+        mp.setattr(certify, "_threshold_test",
+                   lambda shifted, sector, rho, radius=None: threshold_test(shifted, sector, rho))
+        assert got == search()
+
+
 # tolerances from the benchmark's down to the smallest subnormal
 tiny_tols = st.one_of(st.just(5e-324), st.floats(min_value=5e-324, max_value=1e-6),
                       st.integers(min_value=-1074, max_value=-20).map(lambda e: 2.0 ** e))
@@ -889,16 +967,7 @@ def test_certified_rate_is_at_least_the_linear_worst_case(case, m_L):
     # (heavyball(0.002, 0) on S(1, 10) certifies the float 0.998, 1.7e-18
     # under its rate); an exact final verdict would close that gap
     import mpmath
-    kind, data = case
-    if kind == "catalog":
-        family, step, beta = data
-        sec = SectorClass(*m_L)
-        spec = MethodSpec(family, alpha=step / sec.L,
-                          beta=None if family is Family.GRADIENT else beta)
-    else:
-        seed, order = data
-        sec = SEC
-        spec = custom_controller(np.random.default_rng(seed), order)
+    spec, sec = _drawn_method(case, m_L)
     try:
         rho_star = bisect_rate(spec, sec).rho_star
     except NoCertificateError:
