@@ -169,8 +169,7 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
     """
     _check_tol(tol)
     shifted = loop_shift(build_controller(spec), sector)
-    hi, passed, evaluations, history = _bisect(spec, shifted, sector, tol,
-                                               _stability_radius(shifted))
+    hi, passed, evaluations, history = _bisect(spec, shifted, sector, tol)
     # the test that last passed was made at hi: its certificate needs no retest
     return RateSearchResult(hi, _certificate(spec, sector, hi, passed), evaluations, history)
 
@@ -188,11 +187,14 @@ def _gap(test: LevelCrossing | None, threshold: float) -> float:
 
 
 def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: float,
-            radius: float) -> tuple[float, LevelCrossing, int, tuple[tuple[float, float], ...]]:
+            radius: float | None = None
+            ) -> tuple[float, LevelCrossing, int, tuple[tuple[float, float], ...]]:
     """The search of :func:`bisect_rate` on the method's already shifted
     controller and its float stability radius: the final ``hi``, the test
     that passed there, the number of tests and the bracket history.
-    Callers that want only the rate build no certificate.
+    Callers that want only the rate build no certificate.  Without a given
+    ``radius`` the search finds it once RHO_MAX has certified, so a method
+    with no certificate costs no root finding.
 
     Above the stability radius the peak gain is continuous and does not
     increase in rho, so threshold/peak - 1 rises through zero at rho*.  The
@@ -225,6 +227,8 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: flo
             f"{spec.label} admits no certified rate below one on "
             f"S({sector.m:g}, {sector.L:g})"
         )
+    if radius is None:
+        radius = _stability_radius(shifted)
     lo = min(radius, hi)
     g_lo, g_hi = -1.0, _gap(passed, sector.threshold)
     budget, moved = hi - lo, 0

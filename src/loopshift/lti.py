@@ -20,7 +20,9 @@ distinct candidate point.
 
 A certificate of order up to 2 is pure Python: numpy loads on first use,
 only for the colleague eigenvalues that give the roots of a Chebyshev
-series of degree 3 or more.
+series of degree 3 or more.  The colleague column is built and checked
+finite in Python floats, and the LAPACK gufunc takes the matrix directly,
+without ``np.linalg.eigvals``' checks and conversions.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameterError
-from .polynomials import _eigvals, _floats, _quadratic_roots, _trimmed, poly_eval
+from .polynomials import _finite_eigvals, _floats, _quadratic_roots, _trimmed, poly_eval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -204,9 +206,12 @@ def _colleague_template(n: int) -> np.ndarray:
 def _chebyshev_roots(c: list[float]) -> list[complex]:
     """Complex roots of sum_k c_k T_k(x), after dropping trailing
     coefficients within LEVEL_RTOL of the largest: on [-1, 1] they are below
-    rounding, and a tiny leading one would swamp the colleague matrix."""
+    rounding, and a tiny leading one would swamp the colleague matrix.  A
+    colleague entry that is not finite raises ``np.linalg.LinAlgError``."""
     cut = LEVEL_RTOL * max(map(abs, c))
-    n = max((k for k, ck in enumerate(c) if abs(ck) > cut), default=0)
+    n = len(c) - 1
+    while n and not abs(c[n]) > cut:
+        n -= 1
     if n == 0:
         return []
     # T_1 = x, T_2 = 2x^2 - 1
@@ -214,13 +219,17 @@ def _chebyshev_roots(c: list[float]) -> list[complex]:
         return [complex(-c[0] / c[1])]
     if n == 2:
         return _quadratic_roots(2.0 * c[2], c[1], c[0] - c[2])
-    import numpy as np
+    lead = 2.0 * c[n]
+    column = [x / lead for x in c[n - 1::-1]]
+    if not all(map(math.isfinite, column)):
+        import numpy as np
 
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     # numpy's chebroots layout, coefficients down the first column: with it
     # balancing keeps close roots apart, the transpose merged such a pair
     colleague = _colleague_template(n).copy()
-    colleague[:, 0] -= np.array(c[n - 1::-1]) / (2.0 * c[n])
-    return _eigvals(colleague)
+    colleague[:, 0] -= column
+    return _finite_eigvals(colleague)
 
 
 class LevelCrossing(NamedTuple):

@@ -6,7 +6,10 @@ order, so ``p[i]`` multiplies ``z**i``: Python floats with trailing exact
 zeros trimmed, the zero polynomial being ``(0.0,)``.  Tiny leading
 coefficients stay: the degree never changes implicitly.  The functions
 below accept any sequence of real numbers.  Numpy loads only for the
-eigenvalues of companion and colleague matrices.
+eigenvalues of companion and colleague matrices, which its LAPACK gufunc
+computes directly once the caller has checked the entries finite.  The
+Schur stability test is exact: it reads floats as dyadic rationals and runs
+the Schur-Cohn recursion fraction-free on integers.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def poly_roots(p) -> list[complex]:
 
             comp = np.eye(degree, k=-1)
             comp[0] = row
-            return _eigvals(comp)
+            return _finite_eigvals(comp)
     raise InvalidParameterError(
         f"roots of {c} are not finite: a coefficient is not finite, "
         f"or the leading one is too small against the others")
@@ -105,13 +108,19 @@ def _eigvals(matrix) -> list[complex]:
     raises ``np.linalg.LinAlgError``; no floating-point warning escapes)."""
     import numpy as np
 
-    # attribute reads: a from-import would run the import machinery per call
-    linalg = np.linalg
     if not np.isfinite(matrix).all():
-        raise linalg.LinAlgError("Array must not contain infs or NaNs")
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return _finite_eigvals(matrix)
+
+
+def _finite_eigvals(matrix) -> list[complex]:
+    """:func:`_eigvals` of a matrix whose entries the caller has already
+    checked finite: the LAPACK gufunc alone, under the same error state."""
+    import numpy as np
+
     with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
                      under="ignore"):
-        return linalg._umath_linalg.eigvals(matrix, signature="d->D").tolist()
+        return np.linalg._umath_linalg.eigvals(matrix, signature="d->D").tolist()
 
 
 def _no_convergence(err, flag):
@@ -127,18 +136,27 @@ def schur_stable(coeffs) -> bool:
     |lead| and passes to (lead p(z) - p(0) z^n p(1/z)) / z, which by Rouche
     keeps the roots on or outside the circle.  Each row is one degree lower,
     so the test ends after at most deg p rows.  Floats are dyadic rationals,
-    so the steps run on integers, each row divided by its gcd (in floats,
-    double roots 1e-5 from the circle were misjudged)."""
+    so the steps run on integers (in floats, double roots 1e-5 from the
+    circle were misjudged).
+
+    The recursion is fraction-free, as in Bareiss elimination.  With the
+    input as row 0, rows 1 and 2 are kept whole, and each row k + 2 with
+    k >= 1 is divided by the leading coefficient of row k, which divides it
+    exactly.  That divisor is nonzero, row k having passed |p(0)| < |lead|,
+    and dividing a row by a nonzero integer changes none of the comparisons
+    that follow, so the verdict is that of the undivided recursion while the
+    integers grow only linearly in the row number."""
     if not all(map(math.isfinite, coeffs)):
         return False
     ratios = [c.as_integer_ratio() for c in coeffs]
     scale = max(den for _, den in ratios)
     c = [num * (scale // den) for num, den in ratios]
-    while len(c) > 1:
-        if not abs(c[0]) < abs(c[-1]):
+    divisor = 1
+    for row in range(len(c) - 1):
+        lead, c0 = c[-1], c[0]
+        if not abs(c0) < abs(lead):
             return False
-        c = [c[-1] * a - c[0] * b for a, b in zip(c[1:], reversed(c[:-1]))]
-        g = math.gcd(*c)
-        c = [x // g for x in c]
+        c = [(lead * a - c0 * b) // divisor for a, b in zip(c[1:], reversed(c[:-1]))]
+        if row:
+            divisor = lead
     return True
-

@@ -89,6 +89,24 @@ def hinf_peak(t: RationalTF) -> tuple[float, float]:
     return climb_to_peak(level_crossing(t, math.inf))
 
 
+def reference_schur_stable(coeffs) -> bool:
+    """``polynomials.schur_stable`` as it was before its fraction-free
+    recursion: the same integer Schur-Cohn steps, each row divided by the
+    gcd of its entries.  The reference of its verdicts."""
+    if not all(map(math.isfinite, coeffs)):
+        return False
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    scale = max(den for _, den in ratios)
+    c = [num * (scale // den) for num, den in ratios]
+    while len(c) > 1:
+        if not abs(c[0]) < abs(c[-1]):
+            return False
+        c = [c[-1] * a - c[0] * b for a, b in zip(c[1:], reversed(c[:-1]))]
+        g = math.gcd(*c)
+        c = [x // g for x in c]
+    return True
+
+
 def _reference_chebyshev_roots(c: list[float]) -> list[complex]:
     """``lti._chebyshev_roots`` as it was before its LAPACK shortcut, through
     ``np.linalg.eigvals``."""

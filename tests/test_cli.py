@@ -217,6 +217,38 @@ def test_artifacts_match_golden_bytes(tmp_path, name, argv):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+# Controllers of order 3 and up, whose level tests find their roots with the
+# colleague eigenvalues and whose stability tests run Schur-Cohn to depth 3
+# and more: the order-4 narrow-resonance controller and an order-6 one, each
+# searched and then certified at its rho_star.
+NARROW_RESONANCE_JSON = {
+    "family": "custom",
+    "num": [0.16037083383833653, -0.21533252642457526, 0.13773884700201308, 0.018181818181818184],
+    "den": [0.8820395861108509, -1.1843288953351638, -0.22251673958693807, 1.5248060488112511,
+            -1.0]}
+ORDER_SIX_JSON = {
+    "family": "custom",
+    "num": [-0.0002459587584401639, 0.004517733255863938, -0.007977593366958788,
+            -0.04681200063455363, 0.11334551567025808, -0.06876642653558249],
+    "den": [0.004061978561166276, -0.0830626291064667, 0.6347488401577216, -2.2611790880741767,
+            3.8778189416582802, -3.1723880431965252, 1.0]}
+
+
+@pytest.mark.parametrize("name, method_json, argv", [
+    ("rate-narrow-resonance.json", NARROW_RESONANCE_JSON, ["rate"]),
+    ("certify-narrow-resonance.json", NARROW_RESONANCE_JSON,
+     ["certify", "--rho", "0.9901617887440387"]),
+    ("rate-custom-order6.json", ORDER_SIX_JSON, ["rate"]),
+    ("certify-custom-order6.json", ORDER_SIX_JSON, ["certify", "--rho", "0.9367516218560307"]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_high_order_artifacts_match_golden_bytes(tmp_path, name, method_json, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method_json": method_json}))
+    out = tmp_path / name
+    assert main(argv + ["--m", "1", "--L", "10", "--config", str(config), "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def _flag_description() -> dict:
     """Each subcommand's help line and, in order, every action it declares."""
     (commands,) = (a for a in _build_parser()._actions

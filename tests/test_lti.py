@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopshift import (
@@ -19,7 +19,9 @@ from loopshift import (
     tf_allclose,
     tf_arg_scale,
 )
-from loopshift.lti import _circle_gains, _gain_series, _level_crossings, climb_to_peak, golden_section
+from loopshift.lti import (LEVEL_RTOL, _chebyshev_roots, _circle_gains, _colleague_template,
+                           _gain_series, _level_crossings, climb_to_peak, golden_section)
+from loopshift.polynomials import _eigvals
 from loopshift.simulate import _feedback_matrices
 
 from helpers import (
@@ -275,6 +277,30 @@ def test_level_test_and_roots_equal_the_numpy_reference(system, p):
     comp = np.eye(len(p) - 1, k=-1)
     comp[0] = -np.asarray(p[-2::-1]) / p[-1]
     assert poly_roots(p) == [complex(r) for r in np.linalg.eigvals(comp)]
+
+
+chebyshev_series = st.integers(min_value=3, max_value=8).flatmap(
+    lambda n: st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=n + 1, max_size=n + 1))
+
+
+@settings(max_examples=300)
+@given(chebyshev_series)
+def test_colleague_roots_equal_the_array_construction(c):
+    # the colleague column as a numpy array, divided in numpy, through the
+    # checked _eigvals: the same matrix, so the same eigenvalues
+    n = max((k for k, ck in enumerate(c) if abs(ck) > LEVEL_RTOL * max(map(abs, c))), default=0)
+    assume(n >= 3)
+    colleague = _colleague_template(n).copy()
+    colleague[:, 0] -= np.array(c[n - 1::-1]) / (2.0 * c[n])
+    assert _chebyshev_roots(c) == _eigvals(colleague)
+    # trailing coefficients within LEVEL_RTOL of the largest are dropped
+    assert _chebyshev_roots(c + [1e-17 * max(map(abs, c)), 0.0]) == _chebyshev_roots(c)
+
+
+@pytest.mark.parametrize("c", [[1.0, math.nan, 1.0, 1.0], [1.0, 2.0, 3.0, math.nan, 0.5]])
+def test_colleague_rejects_a_column_that_is_not_finite(c):
+    with pytest.raises(np.linalg.LinAlgError):
+        _chebyshev_roots(c)
 
 
 def test_pole_on_the_circle_reads_as_infinite_gain():

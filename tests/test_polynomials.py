@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from loopshift import InvalidParameterError, RationalTF, poly_eval, poly_roots
 from loopshift.polynomials import _eigvals, schur_stable
 
-from helpers import poly_arg_scale, poly_from_roots
+from helpers import poly_arg_scale, poly_from_roots, reference_schur_stable
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 polys = st.lists(coeff, min_size=1, max_size=6).map(tuple)
@@ -196,6 +196,72 @@ def test_schur_stable_triple_root_near_circle(factor, stable):
     assert schur_stable(p) is stable
     assert bool(np.all(np.abs(np.roots(p[::-1])) < 1.0)) is stable
     assert schur_stable((3.0,))
+
+
+def _polar_roots(pairs) -> list[complex]:
+    """Each (modulus, angle) as a real root (angle 0 or pi) or a conjugate pair."""
+    roots = []
+    for r, angle in pairs:
+        z = r * complex(math.cos(angle), math.sin(angle))
+        roots += [z.real] if angle in (0.0, math.pi) else [z, z.conjugate()]
+    return roots
+
+
+angles = st.sampled_from([0.0, math.pi]) | st.floats(min_value=0.05, max_value=3.1)
+# up to five pairs or real roots of modulus at most 0.98: degree up to 10,
+# and every Schur-Cohn row runs
+stable_root_sets = st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.98), angles),
+                            min_size=1, max_size=5)
+# a root, or conjugate pair, taken twice 1e-9..1e-3 inside or outside the
+# circle, with up to three stable roots or pairs
+repeated_near_circle = st.tuples(
+    st.floats(min_value=-9.0, max_value=-3.0).map(lambda e: 10.0**e),
+    st.sampled_from([1.0, -1.0]), angles, stable_root_sets.map(lambda pairs: pairs[:3]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(stable_root_sets, st.floats(min_value=0.1, max_value=3.0))
+def test_fraction_free_schur_cohn_runs_stable_polynomials_to_full_depth(pairs, leading):
+    p = poly_from_roots(_polar_roots(pairs), leading)
+    assert schur_stable(p) and reference_schur_stable(p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(repeated_near_circle, st.floats(min_value=0.1, max_value=3.0))
+def test_fraction_free_schur_cohn_agrees_on_repeated_roots_near_the_circle(repeated, leading):
+    gap, side, angle, others = repeated
+    pair = (1.0 + side * gap, angle)
+    p = poly_from_roots(_polar_roots([pair, pair, *others]), leading)
+    assert schur_stable(p) == reference_schur_stable(p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([(-1, 1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1)]),
+       st.lists(st.integers(min_value=-64, max_value=64), min_size=1, max_size=8)
+       .filter(lambda q: q[-1] != 0),
+       st.integers(min_value=-60, max_value=60))
+def test_fraction_free_schur_cohn_refuses_roots_on_the_circle(factor, q, exponent):
+    # z - 1, z + 1 or z^2 + c z + 1 with |c| < 2 times any integer q, in
+    # exact integer arithmetic, then scaled by a power of two: stored exactly
+    p = [0] * (len(q) + len(factor) - 1)
+    for i, a in enumerate(q):
+        for j, b in enumerate(factor):
+            p[i + j] += a * b
+    p = [math.ldexp(float(x), exponent) for x in p]
+    assert not schur_stable(p)
+    assert not reference_schur_stable(p)
+
+
+big_integers = st.integers(min_value=-2**80, max_value=2**80)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(big_integers, min_size=1, max_size=10), big_integers.filter(bool),
+       st.integers(min_value=0, max_value=80))
+def test_fraction_free_schur_cohn_agrees_on_large_integer_coefficients(lower, lead, shift):
+    # shifting the lower coefficients down makes deep recursions likely
+    p = [float(x >> shift) for x in lower] + [float(lead)]
+    assert schur_stable(p) == reference_schur_stable(p)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
