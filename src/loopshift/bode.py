@@ -71,18 +71,18 @@ def bode_table(tf: RationalTF, f_min: float = 1e-4, n: int = 500) -> list[Freque
     phase_rad = np.full(n, math.nan)
     phase_rad[finite] = np.angle(values[finite])
     unwrapped = np.full(n, math.nan)
-    if finite.any():
-        unwrapped[finite] = np.unwrap(phase_rad[finite])
+    unwrapped[finite] = np.unwrap(phase_rad[finite])
     rows = []
     for i in range(n):
-        phase = math.degrees(phase_rad[i]) if finite[i] else math.nan
+        # nan where the gain is zero or not finite, as is the unwrapped phase
+        phase = math.degrees(phase_rad[i])
         if phase <= -180.0:
             phase += 360.0
         rows.append(FrequencyRow(
             f_hz=float(fs[i]),
-            mag_db=_mag_db(float(mags[i])) if not math.isnan(mags[i]) else math.inf,
+            mag_db=_mag_db(float(mags[i])),
             phase_deg=phase,
-            phase_unwrapped_deg=math.degrees(unwrapped[i]) if finite[i] else math.nan,
+            phase_unwrapped_deg=math.degrees(unwrapped[i]),
         ))
     return rows
 

@@ -96,8 +96,9 @@ def _threshold_test(shifted: RationalTF, sector: SectorClass, rho: float,
 
 def _stability_radius(shifted: RationalTF) -> float:
     """Largest root modulus of the shifted denominator, whose roots are
-    every closed-loop mode: D(rho z) is stable for rho above it."""
-    return max(map(abs, poly_roots(shifted.den))) if shifted.order else 0.0
+    every closed-loop mode: D(rho z) is stable for rho above it.  Its degree
+    is that of the controller's, at least 1 by the pole at z = 1."""
+    return max(map(abs, poly_roots(shifted.den)))
 
 
 def _certifies(test: LevelCrossing | None) -> bool:
@@ -169,9 +170,9 @@ def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> Rat
     """
     _check_tol(tol)
     shifted = loop_shift(build_controller(spec), sector)
-    hi, passed, evaluations, history = _bisect(spec, shifted, sector, tol)
+    hi, passed, history = _bisect(spec, shifted, sector, tol)
     # the test that last passed was made at hi: its certificate needs no retest
-    return RateSearchResult(hi, _certificate(spec, sector, hi, passed), evaluations, history)
+    return RateSearchResult(hi, _certificate(spec, sector, hi, passed), len(history), history)
 
 
 def _gap(test: LevelCrossing | None, threshold: float) -> float:
@@ -188,10 +189,10 @@ def _gap(test: LevelCrossing | None, threshold: float) -> float:
 
 def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: float,
             radius: float | None = None
-            ) -> tuple[float, LevelCrossing, int, tuple[tuple[float, float], ...]]:
+            ) -> tuple[float, LevelCrossing, tuple[tuple[float, float], ...]]:
     """The search of :func:`bisect_rate` on the method's already shifted
     controller and its float stability radius: the final ``hi``, the test
-    that passed there, the number of tests and the bracket history.
+    that passed there and the bracket history, one entry per test.
     Callers that want only the rate build no certificate.  Without a given
     ``radius`` the search finds it once RHO_MAX has certified, so a method
     with no certificate costs no root finding.
@@ -220,7 +221,6 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: flo
     every step, so ``hi`` stays within ``tol`` of the exactly decided rho*.
     """
     hi = RHO_MAX
-    evaluations = 1
     passed = top = _threshold_test(shifted, sector, hi)
     if not _certifies(passed):
         raise NoCertificateError(
@@ -242,7 +242,6 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: flo
                         hi - 0.5 * tol, math.nextafter(hi, lo))
             else:
                 x = 0.5 * (lo + hi)
-            evaluations += 1
             test = _threshold_test(shifted, sector, x, step_radius)
             g = _gap(test, sector.threshold)
             if _certifies(test):
@@ -261,7 +260,7 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: flo
         # the float radius was too low: rho* lies above the refuted hi
         lo, g_lo, hi, g_hi, passed = hi, -1.0, RHO_MAX, _gap(top, sector.threshold), top
         budget, moved = hi - lo, 0
-    return hi, passed, evaluations, tuple(history)
+    return hi, passed, tuple(history)
 
 
 def _rate_below(spec: MethodSpec, sector: SectorClass, bound: float, tol: float) -> float:
@@ -375,9 +374,9 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
 
     def sweep(a_list, b_list):
         nonlocal evaluations, best
+        evaluations += len(a_list) * len(b_list)
         for a in a_list:
             for b in b_list:
-                evaluations += 1
                 incumbent = math.inf if best is None else best[2]
                 rho = _rate_below(MethodSpec(family, alpha=a, beta=b), sector, incumbent, tol)
                 if rho < incumbent:

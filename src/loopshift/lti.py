@@ -8,15 +8,11 @@ the denominator monic so coefficient-level equality is well defined.  Common
 num/den roots are never cancelled.
 
 The level tests of one system share its Chebyshev series, built once.  A
-rate certificate costs one Schur-Cohn test and one level test at the
-threshold: that test decides the verdict, and its largest gain seeds the
-climb to the peak (:func:`climb_to_peak`) that reports ``hinf``.  A rate
-search's steps run the level test alone, taking stability from the float
-stability radius; Schur-Cohn decides exactly at the search's top rate and
-on its answer, and the search falls back to exact steps should it refute
-the answer.  The tests work on the scaled coefficient tuples, building no
-transfer-function object, and a level test evaluates the gain once at each
-distinct candidate point.
+level test at the threshold decides a rate certificate's gain condition,
+and its largest gain seeds the climb to the peak (:func:`climb_to_peak`)
+that reports ``hinf``.  The tests work on the scaled coefficient tuples,
+building no transfer-function object, and a level test evaluates the gain
+once at each distinct candidate point.
 
 A certificate of order up to 2 is pure Python: numpy loads on first use,
 only for the colleague eigenvalues that give the roots of a Chebyshev
@@ -94,11 +90,9 @@ def _arg_scaled(t: RationalTF, rho: float) -> tuple[tuple[float, ...], tuple[flo
     powers = [1.0]
     for _ in range(t.order):
         powers.append(powers[-1] * rho)
-    den = [c * p for c, p in zip(t.den, powers)]
-    # the last nonzero coefficient leads: rho**n can underflow
-    lead = next((c for c in reversed(den) if c != 0.0), 1.0)
-    return _monic(_trimmed([c * p / lead for c, p in zip(t.num, powers)]),
-                  _trimmed([c / lead for c in den]))
+    # trimmed first, so the last nonzero coefficient leads: rho**n can underflow
+    return _monic(_trimmed([c * p for c, p in zip(t.num, powers)]),
+                  _trimmed([c * p for c, p in zip(t.den, powers)]))
 
 
 def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
@@ -259,11 +253,10 @@ def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
     midpoint between such points.  Real parts of complex roots join them (a
     touching double root comes back as a close complex pair).  Gains are
     resolved to about eps * cond^2 relative, cond = sum|den_k| / |den(x)|.
+    ``level`` is finite.
     """
-    # at an infinite level the series is -|den|^2, whose roots lie near
-    # x = cos(angle) of the poles closest to the circle, where peaks are
-    num_w, den_w = (0.0, 1.0) if math.isinf(level) else (1.0, level * level)
-    series = [num_w * a - den_w * b for a, b in zip(g.num_series, g.den_series)]
+    level2 = level * level
+    series = [a - level2 * b for a, b in zip(g.num_series, g.den_series)]
     # each distinct point once: a conjugate pair shares its real part, and
     # every root outside [-1, 1] clips onto +-1
     xs = sorted({-1.0, 1.0, *[min(1.0, max(-1.0, r.real)) for r in _chebyshev_roots(series)]})
@@ -295,10 +288,12 @@ def climb_to_peak(start: LevelCrossing) -> tuple[float, float]:
     the points deciding it until none exceeds it by LEVEL_RTOL; arc
     midpoints make the climb quadratic near the peak (Bruinsma-Steinbuch).
     It ends: each step raises the level by a factor above 1 + LEVEL_RTOL,
-    and the step after an infinite gain returns."""
+    and an infinite gain (a pole within rounding of the circle) ends the
+    climb at once."""
     level, theta = start.gain, start.theta
-    while True:
+    while not math.isinf(level):
         step = _level_crossings(start.gains, level)
         if step.gain <= level * (1.0 + LEVEL_RTOL):
-            return level, theta / (2.0 * math.pi)
+            break
         level, theta = step.gain, step.theta
+    return level, theta / (2.0 * math.pi)

@@ -101,21 +101,12 @@ def poly_roots(p) -> list[complex]:
         f"or the leading one is too small against the others")
 
 
-def _eigvals(matrix) -> list[complex]:
-    """Eigenvalues of a real square matrix, complex even when real: the
-    LAPACK call of ``np.linalg.eigvals`` without the wrapper's conversions,
-    under its contract (an entry that is not finite, or no convergence,
-    raises ``np.linalg.LinAlgError``; no floating-point warning escapes)."""
-    import numpy as np
-
-    if not np.isfinite(matrix).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return _finite_eigvals(matrix)
-
-
 def _finite_eigvals(matrix) -> list[complex]:
-    """:func:`_eigvals` of a matrix whose entries the caller has already
-    checked finite: the LAPACK gufunc alone, under the same error state."""
+    """Eigenvalues of a real square matrix whose entries the caller has
+    already checked finite, complex even when real: the LAPACK call of
+    ``np.linalg.eigvals`` without the wrapper's checks and conversions.  No
+    convergence raises ``np.linalg.LinAlgError``; no floating-point warning
+    escapes."""
     import numpy as np
 
     with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",

@@ -47,21 +47,19 @@ class GradientOracle(ABC):
     def describe(self) -> str: ...
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise InvalidParameterError(
-                f"gradient oracle has dimension {self.dim}, got point of shape {x.shape}"
-            )
-        return self.centered_grad(x - self.xstar)
+        return self.centered_grad(_point(x, self.dim, "x") - self.xstar)
+
+
+def _point(value, dim: int, name: str) -> np.ndarray:
+    """``value`` as a float point of shape (dim,), a scalar counting as (1,)."""
+    out = np.atleast_1d(np.asarray(value, dtype=float))
+    if out.shape != (dim,):
+        raise InvalidParameterError(f"{name} must have shape ({dim},), got {out.shape}")
+    return out
 
 
 def _as_xstar(xstar, dim: int) -> np.ndarray:
-    if xstar is None:
-        return np.zeros(dim)
-    out = np.atleast_1d(np.asarray(xstar, dtype=float))
-    if out.shape != (dim,):
-        raise InvalidParameterError(f"xstar must have shape ({dim},), got {out.shape}")
-    return out
+    return np.zeros(dim) if xstar is None else _point(xstar, dim, "xstar")
 
 
 class QuadraticOracle(GradientOracle):
@@ -88,8 +86,12 @@ class QuadraticOracle(GradientOracle):
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
         if self._rot is None:
             return self.eigenvalues * u
-        # row form: (R^T diag(eigs) R u)^T = ((u^T R^T) * eigs) R, per point
-        return ((u @ self._rot.T) * self.eigenvalues) @ self._rot
+        # row form: (R^T diag(eigs) R u)^T = ((u^T R^T) * eigs) R, per point.  A
+        # batch goes as a stack of single rows: BLAS may round a product of
+        # whole matrices unlike the same rows one at a time.
+        rows = u if u.ndim == 1 else u[..., None, :]
+        out = ((rows @ self._rot.T) * self.eigenvalues) @ self._rot
+        return out if u.ndim == 1 else out[..., 0, :]
 
     def lies_in(self, sector: SectorClass) -> bool:
         return bool(self.eigenvalues.min() >= sector.m and self.eigenvalues.max() <= sector.L)
@@ -159,18 +161,18 @@ def _scalar_pieces(oracle: GradientOracle) -> tuple[np.ndarray, np.ndarray, np.n
     """Breakpoints, values and slopes of a scalar oracle's odd piecewise-linear
     gradient; a scalar quadratic is one piece of slope lambda (and 0 + lambda
     (|u| - 0) carries the sign exactly as lambda u does)."""
+    if not isinstance(oracle, (PiecewiseLinearOracle, QuadraticOracle, SeparableOracle)):
+        raise InvalidParameterError(
+            "separable components must be quadratic, pwl or separable oracles"
+        )
     if oracle.dim != 1:
         raise InvalidParameterError("separable components must be scalar oracles")
     if isinstance(oracle, PiecewiseLinearOracle):
         return oracle._bp, oracle._vals, oracle.slopes
     if isinstance(oracle, QuadraticOracle):
         return np.zeros(1), np.zeros(1), oracle.eigenvalues
-    if isinstance(oracle, SeparableOracle):
-        row = ~np.isnan(oracle._bp[0])
-        return oracle._bp[0, row], oracle._vals[0, row], oracle._slopes[0, row]
-    raise InvalidParameterError(
-        "separable components must be quadratic, pwl or separable oracles"
-    )
+    row = ~np.isnan(oracle._bp[0])
+    return oracle._bp[0, row], oracle._vals[0, row], oracle._slopes[0, row]
 
 
 class SeparableOracle(GradientOracle):

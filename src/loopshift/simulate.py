@@ -25,7 +25,7 @@ from .certify import loop_shift
 from .errors import InsufficientDataError, InvalidParameterError
 from .lti import RationalTF
 from .methods import GRADIENT_PRESETS, Family, MethodSpec, build_controller, preset
-from .sectors import GradientOracle, SectorClass, shifted_plant_apply
+from .sectors import GradientOracle, SectorClass, _point, shifted_plant_apply
 
 # Residuals at or below this are machine-precision noise; rate fits skip them.
 RESIDUAL_FLOOR = 1e-12
@@ -49,13 +49,6 @@ class Trajectory:
         """First step whose residual overflowed to inf or nan, if any."""
         bad = np.flatnonzero(~np.isfinite(self.residuals))
         return int(bad[0]) if bad.size else None
-
-
-def _check_x0(x0, dim: int) -> np.ndarray:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (dim,):
-        raise InvalidParameterError(f"x0 must have shape ({dim},), got {x0.shape}")
-    return x0
 
 
 def _feedback_matrices(controller: RationalTF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,7 +153,7 @@ def simulate_run(spec: MethodSpec, oracle: GradientOracle, x0, iters: int,
     """
     _check_iters(iters)
     noise = _gradient_noise(noise_sigma, (seed,), iters, oracle.dim)
-    x0 = _check_x0(x0, oracle.dim)
+    x0 = _point(x0, oracle.dim, "x0")
     xs, residuals = _closed_loop(_feedback_matrices(build_controller(spec)), oracle.centered_grad,
                                  (x0 - oracle.xstar)[None], oracle.xstar, iters, noise, iters + 1)
     return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), seed)
@@ -177,7 +170,7 @@ def simulate_shifted_run(spec: MethodSpec, oracle: GradientOracle,
     this matches :func:`simulate_run` to machine precision.
     """
     _check_iters(iters)
-    x0 = _check_x0(x0, oracle.dim)
+    x0 = _point(x0, oracle.dim, "x0")
     matrices = _feedback_matrices(loop_shift(build_controller(spec), sector))
     xs, residuals = _closed_loop(matrices, lambda u: shifted_plant_apply(oracle, sector, u),
                                  (x0 - oracle.xstar)[None], oracle.xstar, iters, None, iters + 1)
@@ -264,10 +257,10 @@ def _median(values) -> np.ndarray:
 
 
 def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
-                                noise_sigma: float, seeds, iters: int = 3000,
-                                x0=None) -> NoiseRobustnessReport:
+                                noise_sigma: float, seeds, iters: int = 3000
+                                ) -> NoiseRobustnessReport:
     """Compare gradient descent at alpha = 1/L against alpha = 2/(L+m) under
-    the same seeded gradient noise.
+    the same seeded gradient noise, every run starting at xstar + 1.
 
     Steady state is the median of the last 10% of residuals per run, then the
     median across seeds per tuning.  All seeds of both tunings run as one
@@ -286,7 +279,6 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
         raise InvalidParameterError("need at least one seed")
     _check_iters(iters)
     noise = _gradient_noise(noise_sigma, seeds, iters, oracle.dim)
-    x0 = oracle.xstar + 1.0 if x0 is None else _check_x0(x0, oracle.dim)
     standard, optimal = [preset(Family.GRADIENT, sector.m, sector.L, v) for v in GRADIENT_PRESETS]
     # gradient descent realizes as A = [[1]], b = [1], c = [-alpha] for every
     # alpha, so both tunings run as one batch told apart by the output row,
@@ -294,7 +286,8 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     a_mat, b_col, c_std = _feedback_matrices(build_controller(standard))
     c_opt = _feedback_matrices(build_controller(optimal))[2]
     c_cols = np.repeat(np.concatenate((c_std, c_opt)), len(seeds) * oracle.dim)[None]
-    u0 = np.tile(x0 - oracle.xstar, (2 * len(seeds), 1))
+    # the start xstar + 1 centered as simulate_run centers it, bit for bit
+    u0 = np.tile((oracle.xstar + 1.0) - oracle.xstar, (2 * len(seeds), 1))
     tail = max(1, (iters + 1) // 10)
     _, residuals = _closed_loop((a_mat, b_col, c_cols), oracle.centered_grad, u0, oracle.xstar,
                                 iters, noise, tail)

@@ -79,14 +79,14 @@ def hinf_peak(t: RationalTF) -> tuple[float, float]:
     """Peak gain over the unit circle and the frequency (cycles/iteration,
     in [0, 0.5] by symmetry) where it is attained.
 
-    The climb starts from the gains by the poles (the points deciding an
-    infinite level).  Raises for systems not Schur stable.
+    The climb starts from the level test at level 0.  Raises for systems
+    not Schur stable.
     """
     if not schur_stable(t.den):
         raise UnstableSystemError(
             "H-infinity norm requested for a system with a pole of modulus >= 1"
         )
-    return climb_to_peak(level_crossing(t, math.inf))
+    return climb_to_peak(level_crossing(t, 0.0))
 
 
 def reference_schur_stable(coeffs) -> bool:
@@ -127,8 +127,8 @@ def reference_level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
     """``lti._level_crossings`` as it was before it evaluated each distinct
     point once: every root's clipped real part, +-1 and every midpoint
     between neighbours, repeats included.  The reference of its answers."""
-    num_w, den_w = (0.0, 1.0) if math.isinf(level) else (1.0, level * level)
-    series = [num_w * a - den_w * b for a, b in zip(g.num_series, g.den_series)]
+    level2 = level * level
+    series = [a - level2 * b for a, b in zip(g.num_series, g.den_series)]
     xs = sorted([-1.0, 1.0] + [min(1.0, max(-1.0, r.real))
                                for r in _reference_chebyshev_roots(series)])
     best, best_x = -1.0, 1.0
@@ -154,11 +154,12 @@ def reference_level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
 def reference_climb_to_peak(start: LevelCrossing) -> tuple[float, float]:
     """``lti.climb_to_peak`` on :func:`reference_level_crossings`."""
     level, theta = start.gain, start.theta
-    while True:
+    while not math.isinf(level):
         step = reference_level_crossings(start.gains, level)
         if step.gain <= level * (1.0 + LEVEL_RTOL):
-            return level, theta / (2.0 * math.pi)
+            break
         level, theta = step.gain, step.theta
+    return level, theta / (2.0 * math.pi)
 
 
 def _in_sector(u: np.ndarray, v: np.ndarray, sector: SectorClass) -> np.ndarray:

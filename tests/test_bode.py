@@ -52,6 +52,16 @@ def test_table_validates_inputs():
         bode_table(integrator(1.0), n=1)
 
 
+@pytest.mark.parametrize("curves, match", [
+    (lambda: [], "at least one curve"),
+    # a zero gain has no finite magnitude in dB, and no phase to unwrap
+    (lambda: [("zero", bode_table(RationalTF((0.0,), (1.0,)), n=4))], "no finite magnitudes"),
+], ids=["no-curves", "zero-gain"])
+def test_svg_input_checks_raise(curves, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        bode_svg_text(curves())
+
+
 def test_pole_on_sampled_point_flags_infinite_row():
     t = RationalTF((1.0,), (1.0, 1.0))  # pole at z = -1, sampled at Nyquist
     rows = bode_table(t, n=16)

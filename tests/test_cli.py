@@ -452,6 +452,21 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     assert len(errors) == 1 and errors[0].startswith("loopshift: error: ")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10", "--x0", "1,a"],
+     "loopshift simulate: error: argument --x0: "),
+    (["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10",
+      "--config", "missing.json"], "loopshift: error: cannot read config file missing.json"),
+], ids=["x0-not-numbers", "config-missing"])
+def test_unreadable_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, prefix):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(prefix)
+
+
 def test_diverging_simulation_writes_strict_json(tmp_path, capsys):
     out = tmp_path / "sim.json"
     code = main(["simulate", "--method", "gradient:alpha=5", "--oracle", "quadratic:1,10",

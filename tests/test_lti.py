@@ -21,7 +21,6 @@ from loopshift import (
 )
 from loopshift.lti import (LEVEL_RTOL, _chebyshev_roots, _circle_gains, _colleague_template,
                            _gain_series, _level_crossings, climb_to_peak, golden_section)
-from loopshift.polynomials import _eigvals
 from loopshift.simulate import _feedback_matrices
 
 from helpers import (
@@ -121,6 +120,12 @@ def test_arg_scale_examples():
     assert tf_allclose(scaled2, RationalTF((1 + kappa,), (-kappa + 1, 2 * 0.8 * kappa)), rtol=1e-14)
 
     assert tf_allclose(tf_arg_scale(t2, 1.0), t2, rtol=1e-15)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.5, math.inf, math.nan])
+def test_arg_scale_rejects_a_scale_that_is_not_positive(rho):
+    with pytest.raises(InvalidParameterError, match="argument scale"):
+        tf_arg_scale(RationalTF((1.0,), (-0.5, 1.0)), rho)
 
 
 def test_freq_response_gradient_at_nyquist():
@@ -269,7 +274,7 @@ def test_level_test_and_roots_equal_the_numpy_reference(system, p):
     g = _circle_gains(t.num, t.den)
     threshold = (L + 1.0) / (L - 1.0)
     gain = reference_level_crossings(g, threshold).gain
-    for level in (threshold, 1.0, math.inf, gain, gain * (1.0 + 1e-12), gain * (1.0 - 1e-12)):
+    for level in (threshold, 1.0, gain, gain * (1.0 + 1e-12), gain * (1.0 - 1e-12)):
         got, want = _level_crossings(g, level), reference_level_crossings(g, level)
         assert _bits(got) == _bits(want)
         assert climb_to_peak(got) == reference_climb_to_peak(want)
@@ -286,13 +291,13 @@ chebyshev_series = st.integers(min_value=3, max_value=8).flatmap(
 @settings(max_examples=300)
 @given(chebyshev_series)
 def test_colleague_roots_equal_the_array_construction(c):
-    # the colleague column as a numpy array, divided in numpy, through the
-    # checked _eigvals: the same matrix, so the same eigenvalues
+    # the colleague column as a numpy array, divided in numpy, through
+    # np.linalg.eigvals: the same matrix and gufunc, so the same eigenvalues
     n = max((k for k, ck in enumerate(c) if abs(ck) > LEVEL_RTOL * max(map(abs, c))), default=0)
     assume(n >= 3)
     colleague = _colleague_template(n).copy()
     colleague[:, 0] -= np.array(c[n - 1::-1]) / (2.0 * c[n])
-    assert _chebyshev_roots(c) == _eigvals(colleague)
+    assert _chebyshev_roots(c) == [complex(r) for r in np.linalg.eigvals(colleague)]
     # trailing coefficients within LEVEL_RTOL of the largest are dropped
     assert _chebyshev_roots(c + [1e-17 * max(map(abs, c)), 0.0]) == _chebyshev_roots(c)
 

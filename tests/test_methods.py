@@ -91,6 +91,27 @@ def test_method_spec_validation():
         MethodSpec(Family.NESTEROV, alpha=0.1)
 
 
+INTEGRATOR = RationalTF((1.0,), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: MethodSpec(Family.CUSTOM), InvalidParameterError, "needs custom_tf"),
+    (lambda: MethodSpec(Family.CUSTOM, alpha=0.1, custom_tf=INTEGRATOR), InvalidParameterError,
+     "takes no alpha/beta"),
+    (lambda: MethodSpec(Family.GRADIENT, alpha=0.1, custom_tf=INTEGRATOR),
+     InvalidParameterError, "takes no custom_tf"),
+    (lambda: preset(Family.NESTEROV, 1, 10, "optimal_sector"), InvalidParameterError,
+     "single preset"),
+    (lambda: preset(Family.PID, 1, 10), UnsupportedPresetError, "'pid'"),
+    (lambda: parse_method("gradient:alpha"), InvalidParameterError, "cannot parse"),
+    (lambda: method_from_json([1, 2]), InvalidParameterError, "must be a JSON object"),
+], ids=["custom-without-tf", "custom-with-alpha", "gradient-with-tf", "nesterov-variant",
+        "pid-preset", "token-without-value", "json-not-object"])
+def test_method_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_custom_spec_needs_integrator_pole():
     with pytest.raises(InvalidParameterError):
         MethodSpec(Family.CUSTOM, custom_tf=RationalTF((1.0,), (-0.5, 1.0)))

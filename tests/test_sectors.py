@@ -156,7 +156,8 @@ def test_rotated_quadratic_batch_matches_rows():
     oracle = QuadraticOracle(eigs, rotation=rot)
     u = np.random.default_rng(3).normal(size=(dim, dim))
     rows = np.array([oracle.centered_grad(row) for row in u])
-    np.testing.assert_allclose(oracle.centered_grad(u), rows, rtol=1e-12, atol=1e-12)
+    # the same arithmetic per point: one matrix product rounded differently
+    assert np.array_equal(oracle.centered_grad(u), rows)
     np.testing.assert_allclose(rows, u @ (rot.T @ np.diag(eigs) @ rot), rtol=1e-12, atol=1e-12)
     assert oracle.centered_grad(u[None]).shape == (1, dim, dim)
 
@@ -245,6 +246,25 @@ def test_dimension_mismatch_errors():
         shifted_plant_apply(oracle, SectorClass(1, 2), [1.0, 2.0, 3.0])
     with pytest.raises(InvalidParameterError):
         sector_check([1.0], [1.0, 2.0], SectorClass(1, 2))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: QuadraticOracle([1.0, 2.0], xstar=[1.0]), r"xstar must have shape \(2,\)"),
+    (lambda: QuadraticOracle([1.0, 2.0]).grad([1.0]), r"x must have shape \(2,\), got \(1,\)"),
+    (lambda: QuadraticOracle([]), "nonempty"),
+    (lambda: QuadraticOracle([1.0, 2.0], rotation=np.eye(3)), "rotation shape"),
+    (lambda: QuadraticOracle([1.0, 2.0], rotation=[[1.0, 1.0], [0.0, 1.0]]), "orthogonal"),
+    (lambda: PiecewiseLinearOracle([0.0, 1.0], [1.0]), "one slope per breakpoint"),
+    (lambda: SeparableOracle([QuadraticOracle([1.0, 2.0])]), "scalar oracles"),
+    (lambda: SeparableOracle([]), "at least one component"),
+    (lambda: SeparableOracle([object()]), "quadratic, pwl or separable"),
+    (lambda: oracle_from_json({"kind": "separable", "components": 5}), "malformed"),
+], ids=["xstar-shape", "grad-shape", "no-eigenvalues", "rotation-shape", "rotation-skew",
+        "slope-short", "component-2d", "separable-empty", "component-not-oracle",
+        "components-not-list"])
+def test_oracle_input_checks_raise(call, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
 
 
 def test_parse_oracle_strings():

@@ -25,7 +25,7 @@ from loopshift import (
     simulate_shifted_run,
     trajectory_csv_text,
 )
-from loopshift.simulate import _median
+from loopshift.simulate import _feedback_matrices, _median
 
 from helpers import custom_controller, reference_run
 
@@ -187,6 +187,16 @@ def test_simulate_validates_inputs():
             simulate_run(GRAD_OPT, oracle, [1.0, 1.0], 10, noise_sigma=sigma, seed=0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: _feedback_matrices(RationalTF((1.0, -1.0), (0.5, -1.5, 1.0))), "zero at z = 1"),
+    (lambda: noise_robustness_experiment(SectorClass(0.01, 1.0), QuadraticOracle([0.01, 1.0]),
+                                         1e-3, []), "at least one seed"),
+], ids=["zero-at-one", "no-seeds"])
+def test_simulate_input_checks_raise(call, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
+
+
 def test_simulate_rejects_direct_feedthrough():
     custom = MethodSpec(Family.CUSTOM, custom_tf=RationalTF((-0.5, 1.0), (-1.0, 1.0)))
     with pytest.raises(InvalidParameterError):
@@ -270,17 +280,16 @@ def test_noise_robustness_sigma_zero_converges():
     assert report.median_optimal_sector < 1e-10
 
 
-@pytest.mark.parametrize("oracle, sigma, x0", [
-    (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 1e-3, None),
-    (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 0.0, None),
-    (QuadraticOracle([0.01, 0.2, 1.0], random_rotation(3, 5), xstar=[1.0, -0.5, 2.0]), 1e-3,
-     [0.25, 1.5, -1.0]),
+@pytest.mark.parametrize("oracle, sigma", [
+    (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 1e-3),
+    (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 0.0),
+    (QuadraticOracle([0.01, 0.2, 1.0], random_rotation(3, 5), xstar=[1.0, -0.5, 2.0]), 1e-3),
 ], ids=["noisy", "sigma-zero", "rotated-3d"])
-def test_noise_robustness_batch_equals_per_seed_runs(oracle, sigma, x0):
+def test_noise_robustness_batch_equals_per_seed_runs(oracle, sigma):
     sec = SectorClass(0.01, 1.0)
     seeds, iters = (4, 9, 11), 700
-    report = noise_robustness_experiment(sec, oracle, sigma, seeds, iters, x0)
-    start = oracle.xstar + 1.0 if x0 is None else x0
+    report = noise_robustness_experiment(sec, oracle, sigma, seeds, iters)
+    start = oracle.xstar + 1.0
     tail = (iters + 1) // 10
     for alpha, got in ((report.alpha_standard, report.steady_state_standard),
                        (report.alpha_optimal_sector, report.steady_state_optimal_sector)):

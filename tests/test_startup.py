@@ -67,6 +67,14 @@ def test_import_leaves_numpy_out(tmp_path):
     assert _numpy_modules("import loopshift", tmp_path) == []
 
 
+@pytest.mark.parametrize("layer", ["bode", "sectors", "simulate"])
+def test_numpy_layer_loads_as_a_package_attribute(tmp_path, layer):
+    # this process has imported every layer, so only a fresh interpreter
+    # reaches the package's attribute hook
+    _fresh(f"import loopshift\nassert loopshift.{layer}.__name__ == 'loopshift.{layer}'",
+           tmp_path)
+
+
 @pytest.mark.parametrize("argv", CERTIFICATE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
 def test_certificate_commands_run_without_numpy(tmp_path, argv):
     code = (f"from loopshift.cli import main\n"
