@@ -23,7 +23,6 @@ from .lti import (
     _circle_gains,
     _level_crossings,
     climb_to_peak,
-    golden_section,
     tf_arg_scale,
 )
 from .methods import Family, MethodSpec, SectorClass, build_controller
@@ -149,28 +148,22 @@ def _check_tol(tol: float) -> None:
 
 def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> RateSearchResult:
     """Smallest certifiable rate, to bracket width ``tol`` met to float
-    resolution (the search also ends at two adjacent floats).
-
-    The certified set is an interval [rho*, 1), so one test at RHO_MAX
-    decides whether there is a certificate, and a bracketing search from the
-    shifted controller's stability radius (below it the scaled system is
-    unstable) up to RHO_MAX finds rho*.  The search interpolates on each
-    test's own gain (see :func:`_bisect`): at tol = 1e-6 it takes about 3
-    tests for a catalog method and about 10 for an order-3..6 controller,
-    where bisection takes about 20, and never more than
-    2*ceil(log2((RHO_MAX - radius)/tol)) + 2 unless the exact test refutes
-    the answer.  ``iterations`` counts those tests, the one at RHO_MAX
-    included.  Search steps run the test alone and take stability from the
-    float radius; the exact Schur-Cohn test runs at RHO_MAX and on the
-    answer, and should it refute the answer, the search goes on with exact
-    steps from there (see :func:`_bisect`).  The certificate is built
-    once, at the final rate, from the test that passed there.  Raises
+    resolution, found by the search of :func:`_bisect`: at tol = 1e-6 it
+    takes about 3 tests for a catalog method and about 10 for an order-3..6
+    controller, where bisection takes about 20.  ``iterations`` counts those
+    tests, the one at RHO_MAX included.  The certificate is built once, at
+    the final rate, from the test that passed there.  Raises
     :class:`NoCertificateError` when not even RHO_MAX certifies; batch
     callers should treat that as a definite negative result, not a failure.
     """
     _check_tol(tol)
-    shifted = loop_shift(build_controller(spec), sector)
-    hi, passed, history = _bisect(spec, shifted, sector, tol)
+    found = _bisect(spec, sector, tol)
+    if found is None:
+        raise NoCertificateError(
+            f"{spec.label} admits no certified rate below one on "
+            f"S({sector.m:g}, {sector.L:g})"
+        )
+    hi, passed, history = found
     # the test that last passed was made at hi: its certificate needs no retest
     return RateSearchResult(hi, _certificate(spec, sector, hi, passed), len(history), history)
 
@@ -187,15 +180,22 @@ def _gap(test: LevelCrossing | None, threshold: float) -> float:
     return min(g, -1e-300) if test.reaches else max(g, 1e-300)
 
 
-def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: float,
-            radius: float | None = None
-            ) -> tuple[float, LevelCrossing, tuple[tuple[float, float], ...]]:
-    """The search of :func:`bisect_rate` on the method's already shifted
-    controller and its float stability radius: the final ``hi``, the test
-    that passed there and the bracket history, one entry per test.
-    Callers that want only the rate build no certificate.  Without a given
-    ``radius`` the search finds it once RHO_MAX has certified, so a method
-    with no certificate costs no root finding.
+def _bisect(spec: MethodSpec, sector: SectorClass, tol: float, bound: float = math.inf
+            ) -> tuple[float, LevelCrossing, tuple[tuple[float, float], ...]] | None:
+    """The one rate search, behind :func:`bisect_rate`, the stepsize curve
+    and both searches: the smallest certified rate ``hi`` of ``spec``, the
+    test that passed there and the bracket history, one entry per test; or
+    None when the method does not certify at a finite ``bound`` (its rate
+    is then above ``bound``, the certified set being [rho*, 1)) or at
+    RHO_MAX.  Callers that want only the rate build no certificate.
+
+    The certified set is an interval [rho*, 1), so one test at RHO_MAX
+    decides whether there is a certificate, and a bracketing search from
+    the shifted controller's float stability radius (below it the scaled
+    system is unstable) up to RHO_MAX finds rho*.  The radius is found
+    first when ``bound`` is finite, for the prune at ``bound``; otherwise
+    only once RHO_MAX has certified, so a method with no certificate costs
+    no root finding.
 
     Above the stability radius the peak gain is continuous and does not
     increase in rho, so threshold/peak - 1 rises through zero at rho*.  The
@@ -213,20 +213,23 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: flo
     resolution.  Verdicts alone move the ends, so ``hi`` has always
     certified and ``lo`` is uncertified or the radius.
 
-    Steps decide stability by ``rho > radius``; the exact Schur-Cohn test
-    runs at RHO_MAX, which decides whether there is a certificate, and on
-    the answer.  Should it refute the answer, the float radius was too
-    low: the refuted ``hi`` becomes ``lo``, the bracket reopens up to
-    RHO_MAX's exact pass, and the same loop goes on with the exact test at
-    every step, so ``hi`` stays within ``tol`` of the exactly decided rho*.
+    Search steps and the prune decide stability by ``rho > radius``; the
+    exact Schur-Cohn test runs at RHO_MAX and on the answer.  Should it
+    refute the answer, the float radius was too low: the refuted ``hi``
+    becomes ``lo``, the bracket reopens up to RHO_MAX's exact pass, and the
+    same loop goes on with the exact test at every step, so ``hi`` stays
+    within ``tol`` of the exactly decided rho*.
     """
+    shifted = loop_shift(build_controller(spec), sector)
+    radius = None
+    if math.isfinite(bound):
+        radius = _stability_radius(shifted)
+        if not _certifies(_threshold_test(shifted, sector, bound, radius)):
+            return None
     hi = RHO_MAX
     passed = top = _threshold_test(shifted, sector, hi)
     if not _certifies(passed):
-        raise NoCertificateError(
-            f"{spec.label} admits no certified rate below one on "
-            f"S({sector.m:g}, {sector.L:g})"
-        )
+        return None
     if radius is None:
         radius = _stability_radius(shifted)
     lo = min(radius, hi)
@@ -263,21 +266,6 @@ def _bisect(spec: MethodSpec, shifted: RationalTF, sector: SectorClass, tol: flo
     return hi, passed, tuple(history)
 
 
-def _rate_below(spec: MethodSpec, sector: SectorClass, bound: float, tol: float) -> float:
-    """Searched rate of ``spec``, or inf when it has none or does not
-    certify at a finite ``bound`` (its rate is then above ``bound``, the
-    certified set being [rho*, 1)).  That prune, like a search step, takes
-    stability from the float radius."""
-    shifted = loop_shift(build_controller(spec), sector)
-    radius = _stability_radius(shifted)
-    if math.isfinite(bound) and not _certifies(_threshold_test(shifted, sector, bound, radius)):
-        return math.inf
-    try:
-        return _bisect(spec, shifted, sector, tol, radius)[0]
-    except NoCertificateError:
-        return math.inf
-
-
 def certified_rate_curve(sector: SectorClass, alpha_grid,
                          tol: float = 1e-6) -> list[tuple[float, float | None]]:
     """Best certifiable gradient-descent rate per stepsize, in grid order;
@@ -288,10 +276,43 @@ def certified_rate_curve(sector: SectorClass, alpha_grid,
     _check_tol(tol)
 
     def solve(alpha: float) -> float | None:
-        rho = _rate_below(MethodSpec(Family.GRADIENT, alpha=alpha), sector, math.inf, tol)
-        return rho if math.isfinite(rho) else None
+        found = _bisect(MethodSpec(Family.GRADIENT, alpha=alpha), sector, tol)
+        return None if found is None else found[0]
 
     return [(a, solve(a)) for a in alphas]
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section(f, a: float, b: float, tol: float):
+    """Minimise ``f`` on ``[a, b]`` by golden-section search down to bracket
+    width ``tol``, met to float resolution: the search also ends when no
+    float lies strictly between the ends.  Returns ``((a, b), (x_best,
+    f_best))``, the final bracket and the first evaluated point with the
+    smallest value.
+
+    ``f(x, rival)`` gets the other interior point's value (inf for the first
+    point) and may return inf for any ``x`` whose value exceeds a finite
+    ``rival``: such a point loses its comparison, its value is never read
+    again, and the best value so far is at most ``rival``."""
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1 = f(x1, math.inf)
+    f2 = f(x2, f1)
+    x_best, f_best = (x1, f1) if f1 <= f2 else (x2, f2)
+    while b - a > tol and math.nextafter(a, b) < b:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x = x1 = b - _INVPHI * (b - a)
+            fx = f1 = f(x1, f2)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x = x2 = a + _INVPHI * (b - a)
+            fx = f2 = f(x2, f1)
+        if fx < f_best:
+            x_best, f_best = x, fx
+    return (a, b), (x_best, f_best)
 
 
 def search_stepsize(sector: SectorClass, tol: float = 1e-6) -> tuple[float, float]:
@@ -308,7 +329,8 @@ def search_stepsize(sector: SectorClass, tol: float = 1e-6) -> tuple[float, floa
     inner_tol = min(tol, 1e-6)
 
     def value(alpha: float, rival: float) -> float:
-        return _rate_below(MethodSpec(Family.GRADIENT, alpha=alpha), sector, rival, inner_tol)
+        found = _bisect(MethodSpec(Family.GRADIENT, alpha=alpha), sector, inner_tol, rival)
+        return math.inf if found is None else found[0]
 
     _, (best_alpha, best_rho) = golden_section(value, 0.0, 2.0 / sector.L, tol)
     if not math.isfinite(best_rho):
@@ -378,9 +400,9 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
         for a in a_list:
             for b in b_list:
                 incumbent = math.inf if best is None else best[2]
-                rho = _rate_below(MethodSpec(family, alpha=a, beta=b), sector, incumbent, tol)
-                if rho < incumbent:
-                    best = (a, b, rho)
+                found = _bisect(MethodSpec(family, alpha=a, beta=b), sector, tol, incumbent)
+                if found is not None and found[0] < incumbent:
+                    best = (a, b, found[0])
 
     sweep(alphas, betas)
     if best is None:

@@ -40,8 +40,6 @@ if TYPE_CHECKING:
 # gain that only touches the level (a tangency) never passes for below it.
 LEVEL_RTOL = 8.0 * sys.float_info.epsilon
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Ascending coefficients of num/den, given as polynomials (float tuples,
@@ -61,13 +59,17 @@ def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
 @dataclass(frozen=True)
 class RationalTF:
     """Proper rational transfer function num(z)/den(z), denominator monic;
-    built from any two sequences of real coefficients, ascending."""
+    built from any two sequences of real coefficients, ascending, that stay
+    finite once divided by the denominator's leading one."""
 
     num: tuple[float, ...]
     den: tuple[float, ...]
 
     def __post_init__(self) -> None:
         num, den = _monic(_floats(self.num), _floats(self.den))
+        if not all(map(math.isfinite, num + den)):
+            raise InvalidParameterError(
+                f"transfer function coefficients must be finite, got num={num}, den={den}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -122,36 +124,6 @@ def freq_response(t: RationalTF, f: float) -> complex:
     if den == 0:
         return complex(math.inf, 0.0)
     return poly_eval(t.num, z) / den
-
-
-def golden_section(f, a: float, b: float, tol: float):
-    """Minimise ``f`` on ``[a, b]`` by golden-section search down to bracket
-    width ``tol``, met to float resolution: the search also ends when no
-    float lies strictly between the ends.  Returns ``((a, b), (x_best,
-    f_best))``, the final bracket and the first evaluated point with the
-    smallest value.
-
-    ``f(x, rival)`` gets the other interior point's value (inf for the first
-    point) and may return inf for any ``x`` whose value exceeds a finite
-    ``rival``: such a point loses its comparison, its value is never read
-    again, and the best value so far is at most ``rival``."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = f(x1, math.inf)
-    f2 = f(x2, f1)
-    x_best, f_best = (x1, f1) if f1 <= f2 else (x2, f2)
-    while b - a > tol and math.nextafter(a, b) < b:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x = x1 = b - _INVPHI * (b - a)
-            fx = f1 = f(x1, f2)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x = x2 = a + _INVPHI * (b - a)
-            fx = f2 = f(x2, f1)
-        if fx < f_best:
-            x_best, f_best = x, fx
-    return (a, b), (x_best, f_best)
 
 
 class _CircleGains(NamedTuple):

@@ -95,8 +95,6 @@ class MethodSpec:
             if self.alpha is not None or self.beta is not None:
                 raise InvalidParameterError("custom method takes no alpha/beta")
             den = self.custom_tf.den
-            if not all(map(math.isfinite, self.custom_tf.num + den)):
-                raise InvalidParameterError("custom controller coefficients must be finite")
             scale = max(abs(c) for c in den)
             if abs(poly_eval(den, 1.0)) > 1e-9 * scale:
                 raise InvalidParameterError(
@@ -153,8 +151,7 @@ def preset(family: Family, m: float, L: float, variant: str = "standard") -> Met
     here; its usual tunings are justified only under assumptions this tool
     does not certify, so alpha and beta must be supplied explicitly.
     """
-    if not (math.isfinite(m) and math.isfinite(L) and 0.0 < m < L):
-        raise InvalidParameterError(f"need 0 < m < L, got m={m}, L={L}")
+    SectorClass(m, L)  # raises unless 0 < m < L
     family = Family(family)
     if family is Family.GRADIENT:
         if variant == "standard":

@@ -32,7 +32,8 @@ from loopshift import (
 )
 from loopshift import certify, lti
 from loopshift.cli import _json_safe
-from loopshift.lti import LevelCrossing, climb_to_peak, golden_section
+from loopshift.certify import golden_section
+from loopshift.lti import LevelCrossing, climb_to_peak
 from loopshift.polynomials import poly_roots, schur_stable
 
 from helpers import (custom_controller, gain_reaches, hinf_peak, level_crossing, poly_from_roots,
@@ -468,19 +469,21 @@ def test_pruned_two_param_search_equals_full_search(monkeypatch, family, m, L):
     alphas = np.linspace(0.2, 3.0, 6) / L
     betas = np.linspace(0.0, 0.8, 5)
     expected = _reference_two_param(sec, alphas, betas, family)
-    bisections = []
-    full = certify._bisect
+    searches = []
+    threshold_test = certify._threshold_test
 
-    def counted(*args):
-        bisections.append(args[0])
-        return full(*args)
+    def counted(shifted, sector, rho, radius=None):
+        # a search tests RHO_MAX only once it has passed the prune
+        if rho == certify.RHO_MAX:
+            searches.append(shifted)
+        return threshold_test(shifted, sector, rho, radius)
 
-    monkeypatch.setattr(certify, "_bisect", counted)
+    monkeypatch.setattr(certify, "_threshold_test", counted)
     result = search_two_param(sec, alphas, betas, family)
     assert (result.alpha, result.beta, result.rho_star) == expected
     assert result.evaluations == 3 * len(alphas) * len(betas)
-    # the incumbent spared most grid points their bisection
-    assert len(bisections) < result.evaluations / 2
+    # the incumbent spared most grid points their search
+    assert len(searches) < result.evaluations / 2
 
 
 @pytest.mark.parametrize("m, L", [(1.0, 10.0), (0.01, 1.0)])
@@ -495,6 +498,36 @@ def test_pruned_stepsize_search_equals_full_search(m, L):
 
     _, expected = golden_section(value, 0.0, 2.0 / L, 1e-6)
     assert search_stepsize(sec) == expected
+
+
+def test_golden_section_below_float_spacing_ends():
+    # ran until killed when the loop only compared the width with tol
+    (a, b), (x, fx) = golden_section(lambda x, rival: (x - 0.3) ** 2, 0.0, 2.0, 1e-17)
+    assert math.nextafter(a, b) == b and a <= 0.3 <= b
+    assert x == pytest.approx(0.3, abs=1e-15)
+
+
+@settings(max_examples=60)
+@given(st.floats(min_value=0.0, max_value=2.0), st.floats(min_value=5e-324, max_value=1e-3))
+def test_golden_section_ends_at_any_tol(c, tol):
+    (a, b), _ = golden_section(lambda x, rival: abs(x - c), 0.0, 2.0, tol)
+    assert 0.0 <= a <= b <= 2.0
+    assert b - a <= tol or math.nextafter(a, b) == b
+
+
+def test_curve_finds_radii_only_for_certified_stepsizes(monkeypatch):
+    radii = []
+    stability_radius = certify._stability_radius
+
+    def counted(shifted):
+        radii.append(shifted)
+        return stability_radius(shifted)
+
+    monkeypatch.setattr(certify, "_stability_radius", counted)
+    rows = certified_rate_curve(SEC, np.linspace(0.10, 0.23, 14))
+    # stepsizes from 2/L = 0.2 up have no certificate and need no radius
+    assert [r is None for _, r in rows] == [False] * 10 + [True] * 4
+    assert len(radii) == 10
 
 
 # order 1..6: (modulus, angle) per conjugate pole pair and one real pole for
@@ -643,6 +676,10 @@ def test_threshold_test_equals_the_transfer_function_route(system, tiny_top):
     try:
         scaled = tf_arg_scale(t, rho)
     except InvalidParameterError as exc:
+        if "must be finite" in str(exc):
+            # steps take no finiteness check: non-finite scaled coefficients fail the test
+            assert not certify._certifies(certify._threshold_test(t, sec, rho))
+            return
         with pytest.raises(InvalidParameterError, match=str(exc)):
             certify._threshold_test(t, sec, rho)
         return
@@ -897,6 +934,32 @@ def test_float_radius_steps_equal_exact_steps(case, m_L):
         mp.setattr(certify, "_threshold_test",
                    lambda shifted, sector, rho, radius=None: threshold_test(shifted, sector, rho))
         assert got == search()
+
+
+@settings(deadline=None, max_examples=60)
+@given(catalog_specs, search_sectors, st.floats(min_value=-1e-3, max_value=1e-3),
+       st.sampled_from([1e-6, 1e-9, 1e-3]))
+def test_bounded_search_is_pruned_or_equals_the_full_search(data, m_L, offset, tol):
+    family, step, beta = data
+    sec = SectorClass(*m_L)
+    spec = MethodSpec(family, alpha=step / sec.L,
+                      beta=None if family is Family.GRADIENT else beta)
+    try:
+        full = bisect_rate(spec, sec, tol)
+    except NoCertificateError:
+        full = None
+    # the bound lies around rho*, or around 0.5 without a certificate
+    center = 0.5 if full is None else full.rho_star
+    bound = min(center * (1.0 + offset), certify.RHO_MAX)
+    shifted = loop_shift(build_controller(spec), sec)
+    prune = certify._threshold_test(shifted, sec, bound, certify._stability_radius(shifted))
+    found = certify._bisect(spec, sec, tol, bound)
+    if full is None or not certify._certifies(prune):
+        assert found is None
+    else:
+        hi, passed, history = found
+        assert (hi, history) == (full.rho_star, full.bracket_history)
+        assert certify._certificate(spec, sec, hi, passed) == full.certificate
 
 
 # tolerances from the benchmark's down to the smallest subnormal

@@ -128,12 +128,12 @@ def test_search_without_certificate_keeps_the_sector_keys(tmp_path, argv, nulls)
 
 def test_search_without_certificate_counts_its_rate_tests(tmp_path, monkeypatch):
     calls = []
-    rate_below = certify._rate_below
+    bisect = certify._bisect
 
     def counted(*args):
         calls.append(args)
-        return rate_below(*args)
-    monkeypatch.setattr(certify, "_rate_below", counted)
+        return bisect(*args)
+    monkeypatch.setattr(certify, "_bisect", counted)
     out = tmp_path / "search.json"
     assert main(["search", "--family", "heavyball", "--m", "1", "--L", "10", "--alpha-min", "5",
                  "--alpha-max", "6", "--alpha-steps", "2", "--beta-steps", "2",
