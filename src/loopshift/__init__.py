@@ -3,9 +3,10 @@ controllers, with worst-case convergence-rate certification over
 sector-bounded gradients, loop-shaping diagnostics, and simulation
 cross-checks.
 
-The certificate layers import without numpy.  Names from ``bode``,
+The certificate layers and ``bode`` import without numpy.  Names from
 ``sectors`` and ``simulate``, which do array work, load their module on
-first access (PEP 562).
+first access (PEP 562), and so do the names from ``bode``, whose module body
+takes a few milliseconds to import that other commands need not pay.
 """
 
 import importlib
@@ -64,7 +65,7 @@ _LAZY = {name: module for module, names in (
 
 
 def __getattr__(name: str):
-    """Load a name of a numpy layer, or the layer itself, on first use."""
+    """Load a name of a lazy layer, or the layer itself, on first use."""
     if name in ("bode", "sectors", "simulate"):
         return importlib.import_module(f"{__name__}.{name}")
     if name in _LAZY:

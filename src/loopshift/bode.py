@@ -3,16 +3,16 @@ and CSV/SVG emitters.
 
 Sample time is fixed at 1, so the frequency axis is in cycles per iteration
 and Nyquist sits at 0.5.  Magnitudes are exact; the axis labeling is a
-convention of this tool.
+convention of this tool.  Gains and phases come from ``lti.freq_response``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .certify import linspace
 from .errors import InvalidParameterError
 from .lti import LEVEL_RTOL, RationalTF, _chebyshev_roots, _circle_gains, freq_response
 
@@ -41,6 +41,11 @@ class FrequencyRow:
         return not math.isfinite(self.mag_db)
 
 
+def _gain(value: complex) -> float:
+    """|value|, inf where it overflows (``abs`` raises there)."""
+    return math.hypot(value.real, value.imag)
+
+
 def _mag_db(mag: float) -> float:
     if not math.isfinite(mag):
         return math.inf
@@ -50,40 +55,35 @@ def _mag_db(mag: float) -> float:
 
 
 def bode_table(tf: RationalTF, f_min: float = 1e-4, n: int = 500) -> list[FrequencyRow]:
-    """Magnitude/phase rows at ``n`` log-spaced frequencies in [f_min, 0.5].
-
-    A pole exactly on a sampled circle point flags the row infinite
-    (magnitude +inf, phase undefined).
-    """
+    """Rows of ``freq_response`` at ``n`` log-spaced frequencies in [f_min,
+    0.5].  A pole on a sampled point flags its row infinite (+inf dB); rows
+    of zero or infinite gain have nan phases.  The phase unwraps as
+    ``np.unwrap`` does over the other rows: a jump of pi or more is brought
+    back into [-pi, pi], with -pi after a positive step reading +pi."""
     if not 0.0 < f_min < NYQUIST:
         raise InvalidParameterError(f"f_min must lie in (0, 0.5), got {f_min}")
     if n < 2:
         raise InvalidParameterError(f"need at least 2 frequencies, got {n}")
-    fs = np.geomspace(f_min, NYQUIST, n)
+    fs = [10.0 ** e for e in linspace(math.log10(f_min), math.log10(NYQUIST), n)]
     fs[0], fs[-1] = f_min, NYQUIST
-    zs = np.exp(2j * np.pi * fs)
-    # exp(i*pi) carries rounding in its imaginary part; Nyquist is z = -1 exactly
-    zs[fs == NYQUIST] = -1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.polyval(tf.num[::-1], zs) / np.polyval(tf.den[::-1], zs)
-    mags = np.abs(values)
-    finite = np.isfinite(mags) & (mags > 0.0)
-    phase_rad = np.full(n, math.nan)
-    phase_rad[finite] = np.angle(values[finite])
-    unwrapped = np.full(n, math.nan)
-    unwrapped[finite] = np.unwrap(phase_rad[finite])
-    rows = []
-    for i in range(n):
-        # nan where the gain is zero or not finite, as is the unwrapped phase
-        phase = math.degrees(phase_rad[i])
-        if phase <= -180.0:
-            phase += 360.0
-        rows.append(FrequencyRow(
-            f_hz=float(fs[i]),
-            mag_db=_mag_db(float(mags[i])),
-            phase_deg=phase,
-            phase_unwrapped_deg=math.degrees(unwrapped[i]),
-        ))
+    rows, last, shift = [], None, 0.0
+    for f in fs:
+        value = freq_response(tf, f)
+        mag = _gain(value)
+        phase = unwrapped = math.nan
+        if 0.0 < mag < math.inf:
+            phase = unwrapped = cmath.phase(value)
+            if last is not None:
+                step = phase - last
+                if abs(step) >= math.pi:
+                    wrapped = (step + math.pi) % (2.0 * math.pi) - math.pi
+                    shift += (math.pi if wrapped == -math.pi and step > 0.0 else wrapped) - step
+                unwrapped = phase + shift
+            last = phase
+        degrees = math.degrees(phase)
+        rows.append(FrequencyRow(f_hz=f, mag_db=_mag_db(mag),
+                                 phase_deg=degrees + 360.0 if degrees <= -180.0 else degrees,
+                                 phase_unwrapped_deg=math.degrees(unwrapped)))
     return rows
 
 
@@ -98,7 +98,7 @@ def crossover_frequency(tf: RationalTF) -> float | None:
     xs = sorted({-1.0, 1.0} | {r.real for r in _chebyshev_roots(series)
                                if abs(r.real) < 1.0 - LEVEL_RTOL})
     # the sign is constant between consecutive roots: read it at midpoints
-    above = [abs(freq_response(tf, math.acos(0.5 * (a + b)) / (2.0 * math.pi))) > 1.0
+    above = [_gain(freq_response(tf, math.acos(0.5 * (a + b)) / (2.0 * math.pi))) > 1.0
              for a, b in zip(xs, xs[1:])]
     k = next((k for k in range(len(above) - 1, 0, -1) if above[k] != above[k - 1]), 0)
     return math.acos(xs[k]) / (2.0 * math.pi) if k else None
@@ -121,15 +121,15 @@ def gain_metrics(tf: RationalTF) -> GainMetrics:
     crossover" has no canonical width, half a decade is this tool's
     convention.
     """
-    low = _mag_db(abs(freq_response(tf, _LOW_HZ)))
-    high = _mag_db(abs(freq_response(tf, NYQUIST)))
+    low = _mag_db(_gain(freq_response(tf, _LOW_HZ)))
+    high = _mag_db(_gain(freq_response(tf, NYQUIST)))
     fc = crossover_frequency(tf)
     if fc is None:
         return GainMetrics(low, high, None, None)
     f1 = fc * 10.0 ** -0.25
     f2 = min(fc * 10.0 ** 0.25, NYQUIST)
-    db1 = _mag_db(abs(freq_response(tf, f1)))
-    db2 = _mag_db(abs(freq_response(tf, f2)))
+    db1 = _mag_db(_gain(freq_response(tf, f1)))
+    db2 = _mag_db(_gain(freq_response(tf, f2)))
     slope = (db2 - db1) / (math.log10(f2) - math.log10(f1))
     return GainMetrics(low, high, fc, slope)
 

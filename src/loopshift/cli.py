@@ -6,9 +6,11 @@ for identical configs and seeds; "not certified" is a successful run that
 reports data, not a failure.  Exit codes: 0 success, 1 computation error
 (structured JSON on stderr), 2 usage error.
 
-The commands that simulate, use an oracle or draw Bode plots import those
-layers, and with them numpy, when they run; certify, rate, curve and search
-on controllers of order up to 2 never import numpy.
+The commands that simulate or use an oracle import those layers, and with
+them numpy, when they run; bode, and certify, rate, curve and search on
+controllers of order up to 2, never import numpy.  bode loads its layer only
+when it runs, since that module's body, two frozen dataclasses, takes a few
+milliseconds to import.
 """
 
 from __future__ import annotations
@@ -262,6 +264,10 @@ def _resolve(config: RunConfig) -> Run:
     elif config.method is not None:
         method = parse_method(config.method, config.m, config.L)
     methods = tuple(parse_method(text, config.m, config.L) for text in config.methods)
+    labels = [spec.label for spec in methods]
+    if len(set(labels)) < len(labels):
+        # each method's CSV file and JSON entry is named by its label
+        raise InvalidParameterError(f"--methods needs one label per method, got {', '.join(labels)}")
     oracle = None
     if config.oracle_json is not None or config.oracle is not None:
         from .sectors import oracle_from_json, parse_oracle

@@ -87,11 +87,64 @@ def test_magnitude_symmetric_under_conjugation():
         assert up == pytest.approx(down, rel=1e-12)
 
 
+def _numpy_table(tf, f_min, n):
+    """The table as a numpy-vectorised pass computes it, independently of
+    ``freq_response``: frequencies, gains in dB and unwrapped phases in
+    degrees, nan where the gain is zero or not finite."""
+    fs = np.geomspace(f_min, 0.5, n)
+    fs[0], fs[-1] = f_min, 0.5
+    zs = np.exp(2j * np.pi * fs)
+    zs[-1] = -1.0
+    with np.errstate(all="ignore"):
+        values = np.polyval(tf.num[::-1], zs) / np.polyval(tf.den[::-1], zs)
+        mags = np.abs(values)
+        mag_db = np.where(np.isfinite(mags), 20.0 * np.log10(mags), np.inf)
+    finite = np.isfinite(mags) & (mags > 0.0)
+    unwrapped = np.full(n, math.nan)
+    unwrapped[finite] = np.degrees(np.unwrap(np.angle(values[finite])))
+    return fs, mag_db, unwrapped
+
+
+REFERENCE_SYSTEMS = {
+    "gradient": integrator(1.0),
+    "gradient-fast": integrator(1.9802),
+    "heavy-ball": build_controller(MethodSpec(Family.HEAVY_BALL, alpha=1.0, beta=0.5)),
+    "nesterov": build_controller(MethodSpec(Family.NESTEROV, alpha=0.4, beta=0.3)),
+    # a resonant pair 0.01 inside the circle: a steep phase drop near f = 0.1
+    "resonance": RationalTF((0.3, -1.0), (0.99 ** 2, -2 * 0.99 * math.cos(0.2 * math.pi), 1.0)),
+    # z^-5 and (z - 0.5)^-6: the phase wraps several times
+    "delay": RationalTF((1.0,), (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)),
+    "six-poles": RationalTF((0.01,), tuple(P.polyfromroots([0.5] * 6))),
+    "pole-at-nyquist": RationalTF((1.0,), (1.0, 1.0)),
+    "zero-at-nyquist": RationalTF((1.0, 1.0), (-0.5, 1.0)),
+    "zero-gain": RationalTF((0.0,), (1.0,)),
+}
+
+
 def test_bode_table_rows_match_scalar_freq_response():
-    t = RationalTF((0.3, -1.0), (0.25, -1.0, 1.0))
-    for row in bode_table(t, 1e-4, 50):
-        value = 10.0 ** (row.mag_db / 20.0) * cmath.exp(1j * math.radians(row.phase_deg))
-        assert abs(value - freq_response(t, row.f_hz)) < 1e-12
+    for name, tf in REFERENCE_SYSTEMS.items():
+        rows = bode_table(tf, 1e-4, 500)
+        for row in rows:
+            # each row is freq_response at its frequency, bit for bit
+            value = freq_response(tf, row.f_hz)
+            mag = math.hypot(value.real, value.imag)
+            if 0.0 < mag < math.inf:
+                phase = math.degrees(cmath.phase(value))
+                assert row.mag_db == 20.0 * math.log10(mag), name
+                assert row.phase_deg == (phase + 360.0 if phase <= -180.0 else phase), name
+            else:
+                assert row.mag_db == (-math.inf if mag == 0.0 else math.inf), name
+                assert math.isnan(row.phase_deg), name
+        fs, mag_db, unwrapped = _numpy_table(tf, 1e-4, 500)
+        np.testing.assert_allclose([r.f_hz for r in rows], fs, rtol=1e-15, atol=0.0, err_msg=name)
+        got_db = np.array([r.mag_db for r in rows])
+        finite = np.isfinite(mag_db)
+        assert np.array_equal(got_db[~finite], mag_db[~finite]), name
+        assert np.all(np.abs(got_db[finite] - mag_db[finite])
+                      <= 1e-12 * np.maximum(1.0, np.abs(mag_db[finite]))), name
+        # the same branch as the reference, not just the same angle
+        np.testing.assert_allclose([r.phase_unwrapped_deg for r in rows], unwrapped,
+                                   rtol=0.0, atol=1e-9, err_msg=name)
 
 
 def test_product_table_is_db_sum_of_factor_tables():
@@ -160,6 +213,12 @@ def test_gain_metrics_without_crossover():
     metrics = gain_metrics(constant_tf(0.2))
     assert metrics.slope_at_crossover_db_per_decade is None
     assert metrics.crossover_hz is None
+
+
+def test_gain_metrics_read_an_overflowing_gain_as_infinite():
+    # |K| at f = 1e-3 overflows: abs() of the response raised OverflowError
+    metrics = gain_metrics(RationalTF((1.5e308, 1.5e308), (0.0, 1.0)))
+    assert metrics.low_gain_db == math.inf
 
 
 def test_lag_factor_boost_and_attenuation():

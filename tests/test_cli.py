@@ -52,7 +52,9 @@ def test_usage_error_on_bad_method_string():
                   "--m", "1", "--L", "10", "--rho", "0.9"],
                  ["certify", "--method", "gradient:preset,alpha=0.5",
                   "--m", "1", "--L", "10", "--rho", "0.95"],
-                 ["bode", "--methods", ","]):
+                 ["bode", "--methods", ","],
+                 # both labelled gradient(alpha=0.1): the second CSV overwrote the first
+                 ["bode", "--methods", "gradient:alpha=0.1,gradient:alpha=0.100000000001"]):
         with pytest.raises(SystemExit) as err:
             parse_args(argv)
         assert err.value.code == 2

@@ -1,6 +1,6 @@
 """The package surface and fresh-interpreter checks: the certificate
-commands start without numpy, and searches with a tolerance below the float
-spacing end."""
+commands and bode start without numpy, and searches with a tolerance below
+the float spacing end."""
 
 import json
 import os
@@ -34,7 +34,7 @@ def _numpy_modules(code: str, cwd: Path) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-CERTIFICATE_COMMANDS = [
+NUMPY_FREE_COMMANDS = [
     ["certify", "--method", "heavyball:alpha=0.05,beta=0.5", "--m", "1", "--L", "10",
      "--rho", "0.95"],
     ["rate", "--method", "nesterov:preset", "--m", "1", "--L", "10"],
@@ -42,6 +42,8 @@ CERTIFICATE_COMMANDS = [
     ["search", "--m", "1", "--L", "10"],
     ["search", "--family", "heavyball", "--m", "1", "--L", "10", "--alpha-steps", "3",
      "--beta-steps", "3"],
+    ["bode", "--methods", "gradient:alpha=1,gradient:alpha=1.9802,nesterov:preset", "--m", "0.01",
+     "--L", "1", "--csv", "tables.csv", "--svg", "fig.svg"],
 ]
 
 
@@ -75,12 +77,20 @@ def test_numpy_layer_loads_as_a_package_attribute(tmp_path, layer):
            tmp_path)
 
 
-@pytest.mark.parametrize("argv", CERTIFICATE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
 def test_certificate_commands_run_without_numpy(tmp_path, argv):
     code = (f"from loopshift.cli import main\n"
             f"assert main({argv + ['--json', 'out.json']!r}) == 0")
     assert _numpy_modules(code, tmp_path) == []
     assert json.loads((tmp_path / "out.json").read_text())
+
+
+def test_bode_of_an_overflowing_gain_warns_nothing(tmp_path):
+    # numpy's overflow warning from the table's division reached stderr
+    proc = _fresh("from loopshift.cli import main\n"
+                  "assert main(['bode', '--methods', 'gradient:alpha=1e308', '--n', '3']) == 0",
+                  tmp_path)
+    assert proc.stderr == ""
 
 
 def test_order_three_controller_loads_numpy_on_first_use(tmp_path):
