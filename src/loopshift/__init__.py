@@ -35,7 +35,6 @@ from .errors import (
 from .lti import (
     RationalTF,
     freq_response,
-    tf_allclose,
     tf_arg_scale,
 )
 from .methods import (
@@ -44,10 +43,8 @@ from .methods import (
     MethodSpec,
     SectorClass,
     build_controller,
-    derivative_form_check,
     factor_controller,
     method_from_json,
-    nesterov_derivative_tf,
     parse_method,
     preset,
 )
@@ -84,10 +81,9 @@ __all__ = [
     "ImproperShiftError", "InsufficientDataError", "InvalidParameterError",
     "LoopShiftError", "NoCertificateError", "UnsupportedFactorizationError",
     "UnsupportedPresetError",
-    "RationalTF", "freq_response", "tf_allclose", "tf_arg_scale",
+    "RationalTF", "freq_response", "tf_arg_scale",
     "FactorForm", "Family", "MethodSpec", "build_controller",
-    "derivative_form_check", "factor_controller", "method_from_json",
-    "nesterov_derivative_tf", "parse_method", "preset",
+    "factor_controller", "method_from_json", "parse_method", "preset",
     "poly_eval", "poly_roots",
     "GradientOracle", "PiecewiseLinearOracle", "QuadraticOracle",
     "SectorClass", "SeparableOracle", "oracle_from_json",

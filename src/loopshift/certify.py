@@ -429,7 +429,8 @@ def complementary_sensitivity(controller: RationalTF, sector: SectorClass,
     with the constant gain -(m+L)/2, i.e. K(rho z)/(K(rho z) - 2/(m+L)).
 
     Substituting z -> rho*z commutes with the feedback map, so this equals
-    ``tf_arg_scale(loop_shift(controller), rho)`` coefficient for
-    coefficient.
+    ``tf_arg_scale(loop_shift(controller), rho)`` up to rounding: in floats
+    the two routes can differ in the last bits of a coefficient.  The
+    certificate itself tests the second route, shift first, then scale.
     """
     return loop_shift(tf_arg_scale(controller, rho), sector)

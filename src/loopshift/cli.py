@@ -245,6 +245,7 @@ def _resolve(config: RunConfig) -> Run:
         (config.iters < 1, "--iters must be >= 1"),
         (config.noise_sigma < 0.0, "--noise-sigma must be >= 0"),
         (config.tol <= 0.0, "--tol must be positive"),
+        (config.seed < 0, "--seed must be >= 0"),
         (config.n_seeds < 1, "--seeds must be >= 1"),
         (config.alpha_steps < 1 or config.beta_steps < 1, "grid step counts must be >= 1"),
         (not 0.0 < config.f_min < 0.5, "--f-min must lie in (0, 0.5)"),

@@ -97,21 +97,6 @@ def _arg_scaled(t: RationalTF, rho: float) -> tuple[tuple[float, ...], tuple[flo
                   _trimmed([c * p for c, p in zip(t.den, powers)]))
 
 
-def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
-    """Coefficient-wise comparison after the shared monic normalization."""
-    return _poly_close(a.num, b.num, rtol) and _poly_close(a.den, b.den, rtol)
-
-
-def _poly_close(a: tuple[float, ...], b: tuple[float, ...], rtol: float) -> bool:
-    n = max(len(a), len(b))
-    ca = a + (0.0,) * (n - len(a))
-    cb = b + (0.0,) * (n - len(b))
-    scale = max(max(abs(c) for c in ca), max(abs(c) for c in cb))
-    if scale == 0.0:
-        return True
-    return all(abs(x - y) <= rtol * scale for x, y in zip(ca, cb))
-
-
 def freq_response(t: RationalTF, f: float) -> complex:
     """Evaluate at ``z = exp(2j*pi*f)`` for f in (0, 0.5] cycles/iteration
     (unit sample time, Nyquist at 0.5).  A pole exactly on the sampled point
@@ -237,17 +222,18 @@ def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
     for x in xs + [0.5 * (a + b) for a, b in zip(xs, xs[1:])]:
         z = complex(x, math.sqrt((1.0 - x) * (1.0 + x)))
         # poly_eval's Horner, inlined: same arithmetic, no call per point
-        d = 0j
+        d = n = 0j
         for c in den:
             d = d * z + c
-        d = abs(d)
-        if d:
-            n = 0j
-            for c in num:
-                n = n * z + c
-            gain = abs(n) / d
-        else:
+        for c in num:
+            n = n * z + c
+        try:
+            d = abs(d)
             # a pole within rounding of the circle gives an infinite gain: it reaches
+            gain = abs(n) / d if d else math.inf
+        except OverflowError:
+            # abs() of a finite complex raises when the modulus overflows: read
+            # that gain as infinite too, as for a pole on the circle
             gain = math.inf
         if gain > best:
             best, best_x = gain, x

@@ -25,7 +25,7 @@ from .errors import (
     json_number,
     json_numbers,
 )
-from .lti import RationalTF, tf_allclose
+from .lti import RationalTF
 from .polynomials import poly_eval
 
 
@@ -204,6 +204,9 @@ def factor_controller(spec: MethodSpec) -> FactorForm:
     Gradient descent is the bare integrator -alpha/(z-1).  Heavy ball adds the
     lag z/(z-beta) (zero at the origin); nesterov's lag carries a zero at
     beta/(1+beta) instead, which is what flattens its response near crossover.
+    That zero factor (1+beta) z - beta = z + beta (z - 1) is proportional plus
+    derivative action: the recursion also feeds back the gradient difference
+    -alpha beta (g[k] - g[k-1]).
     """
     if spec.family is Family.GRADIENT:
         return FactorForm(-spec.alpha, None, None, 1.0)
@@ -214,34 +217,6 @@ def factor_controller(spec: MethodSpec) -> FactorForm:
         return FactorForm(-spec.alpha, beta, beta / (1.0 + beta), 1.0 + beta)
     raise UnsupportedFactorizationError(
         f"no integrator/lag factorization for family {spec.family.value!r}"
-    )
-
-
-def nesterov_derivative_tf(alpha: float, beta: float) -> RationalTF:
-    """Transfer function read off the gradient-difference rewrite of the
-    nesterov recursion:
-
-        y[k+1] = y[k] + beta (y[k] - y[k-1]) - alpha g[k]
-                 - alpha beta (g[k] - g[k-1])
-
-    The trailing term differences the plant output, i.e. derivative action.
-    """
-    out_taps = (1.0 + beta, -beta)                     # y[k], y[k-1]
-    in_taps = (-alpha * (1.0 + beta), alpha * beta)    # g[k], g[k-1]
-    den = (-out_taps[1], -out_taps[0], 1.0)
-    num = (in_taps[1], in_taps[0])
-    return RationalTF(num, den)
-
-
-def derivative_form_check(spec: MethodSpec) -> bool:
-    """Verify coefficient-wise that the catalog nesterov controller matches
-    the derivative-control rewrite of the recursion."""
-    if spec.family is not Family.NESTEROV:
-        raise InvalidParameterError("derivative form check applies to nesterov only")
-    return tf_allclose(
-        build_controller(spec),
-        nesterov_derivative_tf(spec.alpha, spec.beta),
-        rtol=1e-12,
     )
 
 

@@ -78,9 +78,13 @@ def _feedback_matrices(controller: RationalTF) -> tuple[np.ndarray, np.ndarray, 
 def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarray | None:
     """Gradient noise for runs side by side, shape (iters, runs*dim), or None
     without noise.  Each seed's block is one draw of shape (iters, dim): the
-    same stream as one draw of ``dim`` values per step."""
+    same stream as one draw of ``dim`` values per step.  A seed is None
+    (fresh entropy) or a non-negative integer."""
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise InvalidParameterError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
+    for seed in seeds:
+        if seed is not None and seed < 0:
+            raise InvalidParameterError(f"seeds must be >= 0, got {seed}")
     if noise_sigma == 0.0:
         return None
     noise = np.empty((iters, len(seeds) * dim))

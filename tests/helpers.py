@@ -52,6 +52,21 @@ def constant_tf(c: float) -> RationalTF:
     return RationalTF((c,), (1.0,))
 
 
+def tf_allclose(a: RationalTF, b: RationalTF, rtol: float = 1e-10) -> bool:
+    """Coefficient-wise comparison after the shared monic normalization."""
+    return _poly_close(a.num, b.num, rtol) and _poly_close(a.den, b.den, rtol)
+
+
+def _poly_close(a: tuple[float, ...], b: tuple[float, ...], rtol: float) -> bool:
+    n = max(len(a), len(b))
+    ca = a + (0.0,) * (n - len(a))
+    cb = b + (0.0,) * (n - len(b))
+    scale = max(max(abs(c) for c in ca), max(abs(c) for c in cb))
+    if scale == 0.0:
+        return True
+    return all(abs(x - y) <= rtol * scale for x, y in zip(ca, cb))
+
+
 def tf_add(a: RationalTF, b: RationalTF) -> RationalTF:
     num = P.polyadd(P.polymul(a.num, b.den), P.polymul(b.num, a.den))
     return RationalTF(num, P.polymul(a.den, b.den))

@@ -34,11 +34,12 @@ from loopshift import (
     search_stepsize,
     simulate_run,
     simulate_shifted_run,
-    tf_allclose,
     tf_arg_scale,
 )
 from loopshift.cli import main as cli_main
 from loopshift.simulate import RESIDUAL_FLOOR
+
+from helpers import tf_allclose
 
 
 def _report(criterion, description, ok):

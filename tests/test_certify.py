@@ -27,7 +27,6 @@ from loopshift import (
     search_stepsize,
     search_two_param,
     simulate_run,
-    tf_allclose,
     tf_arg_scale,
 )
 from loopshift import certify, lti
@@ -37,7 +36,7 @@ from loopshift.lti import LevelCrossing, climb_to_peak
 from loopshift.polynomials import poly_roots, schur_stable
 
 from helpers import (custom_controller, gain_reaches, hinf_peak, level_crossing, poly_from_roots,
-                     reference_bisect)
+                     reference_bisect, tf_allclose)
 
 SEC = SectorClass(1.0, 10.0)
 
@@ -213,6 +212,18 @@ def test_narrow_resonance_is_not_certified():
     cert = certify_rate(spec, SEC, 0.99)
     assert cert.stable and not cert.certified
     assert cert.hinf == pytest.approx(4.966, abs=5e-3)
+
+
+def test_overflowing_gain_reads_as_infinite():
+    # finite coefficients whose gain moduli overflow a float: abs() of such a
+    # complex raises, and the gain counts as infinite, as for a pole on the circle
+    spec = MethodSpec(Family.CUSTOM, custom_tf=RationalTF((7.5e307, -7.5e307),
+                                                          (1.5e308, -1.5e308, 1.0)))
+    sec = SectorClass(1.0, 3.0)
+    cert = certify_rate(spec, sec, 0.99)
+    assert cert.stable and not cert.certified and cert.hinf == math.inf
+    with pytest.raises(NoCertificateError):
+        bisect_rate(spec, sec)
 
 
 def test_tangency_is_not_certified():

@@ -442,6 +442,7 @@ def test_report_without_any_rate_fit_says_unchecked(tmp_path, capsys):
     {"method_json": {"family": "custom", "num": [-0.1], "den": [-1, 1], "alpha": 0.5}},
     {"method_json": {"family": "gradient", "alpha": 0.1, "alpah": 0.2}},
     {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_sed": 3}},
+    {"seed": -5},
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
@@ -454,12 +455,29 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     assert len(errors) == 1 and errors[0].startswith("loopshift: error: ")
 
 
+def test_overflowing_gain_is_no_certificate(tmp_path):
+    # finite coefficients whose gain modulus overflows a float on the circle
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"method_json": {
+        "family": "custom", "num": [7.5e307, -7.5e307], "den": [1.5e308, -1.5e308, 1.0],
+    }}))
+    rate, cert = tmp_path / "rate.json", tmp_path / "cert.json"
+    assert main(["rate", "--m", "1", "--L", "3", "--config", str(cfg), "--json", str(rate)]) == 0
+    assert json.loads(rate.read_text())["rho_star"] is None
+    assert main(["certify", "--m", "1", "--L", "3", "--rho", "0.99", "--config", str(cfg),
+                 "--json", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert data["certified"] is False and data["hinf"] is None
+
+
 @pytest.mark.parametrize("argv, prefix", [
     (["simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10", "--x0", "1,a"],
      "loopshift simulate: error: argument --x0: "),
     (["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10",
       "--config", "missing.json"], "loopshift: error: cannot read config file missing.json"),
-], ids=["x0-not-numbers", "config-missing"])
+    (["simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10",
+      "--noise-sigma", "0.1", "--seed", "-1"], "loopshift: error: --seed must be >= 0"),
+], ids=["x0-not-numbers", "config-missing", "negative-seed"])
 def test_unreadable_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:

@@ -16,7 +16,6 @@ from loopshift import (
     build_controller,
     freq_response,
     poly_roots,
-    tf_allclose,
     tf_arg_scale,
 )
 from loopshift.lti import (LEVEL_RTOL, _chebyshev_roots, _circle_gains, _colleague_template,
@@ -34,6 +33,7 @@ from helpers import (
     reference_climb_to_peak,
     reference_level_crossings,
     tf_add,
+    tf_allclose,
     tf_sub,
     verify_realization,
 )

@@ -10,16 +10,15 @@ from loopshift import (
     UnsupportedFactorizationError,
     UnsupportedPresetError,
     build_controller,
-    derivative_form_check,
     factor_controller,
     freq_response,
     method_from_json,
-    nesterov_derivative_tf,
     parse_method,
     poly_eval,
     preset,
-    tf_allclose,
 )
+
+from helpers import tf_allclose
 
 
 def test_gradient_controller():
@@ -163,20 +162,6 @@ def test_factor_product_matches_numpy_composition(family):
 def test_factor_rejects_pid_and_custom():
     with pytest.raises(UnsupportedFactorizationError):
         factor_controller(MethodSpec(Family.PID, alpha=0.1, beta=0.2))
-
-
-def test_derivative_form_holds_for_any_parameters():
-    assert derivative_form_check(MethodSpec(Family.NESTEROV, alpha=1.0, beta=9 / 11))
-    assert derivative_form_check(MethodSpec(Family.NESTEROV, alpha=0.3, beta=0.2))
-
-
-def test_derivative_form_negative_control():
-    # deliberately mismatched parameters must not compare equal
-    catalog = build_controller(MethodSpec(Family.NESTEROV, alpha=0.3, beta=0.2))
-    perturbed = nesterov_derivative_tf(0.3, 0.2001)
-    assert not tf_allclose(catalog, perturbed, rtol=1e-10)
-    with pytest.raises(InvalidParameterError):
-        derivative_form_check(MethodSpec(Family.GRADIENT, alpha=0.1))
 
 
 def test_parse_method_strings():

@@ -191,7 +191,11 @@ def test_simulate_validates_inputs():
     (lambda: _feedback_matrices(RationalTF((1.0, -1.0), (0.5, -1.5, 1.0))), "zero at z = 1"),
     (lambda: noise_robustness_experiment(SectorClass(0.01, 1.0), QuadraticOracle([0.01, 1.0]),
                                          1e-3, []), "at least one seed"),
-], ids=["zero-at-one", "no-seeds"])
+    (lambda: simulate_run(GRAD_OPT, QuadraticOracle([1.0, 2.0]), [1.0, 1.0], 10,
+                          noise_sigma=0.1, seed=-1), "seeds must be >= 0"),
+    (lambda: noise_robustness_experiment(SectorClass(0.01, 1.0), QuadraticOracle([0.01, 1.0]),
+                                         0.1, [0, -1], iters=10), "seeds must be >= 0"),
+], ids=["zero-at-one", "no-seeds", "negative-seed", "negative-seed-in-batch"])
 def test_simulate_input_checks_raise(call, match):
     with pytest.raises(InvalidParameterError, match=match):
         call()

@@ -60,7 +60,8 @@ def test_public_surface_matches_golden():
     golden = json.loads((Path(__file__).resolve().parent / "golden/public-api.json").read_text())
     assert sorted(loopshift.__all__) == golden
     for gone in ("poly_add", "poly_sub", "poly_scale", "poly_mul", "tf_mul",
-                 "freq_response_many"):
+                 "freq_response_many", "nesterov_derivative_tf", "derivative_form_check",
+                 "tf_allclose"):
         with pytest.raises(AttributeError):
             getattr(loopshift, gone)
 
