@@ -426,11 +426,8 @@ def search_two_param(sector: SectorClass, alpha_grid, beta_grid,
 def complementary_sensitivity(controller: RationalTF, sector: SectorClass,
                               rho: float) -> RationalTF:
     """Closed-loop transfer of the scaled controller K(rho z) in feedback
-    with the constant gain -(m+L)/2, i.e. K(rho z)/(K(rho z) - 2/(m+L)).
-
-    Substituting z -> rho*z commutes with the feedback map, so this equals
-    ``tf_arg_scale(loop_shift(controller), rho)`` up to rounding: in floats
-    the two routes can differ in the last bits of a coefficient.  The
-    certificate itself tests the second route, shift first, then scale.
-    """
-    return loop_shift(tf_arg_scale(controller, rho), sector)
+    with the constant gain -(m+L)/2, i.e. K(rho z)/(K(rho z) - 2/(m+L)):
+    the system the certificate at ``rho`` tests, coefficient for coefficient
+    (shift first, then scale; substituting z -> rho*z commutes with the
+    feedback map)."""
+    return tf_arg_scale(loop_shift(controller, sector), rho)

@@ -275,6 +275,8 @@ def _resolve(config: RunConfig) -> Run:
 
         oracle = (parse_oracle(config.oracle) if config.oracle_json is None
                   else oracle_from_json(config.oracle_json))
+        if config.x0 is not None and len(config.x0) != oracle.dim:
+            raise InvalidParameterError(f"--x0 needs {oracle.dim} coordinates, got {len(config.x0)}")
     return Run(config, sector, method, methods, oracle, alphas, betas)
 
 
@@ -379,18 +381,21 @@ def _cmd_curve(run: Run) -> tuple[dict, str]:
     return {"m": config.m, "L": config.L, "curve": [[a, r] for a, r in rows]}, summary
 
 
+def _stepsize_search(run: Run) -> tuple[dict, str]:
+    """The gradient stepsize search's fields and summary; no certifiable stepsize is data."""
+    try:
+        alpha, rho = search_stepsize(run.sector, run.config.tol)
+    except NoCertificateError as exc:
+        return {"alpha_star": None, "rho_star": None, "reason": str(exc)}, "no certifiable stepsize"
+    return {"alpha_star": alpha, "rho_star": rho}, f"alpha_star={alpha:.6g} rho_star={rho:.6g}"
+
+
 def _cmd_search(run: Run) -> tuple[dict, str]:
     config, sector = run.config, run.sector
     if config.family == Family.GRADIENT.value:
-        try:
-            alpha, rho = search_stepsize(sector, config.tol)
-        except NoCertificateError as exc:
-            return ({"family": "gradient", "m": config.m, "L": config.L, "alpha_star": None,
-                     "rho_star": None, "reason": str(exc)},
-                    "stepsize search: no certifiable stepsize")
-        payload = {"family": "gradient", "m": config.m, "L": config.L,
-                   "alpha_star": alpha, "rho_star": rho}
-        return payload, f"stepsize search: alpha_star={alpha:.6g} rho_star={rho:.6g}"
+        found, summary = _stepsize_search(run)
+        return ({"family": "gradient", "m": config.m, "L": config.L, **found},
+                f"stepsize search: {summary}")
     result = search_two_param(sector, run.alphas, run.betas, Family(config.family), config.tol)
     if result is None:  # nothing certified: each grid point was tested once, none refined
         return ({"family": config.family, "m": config.m, "L": config.L, "alpha": None,
@@ -406,12 +411,10 @@ def _cmd_search(run: Run) -> tuple[dict, str]:
 
 
 def _cmd_simulate(run: Run) -> tuple[dict, str]:
-    import numpy as np
-
     from .simulate import estimate_rate, simulate_run, trajectory_csv_text
 
     config, spec, oracle = run.config, run.method, run.oracle
-    x0 = np.asarray(config.x0, dtype=float) if config.x0 else oracle.xstar + 1.0
+    x0 = oracle.xstar + 1.0 if config.x0 is None else config.x0
     traj = simulate_run(spec, oracle, x0, config.iters, config.noise_sigma, config.seed)
     if config.csv_out:
         _write_text(config.csv_out, trajectory_csv_text(traj, config.include_iterates))
@@ -518,7 +521,7 @@ def _cmd_report(run: Run) -> tuple[dict, str]:
         except NoCertificateError:
             entry.update({"rho_star": None})
         entries.append(entry)
-    alpha_star, rho_star = search_stepsize(sector, config.tol)
+    stepsize, stepsize_summary = _stepsize_search(run)
     curve = certified_rate_curve(sector, run.alphas, tol=config.tol)
     mid = 0.5 * (sector.m + sector.L)
     oracles = [
@@ -543,7 +546,7 @@ def _cmd_report(run: Run) -> tuple[dict, str]:
         "sector": {"m": sector.m, "L": sector.L, "kappa": sector.kappa,
                    "threshold": sector.threshold},
         "presets": entries,
-        "stepsize_search": {"alpha_star": alpha_star, "rho_star": rho_star},
+        "stepsize_search": stepsize,
         "curve": [[a, r] for a, r in curve],
         "soundness": soundness,
     }
@@ -553,7 +556,7 @@ def _cmd_report(run: Run) -> tuple[dict, str]:
     unfit = len(soundness) - len(checked)
     summary = (
         f"report for S({sector.m:g},{sector.L:g}): {n_cert}/{len(entries)} presets "
-        f"certified, best stepsize alpha={alpha_star:.6g} (rho={rho_star:.6g}), "
+        f"certified; stepsize search: {stepsize_summary}; "
         f"soundness {verdict} over {len(checked)} of {len(soundness)} runs"
         + (f" ({unfit} without a rate fit)" if unfit else "")
     )

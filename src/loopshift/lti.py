@@ -210,10 +210,15 @@ def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
     midpoint between such points.  Real parts of complex roots join them (a
     touching double root comes back as a close complex pair).  Gains are
     resolved to about eps * cond^2 relative, cond = sum|den_k| / |den(x)|.
-    ``level`` is finite.
+    ``level`` is finite.  A series that overflows reads as an infinite gain
+    at a NaN angle; a finite one bounds |num| and |den| on the circle by
+    sqrt(len * r_0), so no modulus overflows.
     """
     level2 = level * level
     series = [a - level2 * b for a, b in zip(g.num_series, g.den_series)]
+    if not all(map(math.isfinite, series)):
+        # |num|^2 or level^2 |den|^2 overflows: infinite, as for a pole on the circle
+        return LevelCrossing(level, math.inf, math.nan, g)
     # each distinct point once: a conjugate pair shares its real part, and
     # every root outside [-1, 1] clips onto +-1
     xs = sorted({-1.0, 1.0, *[min(1.0, max(-1.0, r.real)) for r in _chebyshev_roots(series)]})
@@ -227,14 +232,9 @@ def _level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
             d = d * z + c
         for c in num:
             n = n * z + c
-        try:
-            d = abs(d)
-            # a pole within rounding of the circle gives an infinite gain: it reaches
-            gain = abs(n) / d if d else math.inf
-        except OverflowError:
-            # abs() of a finite complex raises when the modulus overflows: read
-            # that gain as infinite too, as for a pole on the circle
-            gain = math.inf
+        d = abs(d)
+        # a pole within rounding of the circle gives an infinite gain: it reaches
+        gain = abs(n) / d if d else math.inf
         if gain > best:
             best, best_x = gain, x
     return LevelCrossing(level, best, math.acos(best_x), g)
@@ -245,9 +245,9 @@ def climb_to_peak(start: LevelCrossing) -> tuple[float, float]:
     the largest gain of a level test: the level rises to the largest gain at
     the points deciding it until none exceeds it by LEVEL_RTOL; arc
     midpoints make the climb quadratic near the peak (Bruinsma-Steinbuch).
-    It ends: each step raises the level by a factor above 1 + LEVEL_RTOL,
-    and an infinite gain (a pole within rounding of the circle) ends the
-    climb at once."""
+    It ends for every finite input: each step raises the level by a factor
+    above 1 + LEVEL_RTOL, and an infinite gain (a pole within rounding of the
+    circle or a level series that overflows) ends the climb at once."""
     level, theta = start.gain, start.theta
     while not math.isinf(level):
         step = _level_crossings(start.gains, level)

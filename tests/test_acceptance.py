@@ -297,7 +297,7 @@ def test_criterion_12_route_equivalence():
         k = build_controller(spec)
         ok = ok and tf_allclose(
             complementary_sensitivity(k, sector, rho),
-            tf_arg_scale(loop_shift(k, sector), rho),
+            loop_shift(tf_arg_scale(k, rho), sector),
             rtol=1e-10,
         )
     _report(12, "complementary sensitivity equals scale-then-shift on 20 random tuples", ok)

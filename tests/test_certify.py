@@ -224,6 +224,13 @@ def test_overflowing_gain_reads_as_infinite():
     assert cert.stable and not cert.certified and cert.hinf == math.inf
     with pytest.raises(NoCertificateError):
         bisect_rate(spec, sec)
+    # scaled by rho, this numerator overflows to (inf, -inf, inf, -inf, 3.0):
+    # every gain came out nan and was skipped, and the test read gain -1.0
+    a, b = 4.0866507834627503e+307, 8.173301566925501e+307
+    shifted = loop_shift(RationalTF((a, -a, a, -a, 0.75), (b, -b, b, -b, 1.0)), sec)
+    for rho in (0.3, 0.5, 0.7, 0.9):
+        test = certify._threshold_test(shifted, sec, rho)
+        assert test.reaches and test.gain == math.inf
 
 
 def test_tangency_is_not_certified():
@@ -363,7 +370,8 @@ def test_complementary_sensitivity_equals_scaled_shift():
     k = build_controller(spec)
     direct = complementary_sensitivity(k, sec, 0.9)
     assert tf_allclose(direct, RationalTF((1.0 / 0.9,), (0.0, 1.0)), rtol=1e-12)
-    assert tf_allclose(direct, tf_arg_scale(loop_shift(k, sec), 0.9), rtol=1e-12)
+    # substituting z -> rho z commutes with the feedback map: scale, then shift
+    assert tf_allclose(direct, loop_shift(tf_arg_scale(k, 0.9), sec), rtol=1e-12)
 
 
 def test_complementary_sensitivity_routes_agree_for_catalog():
@@ -381,7 +389,10 @@ def test_complementary_sensitivity_routes_agree_for_catalog():
         spec = gradient(alpha) if fam is Family.GRADIENT else MethodSpec(fam, alpha=alpha, beta=beta)
         k = build_controller(spec)
         route_a = complementary_sensitivity(k, sec, rho)
-        route_b = tf_arg_scale(loop_shift(k, sec), rho)
+        # the system the certificate tests, coefficient for coefficient
+        assert route_a == RationalTF(*lti._arg_scaled(loop_shift(k, sec), rho))
+        # scale, then shift: equal up to rounding
+        route_b = loop_shift(tf_arg_scale(k, rho), sec)
         assert tf_allclose(route_a, route_b, rtol=1e-10)
 
 

@@ -155,9 +155,12 @@ def test_certify_json_artifact_fields(tmp_path):
     assert data["certified"] is True
 
 
-def test_computation_error_exits_one(capsys):
-    code = main(["simulate", "--method", "gradient:alpha=0.1",
-                 "--oracle", "quadratic:1,10", "--x0", "1"])
+def test_computation_error_exits_one(tmp_path, capsys):
+    # a controller with direct feedthrough cannot close the simulated loop
+    cfg = tmp_path / "biproper.json"
+    cfg.write_text(json.dumps({"method_json": {"family": "custom", "num": [-0.5, 1.0],
+                                               "den": [-1.0, 1.0]}}))
+    code = main(["simulate", "--config", str(cfg), "--oracle", "quadratic:1,10"])
     assert code == 1
     err = capsys.readouterr().err
     payload = json.loads(err.strip().splitlines()[-1])
@@ -400,6 +403,13 @@ def test_report_nesterov_preset_without_certificate(tmp_path):
     assert "certificate" not in nesterov
     assert {row["method"] for row in data["soundness"]} == {
         p["method"] for p in data["presets"] if p["family"] == "gradient"}
+    # on S(1e-10, 1) no preset and no stepsize certifies, and that is data too
+    assert main(["report", "--m", "1e-10", "--L", "1", "--alpha-steps", "3",
+                 "--iters", "50", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert all(p.get("rho_star") is None for p in data["presets"]) and data["soundness"] == []
+    assert data["stepsize_search"]["alpha_star"] is None
+    assert data["stepsize_search"]["rho_star"] is None
 
 
 def test_report_without_any_rate_fit_says_unchecked(tmp_path, capsys):
@@ -443,6 +453,7 @@ def test_report_without_any_rate_fit_says_unchecked(tmp_path, capsys):
     {"method_json": {"family": "gradient", "alpha": 0.1, "alpah": 0.2}},
     {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_sed": 3}},
     {"seed": -5},
+    {"oracle": "quadratic:1,10", "x0": []},
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
@@ -477,7 +488,11 @@ def test_overflowing_gain_is_no_certificate(tmp_path):
       "--config", "missing.json"], "loopshift: error: cannot read config file missing.json"),
     (["simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10",
       "--noise-sigma", "0.1", "--seed", "-1"], "loopshift: error: --seed must be >= 0"),
-], ids=["x0-not-numbers", "config-missing", "negative-seed"])
+    (["simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10", "--x0", ","],
+     "loopshift: error: --x0 needs 2 coordinates, got 0"),
+    (["simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10",
+      "--x0", "1,2,3"], "loopshift: error: --x0 needs 2 coordinates, got 3"),
+], ids=["x0-not-numbers", "config-missing", "negative-seed", "x0-empty", "x0-too-long"])
 def test_unreadable_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -277,6 +278,8 @@ def _bits(crossing):
 
 @settings(deadline=None, max_examples=200)
 @given(resonant_systems, companion_polys)
+# den(1) rounds to 0, so the gain at the threshold is infinite
+@example(([(1e-05, 0.0), (0.001, 0.0)], [], [0.0], 2.0), [0.0, 0.0, 0.0, 0.001])
 def test_level_test_and_roots_equal_the_numpy_reference(system, p):
     pairs, real_poles, num, L = system
     poles = [complex(x) for x in real_poles]
@@ -286,7 +289,9 @@ def test_level_test_and_roots_equal_the_numpy_reference(system, p):
     g = _circle_gains(t.num, t.den)
     threshold = (L + 1.0) / (L - 1.0)
     gain = reference_level_crossings(g, threshold).gain
-    for level in (threshold, 1.0, gain, gain * (1.0 + 1e-12), gain * (1.0 - 1e-12)):
+    # a level test takes a finite level: no climb goes on from an infinite gain
+    levels = (threshold, 1.0, gain, gain * (1.0 + 1e-12), gain * (1.0 - 1e-12))
+    for level in filter(math.isfinite, levels):
         got, want = _level_crossings(g, level), reference_level_crossings(g, level)
         assert _bits(got) == _bits(want)
         assert climb_to_peak(got) == reference_climb_to_peak(want)
@@ -318,6 +323,46 @@ def test_colleague_roots_equal_the_array_construction(c):
 def test_colleague_rejects_a_column_that_is_not_finite(c):
     with pytest.raises(np.linalg.LinAlgError):
         _chebyshev_roots(c)
+
+
+def test_overflowing_level_series_reads_as_infinite_gain():
+    # 1e154 (z^4 - 1)/z^4 peaks at 2e154: |num|^2's series overflows, every
+    # root was dropped, and only x = +-1, 0, where the gain is 0, were read
+    crossing = _level_crossings(_circle_gains((-1e154, 0.0, 0.0, 0.0, 1e154),
+                                              (0.0, 0.0, 0.0, 0.0, 1.0)), 2.0)
+    assert crossing.gain == math.inf and crossing.reaches
+    peak, f = climb_to_peak(crossing)
+    assert peak == math.inf and math.isnan(f)
+
+
+_GRID = [mpmath.pi * i / 256 for i in range(257)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(stable_systems, st.integers(min_value=0, max_value=160),
+       st.floats(min_value=0.5, max_value=2.0))
+@example(([(0.0, 0.0), (0.0, 0.0)], [], [-1.0, 0.0, 0.0, 0.0, 1.0]), 154, 0.9)
+def test_large_gains_never_pass_below_a_level_they_reach(system, k, factor):
+    # the numerator scaled by 10^k: |num|^2 or level^2 |den|^2 overflows a
+    # float from about k = 154, where a level test must still reach
+    pairs, real_poles, num = system
+    assume(any(num))
+    poles = list(real_poles)
+    for r, angle in pairs:
+        poles += [cmath.rect(r, angle), cmath.rect(r, -angle)]
+    t = RationalTF([c * 10.0**k for c in num], poly_from_roots(poles))
+    with mpmath.workdps(30):
+        n = [mpmath.mpf(c) for c in reversed(t.num)]
+        d = [mpmath.mpf(c) for c in reversed(t.den)]
+        zs = [mpmath.expj(theta) for theta in _GRID]
+        dens = [mpmath.polyval(d, z) for z in zs]
+        grid_peak = float(max(abs(mpmath.polyval(n, z) / dz) for z, dz in zip(zs, dens)))
+        cond = sum(abs(c) for c in t.den) / float(min(map(abs, dens)))
+    level = factor * grid_peak
+    # the level test resolves gains to about eps * cond^2 (see lti)
+    tol = 1e-12 + 4.0 * np.finfo(float).eps * cond**2
+    if grid_peak >= level * (1.0 + tol):
+        assert _level_crossings(_circle_gains(t.num, t.den), level).reaches
 
 
 def test_pole_on_the_circle_reads_as_infinite_gain():

@@ -94,6 +94,28 @@ def test_bode_of_an_overflowing_gain_warns_nothing(tmp_path):
     assert proc.stderr == ""
 
 
+def test_overflowing_scaled_numerator_is_not_certified(tmp_path):
+    # at rho = 0.5 the scaled shifted numerator is (inf, -inf, inf, -inf, 3.0):
+    # the level test read gain -1.0, "does not reach", and the climb from
+    # that level never ended
+    a, b = 4.0866507834627503e+307, 8.173301566925501e+307
+    config = {"method_json": {"family": "custom", "num": [a, -a, a, -a, 0.75],
+                              "den": [b, -b, b, -b, 1.0]}}
+    (tmp_path / "huge.json").write_text(json.dumps(config))
+    argv = ["certify", "--m", "1", "--L", "3", "--rho", "0.5", "--config", "huge.json",
+            "--json", "out.json"]
+    _fresh("import math\n"
+           "from loopshift import Family, MethodSpec, RationalTF, SectorClass, certify_rate\n"
+           "from loopshift.cli import main\n"
+           f"tf = RationalTF({config['method_json']['num']!r}, {config['method_json']['den']!r})\n"
+           "cert = certify_rate(MethodSpec(Family.CUSTOM, custom_tf=tf), SectorClass(1, 3), 0.5)\n"
+           "assert cert.stable and not cert.certified and cert.hinf == math.inf, cert\n"
+           f"assert main({argv!r}) == 0", tmp_path)
+    data = json.loads((tmp_path / "out.json").read_text())
+    assert data["certified"] is False and data["stable"] is True
+    assert data["hinf"] is None and data["peak_frequency"] is None
+
+
 def test_order_three_controller_loads_numpy_on_first_use(tmp_path):
     config = {"method_json": {"family": "custom", "num": [0.0, 0.03, -0.1],
                               "den": [-0.06, 0.46, -1.4, 1.0]}}
