@@ -289,12 +289,18 @@ def test_level_test_and_roots_equal_the_numpy_reference(system, p):
     g = _circle_gains(t.num, t.den)
     threshold = (L + 1.0) / (L - 1.0)
     gain = reference_level_crossings(g, threshold).gain
-    # a level test takes a finite level: no climb goes on from an infinite gain
-    levels = (threshold, 1.0, gain, gain * (1.0 + 1e-12), gain * (1.0 - 1e-12))
-    for level in filter(math.isfinite, levels):
+    for level in (threshold, 1.0, gain, gain * (1.0 + 1e-12), gain * (1.0 - 1e-12)):
         got, want = _level_crossings(g, level), reference_level_crossings(g, level)
-        assert _bits(got) == _bits(want)
-        assert climb_to_peak(got) == reference_climb_to_peak(want)
+        if math.isfinite(level):
+            assert _bits(got) == _bits(want)
+            assert climb_to_peak(got) == reference_climb_to_peak(want)
+        else:
+            # an infinite level's series overflows: an infinite gain at a NaN
+            # angle, where the reference reads the angle of the pole
+            assert got.gain == want.gain == math.inf and got.reaches
+            assert math.isnan(got.theta)
+            peak, f = climb_to_peak(got)
+            assert peak == reference_climb_to_peak(want)[0] == math.inf and math.isnan(f)
     # poly_roots' companion matrix, in np.roots' layout, through the wrapper
     comp = np.eye(len(p) - 1, k=-1)
     comp[0] = -np.asarray(p[-2::-1]) / p[-1]
