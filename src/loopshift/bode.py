@@ -92,8 +92,11 @@ def crossover_frequency(tf: RationalTF) -> float | None:
     With x = cos(2 pi f), crossings are the real roots in (-1, 1) of the
     Chebyshev series of |N|^2 - |D|^2 where it changes sign, the largest root
     first; the gain is even about f = 0 and 0.5: roots within LEVEL_RTOL of
-    x = +-1 only touch."""
-    gains = _circle_gains(tf.num, tf.den)
+    x = +-1 only touch.  Crossings are read scale-free: num and den are
+    first divided by the power of two that brings their largest coefficient
+    into [0.5, 1), exactly, so |N|^2 cannot overflow."""
+    shift = -math.frexp(max(map(abs, tf.num + tf.den)))[1]
+    gains = _circle_gains(*(tuple(math.ldexp(c, shift) for c in p) for p in (tf.num, tf.den)))
     series = [a - b for a, b in zip(gains.num_series, gains.den_series)]
     xs = sorted({-1.0, 1.0} | {r.real for r in _chebyshev_roots(series)
                                if abs(r.real) < 1.0 - LEVEL_RTOL})
@@ -143,6 +146,26 @@ def bode_csv_text(rows: list[FrequencyRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _px(v: float) -> str:
+    """An SVG coordinate: a float to two decimals, an integer as it is."""
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "#ddd",
+          width: int = 1) -> str:
+    return (f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x: float, y: float, size: int, body: str, anchor: str | None = "middle",
+          rotated: bool = False) -> str:
+    """A sans-serif label at (x, y), turned a quarter left about it when ``rotated``."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="rotate(-90 {_px(x)} {_px(y)})"' if rotated else ""
+    return (f'<text x="{_px(x)}" y="{_px(y)}" font-size="{size}"{anchor} '
+            f'font-family="sans-serif"{turn}>{body}</text>')
+
+
 def bode_svg_text(curves: list[tuple[str, list[FrequencyRow]]]) -> str:
     """Self-contained SVG magnitude plot: log-frequency axis, one polyline
     per labelled curve, legend from the labels.  No timestamps or external
@@ -178,38 +201,19 @@ def bode_svg_text(curves: list[tuple[str, list[FrequencyRow]]]) -> str:
     # decade grid lines and x labels
     for d in range(math.ceil(log_lo), math.floor(log_hi) + 1):
         x = x_px(10.0 ** d)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{margin_t}" x2="{x:.2f}" '
-            f'y2="{margin_t + plot_h}" stroke="#ddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{margin_t + plot_h + 16}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">1e{d}</text>'
-        )
+        parts += [_line(x, margin_t, x, margin_t + plot_h),
+                  _text(x, margin_t + plot_h + 16, 11, f"1e{d}")]
     y_step = 10.0
     while (y_hi - y_lo) / y_step > 8:
         y_step *= 2.0
     level = y_lo
     while level <= y_hi:
         y = y_px(level)
-        parts.append(
-            f'<line x1="{margin_l}" y1="{y:.2f}" x2="{margin_l + plot_w}" '
-            f'y2="{y:.2f}" stroke="#ddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l - 6}" y="{y + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{level:g}</text>'
-        )
+        parts += [_line(margin_l, y, margin_l + plot_w, y),
+                  _text(margin_l - 6, y + 4, 11, f"{level:g}", anchor="end")]
         level += y_step
-    parts.append(
-        f'<text x="{margin_l + plot_w / 2:.2f}" y="{_HEIGHT - 8}" font-size="12" '
-        'text-anchor="middle" font-family="sans-serif">frequency (cycles/iteration)</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{margin_t + plot_h / 2:.2f}" font-size="12" '
-        'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 14 {margin_t + plot_h / 2:.2f})">magnitude (dB)</text>'
-    )
+    parts += [_text(margin_l + plot_w / 2, _HEIGHT - 8, 12, "frequency (cycles/iteration)"),
+              _text(14, margin_t + plot_h / 2, 12, "magnitude (dB)", rotated=True)]
     for idx, (label, rows) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(
@@ -222,13 +226,7 @@ def bode_svg_text(curves: list[tuple[str, list[FrequencyRow]]]) -> str:
         )
         ly = margin_t + 14 + 16 * idx
         lx = margin_l + plot_w - 180
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="11" '
-            f'font-family="sans-serif">{label}</text>'
-        )
+        parts += [_line(lx, ly - 4, lx + 22, ly - 4, color, 2),
+                  _text(lx + 28, ly, 11, label, anchor=None)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -149,10 +149,11 @@ def _check_tol(tol: float) -> None:
 def bisect_rate(spec: MethodSpec, sector: SectorClass, tol: float = 1e-6) -> RateSearchResult:
     """Smallest certifiable rate, to bracket width ``tol`` met to float
     resolution, found by the search of :func:`_bisect`: at tol = 1e-6 it
-    takes about 3 tests for a catalog method and about 10 for an order-3..6
-    controller, where bisection takes about 20.  ``iterations`` counts those
-    tests, the one at RHO_MAX included.  The certificate is built once, at
-    the final rate, from the test that passed there.  Raises
+    takes 3 tests for gradient descent, 4 to 11 for the other catalog
+    methods and about 10 for an order-3..6 controller, where bisection takes
+    about 20.  ``iterations`` counts those tests, the one at RHO_MAX
+    included.  The certificate is built once, at the final rate, from the
+    test that passed there.  Raises
     :class:`NoCertificateError` when not even RHO_MAX certifies; batch
     callers should treat that as a definite negative result, not a failure.
     """

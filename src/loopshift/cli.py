@@ -4,7 +4,8 @@ Subcommands: bode, certify, rate, curve, search, simulate, robustness,
 report.  Artifacts (JSON/CSV/SVG) are written atomically and byte-identical
 for identical configs and seeds; "not certified" is a successful run that
 reports data, not a failure.  Exit codes: 0 success, 1 computation error
-(structured JSON on stderr), 2 usage error.
+or an artifact that cannot be written (structured JSON on stderr), 2 usage
+error.
 
 The commands that simulate or use an oracle import those layers, and with
 them numpy, when they run; bode, and certify, rate, curve and search on
@@ -595,12 +596,11 @@ def main(argv=None) -> int:
     library call with identical results."""
     run = parse_args(argv)
     try:
-        payload, summary = _COMMANDS[run.config.command][0](run)
-    except LoopShiftError as exc:
+        _emit(run, *_COMMANDS[run.config.command][0](run))
+    except (LoopShiftError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    _emit(run, payload, summary)
     return 0
 
 

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from loopshift import (
     Family,
@@ -36,18 +35,6 @@ def poly_from_roots(roots, leading: float = 1.0) -> tuple[float, ...]:
     return _floats((leading * acc).real)
 
 
-def poly_arg_scale(p: tuple[float, ...], rho: float) -> tuple[float, ...]:
-    """Substitute ``z -> rho*z``: returns q with q(z) = p(rho*z), i.e. each
-    coefficient is multiplied by rho**i."""
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise InvalidParameterError(f"argument scale must be positive, got {rho}")
-    out, power = [], 1.0
-    for c in p:
-        out.append(c * power)
-        power *= rho
-    return _floats(out)
-
-
 def constant_tf(c: float) -> RationalTF:
     return RationalTF((c,), (1.0,))
 
@@ -65,16 +52,6 @@ def _poly_close(a: tuple[float, ...], b: tuple[float, ...], rtol: float) -> bool
     if scale == 0.0:
         return True
     return all(abs(x - y) <= rtol * scale for x, y in zip(ca, cb))
-
-
-def tf_add(a: RationalTF, b: RationalTF) -> RationalTF:
-    num = P.polyadd(P.polymul(a.num, b.den), P.polymul(b.num, a.den))
-    return RationalTF(num, P.polymul(a.den, b.den))
-
-
-def tf_sub(a: RationalTF, b: RationalTF) -> RationalTF:
-    num = P.polysub(P.polymul(a.num, b.den), P.polymul(b.num, a.den))
-    return RationalTF(num, P.polymul(a.den, b.den))
 
 
 def level_crossing(t: RationalTF, level: float) -> LevelCrossing:

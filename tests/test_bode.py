@@ -1,6 +1,8 @@
 import cmath
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -190,6 +192,21 @@ def test_crossover_none_when_gain_touches_one_at_the_ends(den):
     assert crossover_frequency(RationalTF((50.5,), den)) is None
 
 
+def test_crossover_of_a_gain_whose_square_overflows():
+    # |N|^2's series for num = 1e160 (1.5 + z) overflowed, and the crossing
+    # of |K| ~ |1.5 + z| = 1 was lost; mpmath finds it at 60 digits
+    k = RationalTF((1.5e160, 1e160), (1e160, 1.0))
+
+    def excess(f):
+        z = mpmath.expj(2 * mpmath.pi * f)
+        return abs((mpmath.mpf(1.5e160) + mpmath.mpf(1e160) * z) / (mpmath.mpf(1e160) + z)) - 1
+
+    with mpmath.workdps(60):
+        want = float(mpmath.findroot(excess, 0.385))
+    assert abs(crossover_frequency(k) - want) <= 1e-15
+    assert gain_metrics(k).crossover_hz == crossover_frequency(k)
+
+
 def test_crossover_smallest_of_several():
     # |K| = 0.3 / |z^2 - 1.9 cos(0.6) z + 0.9025| is below 1 at f = 0 and
     # 0.5 and above it around the resonance at theta = 0.6: the first of the
@@ -251,3 +268,6 @@ def test_svg_is_deterministic_and_self_contained():
     assert svg1.count("<polyline") == 2
     assert "gradient(alpha=1)" in svg1
     assert "http" not in svg1.replace("http://www.w3.org/2000/svg", "")
+    # one flat curve: its dB range is empty and widens to one 10 dB step
+    flat = bode_svg_text([("flat", bode_table(RationalTF((1.0,), (1.0,))))])
+    assert flat == (Path(__file__).resolve().parent / "golden" / "bode-flat.svg").read_text()

@@ -167,6 +167,20 @@ def test_computation_error_exits_one(tmp_path, capsys):
     assert payload["error"] == "InvalidParameterError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10", "--json"],
+    ["curve", "--m", "1", "--L", "10", "--alpha-steps", "3", "--csv"],
+], ids=["json", "csv"])
+def test_artifact_path_that_is_a_directory_exits_one(tmp_path, capsys, argv):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    assert main(argv + [str(adir)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "IsADirectoryError"
+    # the temp file beside it is removed
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
 def test_simulate_writes_trajectory_csv(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(["simulate", "--method", "gradient:alpha=0.18182",
@@ -287,7 +301,7 @@ def test_bode_writes_svg_and_per_method_csv(tmp_path):
                  "--m", "0.01", "--L", "1",
                  "--svg", str(svg), "--csv", str(csv)])
     assert code == 0
-    assert svg.read_text().startswith("<svg")
+    assert svg.read_bytes() == (GOLDEN / "bode.svg").read_bytes()
     written = sorted(p.name for p in tmp_path.glob("bode-*.csv"))
     assert len(written) == 3
 
@@ -316,14 +330,17 @@ def test_search_command(capsys):
     assert "alpha_star=0.1818" in out
 
 
-def test_curve_command_csv(tmp_path):
+def test_curve_command_csv(tmp_path, capsys):
     out = tmp_path / "curve.csv"
-    code = main(["curve", "--m", "1", "--L", "10", "--alpha-min", "0.05",
-                 "--alpha-max", "0.19", "--alpha-steps", "5", "--csv", str(out)])
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "alpha,rho_star"
-    assert len(lines) == 6
+    # from 2/L = 0.2 up no stepsize certifies
+    for alphas, certified in ((("0.05", "0.19"), "5 certified"), (("0.2", "0.3"), "none certified")):
+        code = main(["curve", "--m", "1", "--L", "10", "--alpha-min", alphas[0],
+                     "--alpha-max", alphas[1], "--alpha-steps", "5", "--csv", str(out)])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "alpha,rho_star"
+        assert len(lines) == 6
+        assert f"curve over 5 stepsizes: {certified}" in capsys.readouterr().out
 
 
 def test_config_file_overrides_flags(tmp_path):

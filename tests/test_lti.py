@@ -33,9 +33,7 @@ from helpers import (
     poly_from_roots,
     reference_climb_to_peak,
     reference_level_crossings,
-    tf_add,
     tf_allclose,
-    tf_sub,
     verify_realization,
 )
 
@@ -102,23 +100,12 @@ def test_real_number_types_convert_to_floats():
     assert all(type(c) is float for c in t.num + t.den)
 
 
-def test_sub_constant_from_integrator():
-    # -2/(z-1) - 1 = (-z - 1)/(z - 1)
-    out = tf_sub(integrator(2.0), constant_tf(1.0))
-    assert tf_allclose(out, RationalTF((-1.0, -1.0), (-1.0, 1.0)), rtol=1e-14)
-
-
 def test_mul_integrator_by_lag_gives_momentum_denominator():
     beta = 0.5
     # the integrator -1/(z-1) times the lag z/(z-beta)
     out = FactorForm(-1.0, beta, 0.0, 1.0).product()
     expected = RationalTF((0.0, -1.0), (beta, -(1 + beta), 1.0))
     assert tf_allclose(out, expected, rtol=1e-14)
-
-
-def test_add_zero_is_identity():
-    t = RationalTF((0.3, -1.0), (0.25, -1.0, 1.0))
-    assert tf_allclose(tf_add(t, constant_tf(0.0)), t, rtol=1e-14)
 
 
 def test_arg_scale_examples():

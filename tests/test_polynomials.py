@@ -7,10 +7,10 @@ from numpy.polynomial import polynomial as P
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopshift import InvalidParameterError, RationalTF, poly_eval, poly_roots
+from loopshift import InvalidParameterError, RationalTF, poly_eval, poly_roots, tf_arg_scale
 from loopshift.polynomials import _finite_eigvals, schur_stable
 
-from helpers import poly_arg_scale, poly_from_roots, reference_schur_stable
+from helpers import poly_from_roots, reference_schur_stable
 
 coeff = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 polys = st.lists(coeff, min_size=1, max_size=6).map(tuple)
@@ -54,26 +54,12 @@ def test_normalization_trims_exact_zeros_only():
     assert hash(tf) == hash(RationalTF((0.5,), (0.0, 1.0)))
 
 
-def test_arg_scale_examples():
-    assert poly_arg_scale((0.0, 1.0), 0.5) == (0.0, 0.5)
-    kappa = 100.0
-    p = (-(kappa - 1.0), 2.0 * kappa)
-    assert poly_arg_scale(p, 0.99) == (-99.0, 198.0)
-
-
-def test_arg_scale_identity_and_validation():
-    p = (1.0, -2.0, 3.0)
-    assert poly_arg_scale(p, 1.0) == p
-    with pytest.raises(InvalidParameterError):
-        poly_arg_scale(p, 0.0)
-    with pytest.raises(InvalidParameterError):
-        poly_arg_scale(p, -0.3)
-
-
 def test_roots_quadratic_factors():
     roots = sorted(poly_roots((0.7, -1.7, 1.0)), key=lambda r: r.real)
     assert roots[0] == pytest.approx(0.7, abs=1e-12)
     assert roots[1] == pytest.approx(1.0, abs=1e-12)
+    # b == 0 and c == 0: the double root at the origin
+    assert poly_roots((0.0, 0.0, 1.0)) == [0j, 0j]
 
 
 def test_roots_linear():
@@ -156,13 +142,23 @@ def test_eval_is_multiplicative(a, b, re, im):
 
 
 @settings(deadline=None)
-@given(polys, st.floats(min_value=1e-3, max_value=2.0, allow_nan=False),
+@given(polys, polys, st.floats(min_value=1e-3, max_value=2.0, allow_nan=False),
        st.floats(min_value=0.0, max_value=2.0 * math.pi))
-def test_arg_scale_matches_substitution(p, rho, theta):
+def test_arg_scale_matches_substitution(p, q, rho, theta):
+    # s(z) = t(rho z), cross-multiplied: s.num(z) t.den(rho z) = s.den(z) t.num(rho z),
+    # to rounding relative to the same products taken over |coefficients|,
+    # plus an absolute 1e-300 for subnormal coefficients, which round absolutely
+    assume(len(p) <= len(q) + 1)
+    t = RationalTF(p, q + (1.0,))
+    s = tf_arg_scale(t, rho)
     z = complex(math.cos(theta), math.sin(theta))
-    lhs = poly_eval(poly_arg_scale(p, rho), z)
-    rhs = poly_eval(p, rho * z)
-    assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs) + abs(rhs))
+    lhs = poly_eval(s.num, z) * poly_eval(t.den, rho * z)
+    rhs = poly_eval(s.den, z) * poly_eval(t.num, rho * z)
+
+    def size(a, b):
+        return abs(poly_eval([abs(c) for c in a], 1.0) * poly_eval([abs(c) for c in b], rho))
+
+    assert abs(lhs - rhs) <= 1e-12 * (size(s.num, t.den) + size(s.den, t.num)) + 1e-300
 
 
 # root sets closed under conjugation: (modulus, angle) pairs, angle 0 or pi
@@ -192,7 +188,7 @@ def test_schur_stable_matches_root_moduli(pairs, leading):
 def test_schur_stable_triple_root_near_circle(factor, stable):
     # the triple root at 0.9 moves to 1 / factor; computed roots are off by
     # several 1e-6, the recursion decides without them
-    p = poly_arg_scale(poly_from_roots([0.9, 0.9, 0.9]), 0.9 * factor)
+    p = tf_arg_scale(RationalTF((1.0,), poly_from_roots([0.9, 0.9, 0.9])), 0.9 * factor).den
     assert schur_stable(p) is stable
     assert bool(np.all(np.abs(np.roots(p[::-1])) < 1.0)) is stable
     assert schur_stable((3.0,))
