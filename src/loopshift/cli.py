@@ -1,11 +1,11 @@
 """Command-line front door.
 
 Subcommands: bode, certify, rate, curve, search, simulate, robustness,
-report.  Artifacts (JSON/CSV/SVG) are written atomically and byte-identical
-for identical configs and seeds; "not certified" is a successful run that
-reports data, not a failure.  Exit codes: 0 success, 1 computation error
-or an artifact that cannot be written (structured JSON on stderr), 2 usage
-error.
+report.  ``main`` writes all of a command's artifacts (JSON/CSV/SVG) or none,
+before it prints; they are byte-identical for identical configs and seeds.
+"Not certified" is a successful run that reports data, not a failure.  Exit
+codes: 0 success, 1 computation error or an artifact that cannot be written
+(structured JSON on stderr), 2 usage error.
 
 The commands that simulate or use an oracle import those layers, and with
 them numpy, when they run; bode, and certify, rate, curve and search on
@@ -17,6 +17,7 @@ milliseconds to import.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -253,6 +254,9 @@ def _resolve(config: RunConfig) -> Run:
         (config.n_freq < 2, "--n must be >= 2"),
         (config.family not in _SEARCH_FAMILIES,
          f"--family must be one of {', '.join(_SEARCH_FAMILIES)}"),
+        ("" in (config.json_out, config.csv_out, config.svg_out), "an artifact path cannot be empty"),
+        *((getattr(config, _FLAGS[flag]["dest"]) is not None and flag not in _COMMANDS[command][2],
+           f"{command} writes no {flag} file") for flag in ("--csv", "--svg")),
     ]
     for failed, message in problems:
         if failed:
@@ -299,19 +303,29 @@ def _beta_grid(config: RunConfig) -> list[float]:
     return linspace(config.beta_min, config.beta_max, config.beta_steps)
 
 
-def _write_text(path: str, text: str) -> None:
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=target.name + ".")
+def _write_files(files: dict[str, str]) -> None:
+    """Write every artifact or none: each text goes to a temp file beside its
+    target, and the targets are replaced only once every text is written.
+    A failure removes the temp files and names the path as given."""
+    staged = []
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+        for path in filter(os.path.isdir, files):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, text in files.items():
+            target = Path(path)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+            staged.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for tmp, path in zip(staged, files):
+            os.replace(tmp, path)
+    except OSError as exc:
+        # `path` is the one the failing loop was at
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for tmp in filter(os.path.exists, staged):
             os.unlink(tmp)
-        raise
 
 
 def _json_safe(obj):
@@ -325,15 +339,7 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(run: Run, payload: dict, summary: str) -> None:
-    print(summary)
-    if run.config.json_out:
-        payload = _json_safe(payload)
-        _write_text(run.config.json_out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(json.dumps(payload, sort_keys=True))
-
-
-def _cmd_certify(run: Run) -> tuple[dict, str]:
+def _cmd_certify(run: Run) -> tuple[dict, str, dict]:
     config = run.config
     cert = certify_rate(run.method, run.sector, config.rho)
     verdict = "certified" if cert.certified else "not certified"
@@ -343,33 +349,33 @@ def _cmd_certify(run: Run) -> tuple[dict, str]:
         f"{verdict} (stable={cert.stable}, hinf={hinf}, "
         f"threshold={cert.threshold:.6g})"
     )
-    return asdict(cert), summary
+    return asdict(cert), summary, {}
 
 
-def _cmd_rate(run: Run) -> tuple[dict, str]:
+def _cmd_rate(run: Run) -> tuple[dict, str, dict]:
     config, spec = run.config, run.method
     try:
         result = bisect_rate(spec, run.sector, config.tol)
     except NoCertificateError as exc:
         payload = {"method": spec.label, "m": config.m, "L": config.L,
                    "rho_star": None, "certified": False, "reason": str(exc)}
-        return payload, f"{spec.label}: no certificate (rates below 1 do not certify)"
+        return payload, f"{spec.label}: no certificate (rates below 1 do not certify)", {}
     payload = {"method": spec.label, "m": config.m, "L": config.L, **asdict(result)}
     summary = (
         f"{spec.label}: rho_star={result.rho_star:.6g} "
         f"({result.iterations} tests, hinf={result.certificate.hinf:.6g}, "
         f"threshold={result.certificate.threshold:.6g})"
     )
-    return payload, summary
+    return payload, summary, {}
 
 
-def _cmd_curve(run: Run) -> tuple[dict, str]:
+def _cmd_curve(run: Run) -> tuple[dict, str, dict]:
     config = run.config
     rows = certified_rate_curve(run.sector, run.alphas, tol=config.tol)
+    files = {}
     if config.csv_out:
-        lines = ["alpha,rho_star"]
-        lines += [f"{a!r},{'' if r is None else repr(r)}" for a, r in rows]
-        _write_text(config.csv_out, "\n".join(lines) + "\n")
+        lines = ["alpha,rho_star"] + [f"{a!r},{'' if r is None else repr(r)}" for a, r in rows]
+        files[config.csv_out] = "\n".join(lines) + "\n"
     certified = [(a, r) for a, r in rows if r is not None]
     if certified:
         best = min(certified, key=lambda ar: ar[1])
@@ -379,7 +385,7 @@ def _cmd_curve(run: Run) -> tuple[dict, str]:
         )
     else:
         summary = f"curve over {len(rows)} stepsizes: none certified"
-    return {"m": config.m, "L": config.L, "curve": [[a, r] for a, r in rows]}, summary
+    return {"m": config.m, "L": config.L, "curve": [[a, r] for a, r in rows]}, summary, files
 
 
 def _stepsize_search(run: Run) -> tuple[dict, str]:
@@ -391,34 +397,34 @@ def _stepsize_search(run: Run) -> tuple[dict, str]:
     return {"alpha_star": alpha, "rho_star": rho}, f"alpha_star={alpha:.6g} rho_star={rho:.6g}"
 
 
-def _cmd_search(run: Run) -> tuple[dict, str]:
+def _cmd_search(run: Run) -> tuple[dict, str, dict]:
     config, sector = run.config, run.sector
     if config.family == Family.GRADIENT.value:
         found, summary = _stepsize_search(run)
         return ({"family": "gradient", "m": config.m, "L": config.L, **found},
-                f"stepsize search: {summary}")
+                f"stepsize search: {summary}", {})
     result = search_two_param(sector, run.alphas, run.betas, Family(config.family), config.tol)
     if result is None:  # nothing certified: each grid point was tested once, none refined
         return ({"family": config.family, "m": config.m, "L": config.L, "alpha": None,
                  "beta": None, "rho_star": None,
                  "evaluations": len(run.alphas) * len(run.betas)},
-                f"{config.family} search: nothing on the grid certifies")
+                f"{config.family} search: nothing on the grid certifies", {})
     payload = {"family": config.family, "m": config.m, "L": config.L, **asdict(result)}
     summary = (
         f"{config.family} search: alpha={result.alpha:.6g} beta={result.beta:.6g} "
         f"rho_star={result.rho_star:.6g}"
     )
-    return payload, summary
+    return payload, summary, {}
 
 
-def _cmd_simulate(run: Run) -> tuple[dict, str]:
+def _cmd_simulate(run: Run) -> tuple[dict, str, dict]:
     from .simulate import estimate_rate, simulate_run, trajectory_csv_text
 
     config, spec, oracle = run.config, run.method, run.oracle
     x0 = oracle.xstar + 1.0 if config.x0 is None else config.x0
     traj = simulate_run(spec, oracle, x0, config.iters, config.noise_sigma, config.seed)
-    if config.csv_out:
-        _write_text(config.csv_out, trajectory_csv_text(traj, config.include_iterates))
+    files = ({config.csv_out: trajectory_csv_text(traj, config.include_iterates)}
+             if config.csv_out else {})
     payload = {
         "method": spec.label,
         "oracle": traj.oracle_id,
@@ -443,10 +449,10 @@ def _cmd_simulate(run: Run) -> tuple[dict, str]:
         f"{spec.label} on {traj.oracle_id}: {config.iters} steps, "
         f"final residual={traj.residuals[-1]:.6g}, {fitted}"
     )
-    return payload, summary
+    return payload, summary, files
 
 
-def _cmd_robustness(run: Run) -> tuple[dict, str]:
+def _cmd_robustness(run: Run) -> tuple[dict, str, dict]:
     from .simulate import noise_robustness_experiment
 
     config = run.config
@@ -458,10 +464,10 @@ def _cmd_robustness(run: Run) -> tuple[dict, str]:
         f"median steady-state residual alpha=1/L -> {report.median_standard:.6g}, "
         f"alpha=2/(L+m) -> {report.median_optimal_sector:.6g}"
     )
-    return asdict(report), summary
+    return asdict(report), summary, {}
 
 
-def _cmd_bode(run: Run) -> tuple[dict, str]:
+def _cmd_bode(run: Run) -> tuple[dict, str, dict]:
     from .bode import bode_csv_text, bode_svg_text, bode_table, gain_metrics
 
     config = run.config
@@ -471,27 +477,28 @@ def _cmd_bode(run: Run) -> tuple[dict, str]:
         tf = build_controller(spec)
         curves.append((spec.label, bode_table(tf, config.f_min, config.n_freq)))
         infos.append({"method": spec.label, **asdict(gain_metrics(tf))})
+    files = {}
     if config.csv_out:
         if len(curves) == 1:
-            _write_text(config.csv_out, bode_csv_text(curves[0][1]))
+            files[config.csv_out] = bode_csv_text(curves[0][1])
         else:
             base = Path(config.csv_out)
             for label, rows in curves:
                 slug = re.sub(r"[^A-Za-z0-9.=_-]+", "_", label).strip("_")
                 path = base.with_name(f"{base.stem}-{slug}{base.suffix or '.csv'}")
-                _write_text(str(path), bode_csv_text(rows))
+                files[str(path)] = bode_csv_text(rows)
     if config.svg_out:
-        _write_text(config.svg_out, bode_svg_text(curves))
+        files[config.svg_out] = bode_svg_text(curves)
     payload = {"f_min": config.f_min, "n": config.n_freq, "methods": infos}
     crossings = ", ".join(
         f"{info['method']}@{info['crossover_hz']:.4g}" if info["crossover_hz"] else
         f"{info['method']}@none"
         for info in infos
     )
-    return payload, f"bode tables for {len(curves)} methods (crossovers: {crossings})"
+    return payload, f"bode tables for {len(curves)} methods (crossovers: {crossings})", files
 
 
-def _cmd_report(run: Run) -> tuple[dict, str]:
+def _cmd_report(run: Run) -> tuple[dict, str, dict]:
     from .sectors import PiecewiseLinearOracle, QuadraticOracle, random_rotation
     from .simulate import estimate_rate, simulate_run
 
@@ -561,7 +568,7 @@ def _cmd_report(run: Run) -> tuple[dict, str]:
         f"soundness {verdict} over {len(checked)} of {len(soundness)} runs"
         + (f" ({unfit} without a rate fit)" if unfit else "")
     )
-    return payload, summary
+    return payload, summary, {}
 
 
 # command -> (function, help line, its flags before --config/--json, keyword
@@ -595,12 +602,20 @@ def main(argv=None) -> int:
     """Run one command; every computation here is also reachable as a plain
     library call with identical results."""
     run = parse_args(argv)
+    json_out = run.config.json_out
     try:
-        _emit(run, *_COMMANDS[run.config.command][0](run))
+        payload, summary, files = _COMMANDS[run.config.command][0](run)
+        if json_out:
+            payload = _json_safe(payload)
+            files[json_out] = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _write_files(files)
     except (LoopShiftError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
+    print(summary)
+    if json_out:
+        print(json.dumps(payload, sort_keys=True))
     return 0
 
 

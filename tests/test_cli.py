@@ -167,18 +167,29 @@ def test_computation_error_exits_one(tmp_path, capsys):
     assert payload["error"] == "InvalidParameterError"
 
 
-@pytest.mark.parametrize("argv", [
-    ["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10", "--json"],
-    ["curve", "--m", "1", "--L", "10", "--alpha-steps", "3", "--csv"],
-], ids=["json", "csv"])
-def test_artifact_path_that_is_a_directory_exits_one(tmp_path, capsys, argv):
-    adir = tmp_path / "adir"
-    adir.mkdir()
-    assert main(argv + [str(adir)]) == 1
-    payload = json.loads(capsys.readouterr().err)
+@pytest.mark.parametrize("argv, directory", [
+    (["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10", "--json", "{tmp}/adir"],
+     "adir"),
+    (["curve", "--m", "1", "--L", "10", "--alpha-steps", "3", "--csv", "{tmp}/adir"], "adir"),
+    # the second of three per-method CSVs: the first CSV and the SVG are not written either
+    (["bode", "--methods", "gradient:alpha=1,gradient:alpha=1.9802,nesterov:preset",
+      "--m", "0.01", "--L", "1", "--csv", "{tmp}/t.csv", "--svg", "{tmp}/t.svg"],
+     "t-gradient_alpha=1.9802.csv"),
+], ids=["json", "csv", "bode"])
+def test_artifact_path_that_is_a_directory_exits_one(tmp_path, capsys, argv, directory):
+    (tmp_path / directory).mkdir()
+    errors = []
+    for _ in range(2):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    payload = json.loads(errors[0])
     assert payload["error"] == "IsADirectoryError"
-    # the temp file beside it is removed
-    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert payload["message"] == f"[Errno 21] Is a directory: '{tmp_path / directory}'"
+    # no artifact and no temp file is left beside it
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
 
 
 def test_simulate_writes_trajectory_csv(tmp_path, capsys):
@@ -306,10 +317,14 @@ def test_bode_writes_svg_and_per_method_csv(tmp_path):
     assert len(written) == 3
 
 
-def test_bode_single_method_uses_given_csv_path(tmp_path):
+def test_bode_single_method_uses_given_csv_path(tmp_path, capsys):
     csv = tmp_path / "one.csv"
-    main(["bode", "--methods", "gradient:alpha=1", "--csv", str(csv)])
-    assert csv.read_text().startswith("f_hz,mag_db")
+    # 3/|z-1| is at least 1.5 on the whole circle, so it has no crossover
+    for method, crossover in (("gradient:alpha=1", "gradient(alpha=1)@0.1667"),
+                              ("gradient:alpha=3", "gradient(alpha=3)@none")):
+        main(["bode", "--methods", method, "--csv", str(csv)])
+        assert csv.read_text().startswith("f_hz,mag_db")
+        assert f"(crossovers: {crossover})" in capsys.readouterr().out
 
 
 def test_robustness_command(tmp_path, capsys):
@@ -471,6 +486,10 @@ def test_report_without_any_rate_fit_says_unchecked(tmp_path, capsys):
     {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "rotation_sed": 3}},
     {"seed": -5},
     {"oracle": "quadratic:1,10", "x0": []},
+    # rate writes no CSV or SVG: the file was silently not written
+    {"csv_out": "r.csv"},
+    {"svg_out": "r.svg"},
+    {"json_out": ""},
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
@@ -509,7 +528,15 @@ def test_overflowing_gain_is_no_certificate(tmp_path):
      "loopshift: error: --x0 needs 2 coordinates, got 0"),
     (["simulate", "--method", "gradient:alpha=0.1", "--oracle", "quadratic:1,10",
       "--x0", "1,2,3"], "loopshift: error: --x0 needs 2 coordinates, got 3"),
-], ids=["x0-not-numbers", "config-missing", "negative-seed", "x0-empty", "x0-too-long"])
+    # an empty artifact path was silently not written
+    (["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10", "--json", ""],
+     "loopshift: error: an artifact path cannot be empty"),
+    (["curve", "--m", "1", "--L", "10", "--alpha-steps", "3", "--csv", ""],
+     "loopshift: error: an artifact path cannot be empty"),
+    (["bode", "--methods", "gradient:alpha=1", "--svg", ""],
+     "loopshift: error: an artifact path cannot be empty"),
+], ids=["x0-not-numbers", "config-missing", "negative-seed", "x0-empty", "x0-too-long",
+        "empty-json", "empty-csv", "empty-svg"])
 def test_unreadable_input_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, prefix):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
