@@ -8,10 +8,19 @@ the sector but is sufficient only, never claimed tight.
 
 On top of the single test sit a search for the best certifiable rate, a
 closed-form-checked stepsize search, and a two-parameter grid search.
+
+K' depends on the method and the sector, not on rho, and searches and
+sweeps test one (method, sector) at many rates, so the last K' built is
+kept (:func:`_shifted`) for every certificate and rate search.  The memo is
+sound: specs, sectors and transfer functions are frozen, a transfer
+function stores monic coefficients and the shift reads a sector only
+through 2/(m+L), so equal keys give equal shifts; keys equal but not the
+same (0.0 and -0.0, an int bound and its float) change no bit of a result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +65,14 @@ def loop_shift(controller: RationalTF, sector: SectorClass) -> RationalTF:
             "outside the supported feedback form"
         )
     return RationalTF(num, shifted_den)
+
+
+@functools.lru_cache(maxsize=1)
+def _shifted(spec: MethodSpec, sector: SectorClass) -> RationalTF:
+    """The loop-shifted controller of ``spec`` on ``sector``, remembered for
+    the last (spec, sector) only: nothing that depends on rho is kept, and a
+    raised :class:`ImproperShiftError` is not remembered."""
+    return loop_shift(build_controller(spec), sector)
 
 
 @dataclass(frozen=True)
@@ -105,11 +122,15 @@ def _certifies(test: LevelCrossing | None) -> bool:
 
 
 def certify_rate(spec: MethodSpec, sector: SectorClass, rho: float) -> RateCertificate:
-    """Run the small-gain rate test for one method, sector, and rate."""
+    """Run the small-gain rate test for one method, sector, and rate.
+
+    The loop shift comes from the one-entry memo :func:`_shifted`, so a run
+    of calls on one (method, sector) builds it once, while the test at
+    ``rho`` runs on every call.  The memo keeps nothing that depends on rho;
+    the module docstring says why equal keys may share a shift."""
     if not (math.isfinite(rho) and 0.0 < rho < 1.0):
         raise InvalidParameterError(f"rate rho must lie in (0, 1), got {rho}")
-    shifted = loop_shift(build_controller(spec), sector)
-    return _certificate(spec, sector, rho, _threshold_test(shifted, sector, rho))
+    return _certificate(spec, sector, rho, _threshold_test(_shifted(spec, sector), sector, rho))
 
 
 def _certificate(spec: MethodSpec, sector: SectorClass, rho: float,
@@ -221,7 +242,7 @@ def _bisect(spec: MethodSpec, sector: SectorClass, tol: float, bound: float = ma
     same loop goes on with the exact test at every step, so ``hi`` stays
     within ``tol`` of the exactly decided rho*.
     """
-    shifted = loop_shift(build_controller(spec), sector)
+    shifted = _shifted(spec, sector)
     radius = None
     if math.isfinite(bound):
         radius = _stability_radius(shifted)

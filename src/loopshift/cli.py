@@ -17,6 +17,7 @@ milliseconds to import.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -304,28 +305,41 @@ def _beta_grid(config: RunConfig) -> list[float]:
 
 
 def _write_files(files: dict[str, str]) -> None:
-    """Write every artifact or none: each text goes to a temp file beside its
-    target, and the targets are replaced only once every text is written.
-    A failure removes the temp files and names the path as given."""
-    staged = []
+    """Write every artifact or none: a target that is a directory fails
+    first; then missing parent directories are made, each text goes to a
+    temp file beside its target, and the targets are replaced only once
+    every text is written.  A failure removes the temp files and the
+    directories made, and names the path the OS reported, or the target as
+    given where that path is a temp file."""
+    made, staged = [], []
     try:
         for path in filter(os.path.isdir, files):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        for path, text in files.items():
-            target = Path(path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-            staged.append(tmp)
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-        for tmp, path in zip(staged, files):
-            os.replace(tmp, path)
-    except OSError as exc:
-        # `path` is the one the failing loop was at
-        raise OSError(exc.errno, exc.strerror, path) from None
-    finally:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path in files:
+            parent = Path(path).parent
+            for directory in reversed([d for d in (parent, *parent.parents) if not d.exists()]):
+                directory.mkdir()
+                made.append(directory)
+        try:
+            for path, text in files.items():
+                target = Path(path)
+                fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+                staged.append(tmp)
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(text)
+            for tmp, path in zip(staged, files):
+                os.replace(tmp, path)
+        except OSError as exc:
+            # the OS names a temp file: name the target the failing loop was at
+            raise OSError(exc.errno, exc.strerror, path) from None
+    except BaseException:
         for tmp in filter(os.path.exists, staged):
             os.unlink(tmp)
+        for directory in reversed(made):
+            # one that now holds a replaced target stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def _json_safe(obj):

@@ -31,7 +31,7 @@ from loopshift import (
 )
 from loopshift import certify, lti
 from loopshift.cli import _json_safe
-from loopshift.certify import golden_section
+from loopshift.certify import golden_section, linspace
 from loopshift.lti import LevelCrossing, climb_to_peak
 from loopshift.polynomials import poly_roots, schur_stable
 
@@ -719,6 +719,18 @@ def test_scaled_top_numerator_underflow_is_trimmed():
     assert lti._arg_scaled(t, 0.25) == ((1.0 / 0.25,), (0.1 / 0.25, 1.0))
 
 
+def _count_builds(monkeypatch) -> list:
+    built = []
+    post_init = RationalTF.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RationalTF, "__post_init__", counted)
+    return built
+
+
 @pytest.mark.parametrize("spec", [
     gradient(0.1),
     MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5),
@@ -728,14 +740,8 @@ def test_scaled_top_numerator_underflow_is_trimmed():
          -1.0))),
 ])
 def test_bisection_steps_build_no_transfer_function(monkeypatch, spec):
-    built = []
-    post_init = RationalTF.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(RationalTF, "__post_init__", counted)
+    certify._shifted.cache_clear()  # so the search builds its shift here
+    built = _count_builds(monkeypatch)
     per_step = []
     threshold_test = certify._threshold_test
 
@@ -749,6 +755,90 @@ def test_bisection_steps_build_no_transfer_function(monkeypatch, spec):
     result = bisect_rate(spec, SEC)
     assert built  # the controller and its loop shift are built once
     assert per_step == [0] * result.iterations
+
+
+@pytest.mark.parametrize("calls", [1, 2, 7])
+def test_certificates_on_one_method_and_sector_build_the_shift_once(monkeypatch, calls):
+    certify._shifted.cache_clear()
+    built = _count_builds(monkeypatch)
+    spec, other = gradient(0.1), SectorClass(0.5, 10.0)
+    # the controller and its shift at the first call, then nothing
+    for rho in linspace(0.95, 0.99, calls):
+        certify_rate(spec, SEC, rho)
+    assert len(built) == 2
+    assert built[1] == loop_shift(build_controller(spec), SEC)
+    del built[:]
+    # the memo holds one key: a new sector builds anew, an equal one does not
+    for sector in (other, other, SEC, SectorClass(1, 10)):
+        certify_rate(spec, sector, 0.97)
+    assert len(built) == 4
+    assert built[1] == loop_shift(build_controller(spec), other)
+    assert built[3] == loop_shift(build_controller(spec), SEC)
+
+
+def _equal_specs(spec: MethodSpec) -> list[MethodSpec]:
+    """``spec`` and specs equal to it but not the same object: a zero
+    momentum given as 0.0, -0.0 and 0, a custom controller scaled by powers
+    of two, which its monic normalization undoes exactly."""
+    if spec.family is Family.CUSTOM:
+        k = spec.custom_tf
+        return [spec] + [MethodSpec(Family.CUSTOM, custom_tf=RationalTF(
+            [c * x for x in k.num], [c * x for x in k.den])) for c in (-2.0, 0.25)]
+    if spec.beta == 0.0:
+        return [MethodSpec(spec.family, alpha=spec.alpha, beta=b) for b in (0.0, -0.0, 0)]
+    return [spec, MethodSpec(spec.family, alpha=spec.alpha, beta=spec.beta)]
+
+
+def _fields_repr(outcome) -> list:
+    """Each field's repr, which tells every float bit apart but NaN's, or
+    the exception raised."""
+    if isinstance(outcome, Exception):
+        return [repr(outcome)]
+    return [(f, repr(getattr(outcome, f))) for f in outcome.__dataclass_fields__]
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (NoCertificateError, ImproperShiftError) as exc:
+        return exc
+
+
+memo_specs = st.one_of(
+    st.tuples(st.sampled_from([Family.HEAVY_BALL, Family.NESTEROV, Family.PID]),
+              st.floats(min_value=0.02, max_value=2.2),
+              st.just(0.0) | st.floats(min_value=0.0, max_value=0.95))
+    .map(lambda t: MethodSpec(t[0], alpha=t[1] / 10.0, beta=t[2])),
+    st.floats(min_value=0.02, max_value=2.2).map(lambda s: gradient(s / 10.0)),
+    st.tuples(st.integers(0, 2**16), st.integers(3, 6))
+    .map(lambda t: custom_controller(np.random.default_rng(t[0]), t[1])))
+# bounds given as ints and as floats: equal sectors, not the same object
+memo_sectors = st.sampled_from([(1, 10), (2, 3), (1, 40)])
+memo_calls = st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 1), st.booleans(),
+                       st.sampled_from([certify_rate, bisect_rate]),
+                       st.floats(min_value=0.05, max_value=0.999))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(memo_specs, min_size=2, max_size=2), st.lists(memo_sectors, min_size=2, max_size=2),
+       st.lists(memo_calls, min_size=1, max_size=8))
+def test_memoized_shift_gives_the_results_of_a_fresh_one(specs, bounds, calls):
+    certify._shifted.cache_clear()
+    variants = [_equal_specs(spec) for spec in specs]
+    sectors = [(SectorClass(m, L), SectorClass(float(m), float(L))) for m, L in bounds]
+    assert all(v == vs[0] and v is not vs[0] for vs in variants + sectors for v in vs[1:])
+    # an equal key that is not the same object follows the first call
+    calls = [(0, 0, 0, False, certify_rate, 0.97), (0, 1, 0, True, certify_rate, 0.97), *calls]
+    for i, v, j, as_float, call, rho in calls:
+        spec, sector = variants[i][v % len(variants[i])], sectors[j][as_float]
+        args = (spec, sector, rho) if call is certify_rate else (spec, sector)
+        got = _outcome(call, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, "_shifted",
+                       lambda spec, sector: loop_shift(build_controller(spec), sector))
+            want = _outcome(call, *args)
+        assert _fields_repr(got) == _fields_repr(want)
+    assert certify._shifted.cache_info().hits >= 1
 
 
 def _search_test_bound(result, tol):

@@ -192,6 +192,31 @@ def test_artifact_path_that_is_a_directory_exits_one(tmp_path, capsys, argv, dir
     assert [p.name for p in tmp_path.iterdir()] == [directory]
 
 
+@pytest.mark.parametrize("json_path, message", [
+    # the OS names a temp file in the regular file: the target as given stands in
+    ("afile/x.json", "[Errno 20] Not a directory: 'afile/x.json'"),
+    # the OS names the directory it could not make
+    ("afile/sub/x.json", "[Errno 20] Not a directory: 'afile/sub'"),
+], ids=["temp", "parent"])
+def test_artifact_parent_that_is_a_file_leaves_no_directory(tmp_path, capsys, monkeypatch,
+                                                            json_path, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
+    argv = ["curve", "--m", "1", "--L", "10", "--alpha-steps", "3",
+            "--csv", "newdir/a/c.csv", "--json", json_path]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert json.loads(errors[0]) == {"error": "NotADirectoryError", "message": message}
+    # the directories made for the CSV are gone with it
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_bytes() == b""
+
+
 def test_simulate_writes_trajectory_csv(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(["simulate", "--method", "gradient:alpha=0.18182",
