@@ -234,15 +234,17 @@ def _resolve(config: RunConfig) -> Run:
     """Check every given input, whether or not the command uses it, so a
     config with a mistaken intent fails loudly, and build each one once."""
     command = config.command
+    _, _, flags, changes = _COMMANDS[command]
     problems = [
         ((config.m is None) != (config.L is None), "--m and --L must be given together"),
-        (config.m is None and command not in ("simulate", "bode"), "--m and --L are required"),
-        (command in ("certify", "rate", "simulate") and config.method is None
+        (config.m is None and {**_FLAGS["--m"], **changes.get("--m", {})}["required"],
+         "--m and --L are required"),
+        ("--method" in flags and config.method is None
          and config.method_json is None, "--method (or a method_json config block) is required"),
-        (command in ("simulate", "robustness") and config.oracle is None
+        ("--oracle" in flags and config.oracle is None
          and config.oracle_json is None, "--oracle (or an oracle_json config block) is required"),
-        (command == "bode" and not config.methods, "--methods needs at least one method"),
-        ((command == "certify" or config.rho is not None)
+        ("--methods" in flags and not config.methods, "--methods needs at least one method"),
+        (("--rho" in flags or config.rho is not None)
          and not (config.rho and 0.0 < config.rho < 1.0),
          f"--rho must lie in (0, 1), got {config.rho}"),
         (config.iters < 1, "--iters must be >= 1"),
@@ -256,7 +258,7 @@ def _resolve(config: RunConfig) -> Run:
         (config.family not in _SEARCH_FAMILIES,
          f"--family must be one of {', '.join(_SEARCH_FAMILIES)}"),
         ("" in (config.json_out, config.csv_out, config.svg_out), "an artifact path cannot be empty"),
-        *((getattr(config, _FLAGS[flag]["dest"]) is not None and flag not in _COMMANDS[command][2],
+        *((getattr(config, _FLAGS[flag]["dest"]) is not None and flag not in flags,
            f"{command} writes no {flag} file") for flag in ("--csv", "--svg")),
     ]
     for failed, message in problems:

@@ -4,8 +4,9 @@
 
 A transfer function holds its numerator and denominator as polynomials of
 :mod:`loopshift.polynomials`, plain ascending coefficient tuples, and keeps
-the denominator monic so coefficient-level equality is well defined.  Common
-num/den roots are never cancelled.
+the denominator monic so coefficient-level equality is well defined; its
+constructor alone normalises, and a scaling keeps the denominator's degree.
+Common num/den roots are never cancelled.
 
 The level tests of one system share its Chebyshev series, built once.  A
 level test at the threshold decides a rate certificate's gain condition,
@@ -41,21 +42,6 @@ if TYPE_CHECKING:
 LEVEL_RTOL = 8.0 * sys.float_info.epsilon
 
 
-def _monic(num, den) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Ascending coefficients of num/den, given as polynomials (float tuples,
-    trailing zeros trimmed), both divided by den's leading one; raises for a
-    zero or improper pair."""
-    if den == (0.0,):
-        raise InvalidParameterError("transfer function denominator is zero")
-    lead = den[-1]
-    if lead != 1.0:
-        num, den = _trimmed([c / lead for c in num]), _trimmed([c / lead for c in den])
-    if len(num) > len(den):
-        raise InvalidParameterError(f"improper transfer function: numerator degree "
-                                    f"{len(num) - 1} exceeds denominator degree {len(den) - 1}")
-    return num, den
-
-
 @dataclass(frozen=True)
 class RationalTF:
     """Proper rational transfer function num(z)/den(z), denominator monic;
@@ -66,7 +52,15 @@ class RationalTF:
     den: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        num, den = _monic(_floats(self.num), _floats(self.den))
+        num, den = _floats(self.num), _floats(self.den)
+        if den == (0.0,):
+            raise InvalidParameterError("transfer function denominator is zero")
+        lead = den[-1]
+        if lead != 1.0:
+            num, den = _trimmed([c / lead for c in num]), tuple([c / lead for c in den])
+        if len(num) > len(den):
+            raise InvalidParameterError(f"improper transfer function: numerator degree "
+                                        f"{len(num) - 1} exceeds denominator degree {len(den) - 1}")
         if not all(map(math.isfinite, num + den)):
             raise InvalidParameterError(
                 f"transfer function coefficients must be finite, got num={num}, den={den}")
@@ -84,17 +78,20 @@ def tf_arg_scale(t: RationalTF, rho: float) -> RationalTF:
 
 
 def _arg_scaled(t: RationalTF, rho: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The coefficients of ``t(rho*z)`` as the pair of :func:`_monic`: every
-    scaling of a system goes through here, and a rate test works on the
-    pair without building a :class:`RationalTF`."""
+    """The coefficients of ``t(rho*z)`` divided by rho**order, the monic pair
+    of every scaling: the denominator keeps its degree, so a rho**order that
+    underflows to 0 (or overflows) raises; top numerator ones that underflow drop."""
     if not (math.isfinite(rho) and rho > 0.0):
         raise InvalidParameterError(f"argument scale must be positive, got {rho}")
     powers = [1.0]
     for _ in range(t.order):
         powers.append(powers[-1] * rho)
-    # trimmed first, so the last nonzero coefficient leads: rho**n can underflow
-    return _monic(_trimmed([c * p for c, p in zip(t.num, powers)]),
-                  _trimmed([c * p for c, p in zip(t.den, powers)]))
+    lead = powers[-1]
+    if lead == 0.0 or lead == math.inf:
+        fate = "underflows to 0" if lead == 0.0 else "overflows: scaled coefficients must be finite"
+        raise InvalidParameterError(f"argument scale {rho!r} to the power {t.order} {fate}")
+    return (_trimmed([c * p / lead for c, p in zip(t.num, powers)]),
+            tuple([c * p / lead for c, p in zip(t.den, powers)]))
 
 
 def freq_response(t: RationalTF, f: float) -> complex:

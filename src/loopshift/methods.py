@@ -147,9 +147,10 @@ def preset(family: Family, m: float, L: float, variant: str = "standard") -> Met
 
     Gradient descent: ``standard`` uses alpha = 1/L, ``optimal_sector`` uses
     alpha = 2/(L+m).  Nesterov: alpha = 1/L with
-    beta = (sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)).  Heavy ball has no preset
-    here; its usual tunings are justified only under assumptions this tool
-    does not certify, so alpha and beta must be supplied explicitly.
+    beta = (sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)), none where that rounds to 1
+    (L/m from about 1e32 up).  Heavy ball has no preset here; its usual
+    tunings are justified only under assumptions this tool does not
+    certify, so alpha and beta must be supplied explicitly.
     """
     SectorClass(m, L)  # raises unless 0 < m < L
     family = Family(family)
@@ -165,6 +166,9 @@ def preset(family: Family, m: float, L: float, variant: str = "standard") -> Met
         if variant != "standard":
             raise InvalidParameterError(f"nesterov has a single preset, not {variant!r}")
         beta = (math.sqrt(L) - math.sqrt(m)) / (math.sqrt(L) + math.sqrt(m))
+        if beta == 1.0:
+            raise UnsupportedPresetError(f"no nesterov preset on S({m:g}, {L:g}): its momentum "
+                                         "(sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)) rounds to 1")
         return MethodSpec(Family.NESTEROV, alpha=1.0 / L, beta=beta)
     if family is Family.HEAVY_BALL:
         raise UnsupportedPresetError(

@@ -6,7 +6,7 @@ controller from its coefficients once and replicates it per coordinate and
 per run (state shape (order, runs*dim), so the seeds of a noise experiment
 advance together); the plant closes the loop with
 v[k] = grad(u[k] + xstar) plus optional seeded Gaussian noise on the gradient
-output.  Order-1 controllers that share A and b may take one output row per
+output.  Order-1 controllers that share A may take one output row per
 state column, so a noise experiment runs both gradient tunings in one batch;
 run groups that share a noise stream add the same noise rows, never a copy.
 Controller states start equal, scaled so the first produced point is x0; for
@@ -51,11 +51,11 @@ class Trajectory:
         return int(bad[0]) if bad.size else None
 
 
-def _feedback_matrices(controller: RationalTF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, b, c) of a controller num/den of order n, checked to close the
+def _feedback_matrices(controller: RationalTF) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) of a controller num/den of order n, checked to close the
     loop: the controllable canonical form, with A's first row
-    -den[n-1], ..., -den[0] above a shift, b = e_1 and c = num[n-1],
-    ..., num[0]."""
+    -den[n-1], ..., -den[0] above a shift, input b = e_1 (the loop adds to
+    the first state row) and c = num[n-1], ..., num[0]."""
     num, den, n = controller.num, controller.den, controller.order
     if len(num) > n:
         raise InvalidParameterError(
@@ -64,15 +64,13 @@ def _feedback_matrices(controller: RationalTF) -> tuple[np.ndarray, np.ndarray, 
         )
     a_mat = np.eye(n, k=-1)
     a_mat[0] = [-c for c in den[-2::-1]]
-    b_col = np.zeros(n)
-    b_col[0] = 1.0
     c_row = np.array((0.0,) * (n - len(num)) + num[::-1])
     if abs(float(c_row.sum())) <= 1e-12 * max(1.0, float(np.max(np.abs(c_row)))):
         raise InvalidParameterError(
             "controller has a zero at z = 1, so no equal-state "
             "initialization reproduces the start point"
         )
-    return a_mat, b_col, c_row
+    return a_mat, c_row
 
 
 def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarray | None:
@@ -98,12 +96,12 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
                  noise: np.ndarray | None, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``runs`` copies of the loop
 
-        u[k] = c s[k],   s[k+1] = A s[k] + b (plant(u[k]) + noise[k])
+        u[k] = c s[k],   s[k+1] = A s[k] + e_1 (plant(u[k]) + noise[k])
 
     at once, the controller replicated per coordinate and per run (state
     shape (order, runs*dim)), from the centered start points ``u0`` of shape
     (runs, dim).  ``c`` is one row of shape (order,), or for order-1
-    controllers that share A and b, one output per state column, shape
+    controllers that share A, one output per state column, shape
     (1, runs*dim): each u entry is then the single product the matmul forms.
     ``noise`` has shape (iters, width) with width dividing runs*dim; the run
     groups of that width all add the same noise, so runs that share a noise
@@ -111,9 +109,8 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
     the last ``keep`` steps, shape (keep, runs, dim), and their residuals
     ||x[k] - xstar||, shape (keep, runs).
     """
-    a_mat, b_col, c_row = matrices
+    a_mat, c_row = matrices
     runs, dim = u0.shape
-    b = b_col[:, None]
     per_column = c_row.ndim == 2
     # Equal delayed states scaled to produce u[0]; this is the cold start
     # x[-1] = x[0] for the order-2 catalog methods.
@@ -134,7 +131,7 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
             if noise is not None:
                 v = v.reshape(groups, -1) + noise[k]
             state = a_mat @ state
-            state += b * v.ravel()
+            state[0] += v.ravel()
         xs[-1] = c_row * state if per_column else c_row @ state
         xs += np.tile(xstar, runs)
         xs = xs.reshape(keep, runs, dim)
@@ -284,16 +281,16 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     _check_iters(iters)
     noise = _gradient_noise(noise_sigma, seeds, iters, oracle.dim)
     standard, optimal = [preset(Family.GRADIENT, sector.m, sector.L, v) for v in GRADIENT_PRESETS]
-    # gradient descent realizes as A = [[1]], b = [1], c = [-alpha] for every
+    # gradient descent realizes as A = [[1]], c = [-alpha] for every
     # alpha, so both tunings run as one batch told apart by the output row,
     # the standard tuning's seeds first
-    a_mat, b_col, c_std = _feedback_matrices(build_controller(standard))
-    c_opt = _feedback_matrices(build_controller(optimal))[2]
+    a_mat, c_std = _feedback_matrices(build_controller(standard))
+    c_opt = _feedback_matrices(build_controller(optimal))[1]
     c_cols = np.repeat(np.concatenate((c_std, c_opt)), len(seeds) * oracle.dim)[None]
     # the start xstar + 1 centered as simulate_run centers it, bit for bit
     u0 = np.tile((oracle.xstar + 1.0) - oracle.xstar, (2 * len(seeds), 1))
     tail = max(1, (iters + 1) // 10)
-    _, residuals = _closed_loop((a_mat, b_col, c_cols), oracle.centered_grad, u0, oracle.xstar,
+    _, residuals = _closed_loop((a_mat, c_cols), oracle.centered_grad, u0, oracle.xstar,
                                 iters, noise, tail)
     steady = [float(r) for r in _median(residuals)]
     ss_std = tuple(steady[:len(seeds)])

@@ -203,11 +203,11 @@ def custom_controller(rng, order) -> MethodSpec:
     return MethodSpec(Family.CUSTOM, custom_tf=RationalTF(tuple(num), tuple(den)))
 
 
-def impulse(a_mat: np.ndarray, b_col: np.ndarray, c_row: np.ndarray, steps: int) -> np.ndarray:
+def impulse(a_mat: np.ndarray, c_row: np.ndarray, steps: int) -> np.ndarray:
     """First ``steps`` impulse-response samples (0, cb, cAb, ...) of the
-    strictly proper realization (A, b, c)."""
+    strictly proper realization (A, b, c), b = e_1."""
     out = np.zeros(steps)
-    x = b_col.copy()
+    x = np.eye(len(a_mat))[0]
     for k in range(1, steps):
         out[k] = float(c_row @ x)
         x = a_mat @ x
@@ -229,13 +229,13 @@ def impulse_series(t: RationalTF, steps: int) -> np.ndarray:
     return h
 
 
-def verify_realization(t: RationalTF, a_mat: np.ndarray, b_col: np.ndarray, c_row: np.ndarray,
+def verify_realization(t: RationalTF, a_mat: np.ndarray, c_row: np.ndarray,
                        steps: int = 50, tol: float = 1e-9) -> bool:
-    """Check the realization (A, b, c) of ``t`` against the long-division
+    """Check the realization (A, e_1, c) of ``t`` against the long-division
     impulse response."""
     reference = impulse_series(t, steps)
     scale = max(1.0, float(np.max(np.abs(reference))))
-    return bool(np.max(np.abs(impulse(a_mat, b_col, c_row, steps) - reference)) <= tol * scale)
+    return bool(np.max(np.abs(impulse(a_mat, c_row, steps) - reference)) <= tol * scale)
 
 
 def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
@@ -244,10 +244,11 @@ def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
 
         u = c s,   x = u + x*,   s = A s + outer(b, grad(u) + noise),
 
-    one step at a time from equal states scaled to give u[0] = x0 - x*: an
-    oracle for :func:`loopshift.simulate_run` with the same arithmetic and
-    none of its batching."""
-    a_mat, b_col, c_row = _feedback_matrices(build_controller(spec))
+    b = e_1, one step at a time from equal states scaled to give
+    u[0] = x0 - x*: an oracle for :func:`loopshift.simulate_run` with the
+    same arithmetic and none of its batching."""
+    a_mat, c_row = _feedback_matrices(build_controller(spec))
+    b_col = np.eye(len(a_mat))[0]
     xstar = oracle.xstar
     noise = (np.random.default_rng(seed).normal(0.0, noise_sigma, (iters, oracle.dim))
              if noise_sigma else None)

@@ -713,6 +713,33 @@ def test_threshold_test_equals_the_transfer_function_route(system, tiny_top):
         assert step.gains == want.gains
 
 
+# gradient descent at alpha = 0.05, rate 0.95, padded with two pole-zero
+# pairs at the origin: an order-3 controller
+PADDED_GRADIENT = MethodSpec(Family.CUSTOM, custom_tf=RationalTF((0.0, 0.0, -0.05),
+                                                                   (0.0, 0.0, -1.0, 1.0)))
+
+
+@pytest.mark.parametrize("spec, rho", [
+    # rho**2 and rho**3 underflow to 0: dropping the denominator's top
+    # coefficient once certified the rest
+    (MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.0), 1e-300),
+    (MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.0), 1e-170),
+    (PADDED_GRADIENT, 1e-110),
+    (PADDED_GRADIENT, 1e-200),
+], ids=["heavyball-1e-300", "heavyball-1e-170", "padded-1e-110", "padded-1e-200"])
+def test_a_rate_whose_power_underflows_raises(spec, rho):
+    with pytest.raises(InvalidParameterError, match="underflows to 0"):
+        certify_rate(spec, SEC, rho)
+
+
+def test_scaling_never_drops_the_denominator_degree():
+    k = build_controller(MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.0))
+    with pytest.raises(InvalidParameterError, match="to the power 2 underflows to 0"):
+        tf_arg_scale(loop_shift(k, SEC), 1e-300)
+    with pytest.raises(InvalidParameterError, match="to the power 2 underflows to 0"):
+        complementary_sensitivity(k, SEC, 1e-300)
+
+
 def test_scaled_top_numerator_underflow_is_trimmed():
     t = RationalTF((1.0, 5e-324), (0.1, 1.0))
     assert tf_arg_scale(t, 0.25).num == (1.0 / 0.25,)
@@ -1015,8 +1042,11 @@ def test_rate_search_below_float_spacing_ends():
 
 def _drawn_method(case, m_L):
     """The method and sector of a drawn catalog spec on ``m_L``, or of a
-    drawn ``helpers.custom_controller`` seed and order on S(1, 10)."""
+    drawn ``helpers.custom_controller`` seed and order, or a given spec, on
+    S(1, 10)."""
     kind, data = case
+    if kind == "spec":
+        return data, SEC
     if kind == "catalog":
         family, step, beta = data
         sec = SectorClass(*m_L)
@@ -1150,6 +1180,33 @@ def test_certified_rate_is_at_least_the_linear_worst_case(case, m_L):
     rho_lin = _linear_worst_case(spec, sec)
     with mpmath.workdps(40):
         assert mpmath.mpf(rho_star) + math.ulp(rho_star) >= rho_lin - mpmath.mpf(10) ** -30
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(catalog_specs.map(lambda t: ("catalog", t)),
+                 st.tuples(st.integers(0, 2**16), st.integers(1, 6)).map(lambda t: ("custom", t))),
+       search_sectors,
+       st.floats(min_value=math.log(5e-324), max_value=math.log(certify.RHO_MAX)).map(
+           lambda u: max(math.exp(u), 5e-324)))
+@example(("catalog", (Family.HEAVY_BALL, 0.5, 0.0)), (1.0, 10.0), 1e-300)
+@example(("catalog", (Family.HEAVY_BALL, 0.5, 0.0)), (1.0, 10.0), 1e-170)
+@example(("spec", PADDED_GRADIENT), (1.0, 10.0), 1e-110)
+@example(("spec", PADDED_GRADIENT), (1.0, 10.0), 1e-200)
+def test_certificate_at_any_rate_is_sound_or_raises(case, m_L, rho):
+    # down to the smallest float: a rate whose power rho**order underflows
+    # raises, and any other certifies no rate below the linear worst case
+    # (to one ulp, as in the search above)
+    import mpmath
+    spec, sec = _drawn_method(case, m_L)
+    try:
+        cert = certify_rate(spec, sec, rho)
+    except InvalidParameterError as exc:
+        assert "underflows to 0" in str(exc)
+        return
+    if cert.certified:
+        rho_lin = _linear_worst_case(spec, sec)
+        with mpmath.workdps(40):
+            assert mpmath.mpf(rho) + math.ulp(rho) >= rho_lin - mpmath.mpf(10) ** -30
 
 
 # Catalog rates on S(1, 10): the closed-form order-2 rate that bisection

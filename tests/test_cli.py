@@ -469,6 +469,31 @@ def test_report_nesterov_preset_without_certificate(tmp_path):
     assert data["stepsize_search"]["rho_star"] is None
 
 
+def test_report_on_a_sector_too_wide_for_the_nesterov_preset(tmp_path, capsys):
+    # the preset's momentum rounds to 1 on S(1, 1e32): its row is unavailable data
+    out = tmp_path / "wide.json"
+    assert main(["report", "--m", "1", "--L", "1e32", "--json", str(out)]) == 0
+    assert "0/4 presets certified" in capsys.readouterr().out
+    nesterov = next(p for p in json.loads(out.read_text())["presets"] if p["family"] == "nesterov")
+    assert nesterov["available"] is False and "rounds to 1" in nesterov["note"]
+    # as a method of its own it stays a usage error, naming the cause
+    with pytest.raises(SystemExit) as err:
+        main(["rate", "--method", "nesterov:preset", "--m", "1", "--L", "1e32"])
+    assert err.value.code == 2
+    assert "momentum (sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)) rounds to 1" in capsys.readouterr().err
+
+
+def test_certify_at_a_rate_whose_power_underflows_exits_one(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--method", "heavyball:alpha=0.05,beta=0", "--m", "1", "--L", "10",
+                 "--rho", "1e-300", "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "InvalidParameterError",
+        "message": "argument scale 1e-300 to the power 2 underflows to 0"}
+
+
 def test_report_without_any_rate_fit_says_unchecked(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["report", "--m", "1", "--L", "10", "--alpha-steps", "3",

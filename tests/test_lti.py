@@ -19,8 +19,8 @@ from loopshift import (
     poly_roots,
     tf_arg_scale,
 )
-from loopshift.lti import (LEVEL_RTOL, _chebyshev_roots, _circle_gains, _colleague_template,
-                           _gain_series, _level_crossings, climb_to_peak)
+from loopshift.lti import (LEVEL_RTOL, _arg_scaled, _chebyshev_roots, _circle_gains,
+                           _colleague_template, _gain_series, _level_crossings, climb_to_peak)
 from loopshift.simulate import _feedback_matrices
 
 from helpers import (
@@ -120,6 +120,27 @@ def test_arg_scale_examples():
     assert tf_allclose(scaled2, RationalTF((1 + kappa,), (-kappa + 1, 2 * 0.8 * kappa)), rtol=1e-14)
 
     assert tf_allclose(tf_arg_scale(t2, 1.0), t2, rtol=1e-15)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=7),
+       st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=0, max_size=6),
+       st.floats(min_value=math.log(5e-324), max_value=math.log(1.7e308)).map(
+           lambda u: max(math.exp(u), 5e-324)))
+# rho**2 underflows to 0 and rho**3 overflows: the scaling once dropped
+# the denominator's top coefficient, or returned NaN coefficients
+@example([1.0], [0.5, -1.5], 1e-170)
+@example([0.1888], [-0.00029, 0.8605, -0.00053], 1e300)
+def test_scaling_keeps_the_denominator_degree_or_raises(num, den, rho):
+    assume(len(num) <= len(den) + 1)
+    t = RationalTF(tuple(num), tuple(den) + (1.0,))
+    try:
+        scaled_num, scaled_den = _arg_scaled(t, rho)
+    except InvalidParameterError as exc:
+        assert "underflows to 0" in str(exc) or "must be finite" in str(exc)
+        return
+    assert len(scaled_den) == t.order + 1 and scaled_den[-1] == 1.0
+    assert len(scaled_num) <= len(scaled_den)
 
 
 @pytest.mark.parametrize("rho", [0.0, -0.5, math.inf, math.nan])
@@ -368,7 +389,7 @@ def test_pole_on_the_circle_reads_as_infinite_gain():
 
 def test_realize_gradient_impulse():
     matrices = _feedback_matrices(build_controller(MethodSpec(Family.GRADIENT, alpha=0.1)))
-    assert [m.shape for m in matrices] == [(1, 1), (1,), (1,)]
+    assert [m.shape for m in matrices] == [(1, 1), (1,)]
     h = impulse(*matrices, 6)
     assert h[0] == 0.0
     assert np.allclose(h[1:], -0.1, atol=1e-15)

@@ -72,6 +72,13 @@ def test_heavy_ball_preset_rejected_with_message():
         preset(Family.HEAVY_BALL, 1, 10)
 
 
+def test_nesterov_preset_whose_momentum_rounds_to_one_is_unsupported():
+    # (sqrt(L) - sqrt(m)) / (sqrt(L) + sqrt(m)) is exactly 1.0 on S(1, 1e32)
+    assert preset(Family.NESTEROV, 1.0, 3e31).beta < 1.0
+    with pytest.raises(UnsupportedPresetError, match="rounds to 1"):
+        preset(Family.NESTEROV, 1.0, 1e32)
+
+
 def test_preset_validates_sector():
     with pytest.raises(InvalidParameterError):
         preset(Family.GRADIENT, 10, 1)
