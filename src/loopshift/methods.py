@@ -52,6 +52,12 @@ class SectorClass:
             raise InvalidParameterError(
                 f"sector needs 0 < m < L, got m={self.m}, L={self.L}"
             )
+        if not (self.threshold > 1.0 and self.sector_gain < 1.0):
+            # the same collapse in floating point, from L/m near 2**53 up
+            raise InvalidParameterError(
+                f"sector S({self.m:g}, {self.L:g}) is too wide: its threshold (L+m)/(L-m) "
+                f"rounds to {self.threshold!r} and its gain (L-m)/(L+m) to {self.sector_gain!r}"
+            )
 
     @property
     def kappa(self) -> float:
@@ -147,8 +153,8 @@ def preset(family: Family, m: float, L: float, variant: str = "standard") -> Met
 
     Gradient descent: ``standard`` uses alpha = 1/L, ``optimal_sector`` uses
     alpha = 2/(L+m).  Nesterov: alpha = 1/L with
-    beta = (sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)), none where that rounds to 1
-    (L/m from about 1e32 up).  Heavy ball has no preset here; its usual
+    beta = (sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)), below 1 on every sector
+    :class:`SectorClass` accepts.  Heavy ball has no preset here; its usual
     tunings are justified only under assumptions this tool does not
     certify, so alpha and beta must be supplied explicitly.
     """
@@ -166,9 +172,6 @@ def preset(family: Family, m: float, L: float, variant: str = "standard") -> Met
         if variant != "standard":
             raise InvalidParameterError(f"nesterov has a single preset, not {variant!r}")
         beta = (math.sqrt(L) - math.sqrt(m)) / (math.sqrt(L) + math.sqrt(m))
-        if beta == 1.0:
-            raise UnsupportedPresetError(f"no nesterov preset on S({m:g}, {L:g}): its momentum "
-                                         "(sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)) rounds to 1")
         return MethodSpec(Family.NESTEROV, alpha=1.0 / L, beta=beta)
     if family is Family.HEAVY_BALL:
         raise UnsupportedPresetError(

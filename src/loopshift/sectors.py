@@ -8,11 +8,18 @@ are built so membership holds by construction: quadratics with eigenvalues in
 [m, L], and continuous piecewise-linear scalar gradients whose segment slopes
 stay in [m, L] (chord slopes then stay in [m, L] as well, and such functions
 need not look anything like a convex quadratic).
+
+Scalar and separable piecewise-linear oracles share one evaluator,
+:func:`_piecewise_grad`, which takes a point's coordinates one Python float at
+a time: the simulator hands it one point per step, where numpy's per-call cost
+on a few elements outweighs the arithmetic.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
+from math import copysign
 
 import numpy as np
 
@@ -109,6 +116,28 @@ def random_rotation(dim: int, seed: int) -> np.ndarray:
     return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
 
 
+def _piecewise_grad(u: np.ndarray, pieces) -> np.ndarray:
+    """Odd continuous piecewise-linear gradients of the coordinates of ``u``,
+    shape (..., len(pieces)), one Python float at a time.
+
+    ``pieces`` holds one (upper, breakpoints, values, slopes) tuple of lists
+    per coordinate: breakpoints start at 0, ``upper`` is the breakpoints after
+    0, and values are the gradient at each breakpoint.  The piece holding |u|
+    is the count of ``upper`` at or below it, and the result is
+    copysign(values[i] + slopes[i] (|u| - breakpoints[i]), u), so -0.0 maps to
+    -0.0, +-inf to +-inf and NaN to NaN.
+    """
+    if u.shape[-1:] != (len(pieces),):
+        raise InvalidParameterError(f"expected shape (..., {len(pieces)}), got {u.shape}")
+    out = []
+    for row in u.reshape(-1, len(pieces)).tolist():
+        for x, (upper, bp, vals, slopes) in zip(row, pieces):
+            a = abs(x)
+            i = bisect_right(upper, a)
+            out.append(copysign(vals[i] + slopes[i] * (a - bp[i]), x))
+    return np.array(out).reshape(u.shape)
+
+
 class PiecewiseLinearOracle(GradientOracle):
     """Scalar gradient that is continuous piecewise linear with g(0) = 0.
 
@@ -133,51 +162,44 @@ class PiecewiseLinearOracle(GradientOracle):
             raise InvalidParameterError("breakpoints must be finite and strictly increasing")
         if np.any(sl <= 0.0) or not np.all(np.isfinite(sl)):
             raise InvalidParameterError("slopes must be positive and finite")
-        self._bp = bp
-        self._upper = bp[1:]
         self.slopes = sl
-        vals = np.zeros(bp.size)
-        for i in range(1, bp.size):
-            vals[i] = vals[i - 1] + sl[i - 1] * (bp[i] - bp[i - 1])
-        self._vals = vals
+        bps, sls = bp.tolist(), sl.tolist()
+        vals = [0.0]
+        for lo, hi, slope in zip(bps, bps[1:], sls):
+            vals.append(vals[-1] + slope * (hi - lo))
+        self._pieces = ((bps[1:], bps, vals, sls),)
         self.xstar = _as_xstar(xstar, 1)
 
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
-        a = np.abs(u)
-        # the piece holding |u|: the count of breakpoints after 0 at or below it
-        i = self._upper.searchsorted(a, side="right")
-        return np.copysign(self._vals.take(i) + self.slopes.take(i) * (a - self._bp.take(i)), u)
+        return _piecewise_grad(u, self._pieces)
 
     def lies_in(self, sector: SectorClass) -> bool:
         return bool(self.slopes.min() >= sector.m and self.slopes.max() <= sector.L)
 
     def describe(self) -> str:
-        return "pwl:" + ",".join(
-            f"{b:.10g}:{s:.10g}" for b, s in zip(self._bp, self.slopes)
-        )
+        _, bps, _, slopes = self._pieces[0]
+        return "pwl:" + ",".join(f"{b:.10g}:{s:.10g}" for b, s in zip(bps, slopes))
 
 
-def _scalar_pieces(oracle: GradientOracle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breakpoints, values and slopes of a scalar oracle's odd piecewise-linear
-    gradient; a scalar quadratic is one piece of slope lambda (and 0 + lambda
-    (|u| - 0) carries the sign exactly as lambda u does)."""
+def _scalar_pieces(oracle: GradientOracle) -> tuple[list, list, list, list]:
+    """A scalar oracle's odd piecewise-linear gradient in the form
+    :func:`_piecewise_grad` takes; a scalar quadratic is one piece of slope
+    lambda (and 0 + lambda (|u| - 0) carries the sign exactly as lambda u
+    does)."""
     if not isinstance(oracle, (PiecewiseLinearOracle, QuadraticOracle, SeparableOracle)):
         raise InvalidParameterError(
             "separable components must be quadratic, pwl or separable oracles"
         )
     if oracle.dim != 1:
         raise InvalidParameterError("separable components must be scalar oracles")
-    if isinstance(oracle, PiecewiseLinearOracle):
-        return oracle._bp, oracle._vals, oracle.slopes
     if isinstance(oracle, QuadraticOracle):
-        return np.zeros(1), np.zeros(1), oracle.eigenvalues
-    row = ~np.isnan(oracle._bp[0])
-    return oracle._bp[0, row], oracle._vals[0, row], oracle._slopes[0, row]
+        return [], [0.0], [0.0], oracle.eigenvalues.tolist()
+    return oracle._pieces[0]
 
 
 class SeparableOracle(GradientOracle):
-    """Coordinate-wise composition of scalar oracles, evaluated as one table
-    of piecewise-linear pieces per coordinate."""
+    """Coordinate-wise composition of scalar oracles, each coordinate
+    evaluated from its component's piecewise-linear pieces."""
 
     kind = "separable"
 
@@ -185,27 +207,13 @@ class SeparableOracle(GradientOracle):
         components = tuple(components)
         if not components:
             raise InvalidParameterError("separable oracle needs at least one component")
-        pieces = [_scalar_pieces(comp) for comp in components]
-        width = max(bp.size for bp, _, _ in pieces)
-        # One row per coordinate, padded to a common width.  Breakpoint pads
-        # are nan, which no comparison counts, so a pad is never selected,
-        # even at |u| = inf.
-        self._bp, self._vals, self._slopes = tables = np.full((3, len(pieces), width), np.nan)
-        for row, piece in enumerate(pieces):
-            for table, column in zip(tables, piece):
-                table[row, : column.size] = column
-        # flat index of each row's first piece, less one for the breakpoint at 0
-        self._row_base = width * np.arange(len(components)) - 1
+        self._pieces = tuple(_scalar_pieces(comp) for comp in components)
         self._components = components
         self.dim = len(components)
         self.xstar = _as_xstar(xstar, len(components))
 
     def centered_grad(self, u: np.ndarray) -> np.ndarray:
-        a = np.abs(u)
-        # the scalar pwl formula for every coordinate at once: the piece index
-        # counts breakpoints at or below |u| and becomes a flat table index
-        i = (self._bp <= a[..., None]).sum(axis=-1) + self._row_base
-        return np.copysign(self._vals.take(i) + self._slopes.take(i) * (a - self._bp.take(i)), u)
+        return _piecewise_grad(u, self._pieces)
 
     def lies_in(self, sector: SectorClass) -> bool:
         return all(comp.lies_in(sector) for comp in self._components)

@@ -105,9 +105,11 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
     (1, runs*dim): each u entry is then the single product the matmul forms.
     ``noise`` has shape (iters, width) with width dividing runs*dim; the run
     groups of that width all add the same noise, so runs that share a noise
-    stream need no copy of it.  Returns the iterates x[k] = u[k] + xstar of
-    the last ``keep`` steps, shape (keep, runs, dim), and their residuals
-    ||x[k] - xstar||, shape (keep, runs).
+    stream need no copy of it.  The kept rows are collected and joined once.
+    Returns the iterates x[k] = u[k] + xstar of the last ``keep`` steps,
+    shape (keep, runs, dim), and their residuals ||x[k] - xstar||, shape
+    (keep, runs), formed as ``np.linalg.norm`` forms them but with one
+    temporary.
     """
     a_mat, c_row = matrices
     runs, dim = u0.shape
@@ -116,9 +118,9 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
     # x[-1] = x[0] for the order-2 catalog methods.
     state = np.tile(u0.ravel() / c_row.sum(axis=0), (a_mat.shape[0], 1))
     first = iters + 1 - keep
-    xs = np.empty((keep, runs * dim))
-    # a single run hands the plant a plain point, the cheaper call
-    points = (runs, dim) if runs > 1 else (dim,)
+    rows = []
+    # a single run hands the plant its point as the matmul forms it, shape (dim,)
+    single = runs == 1 and not per_column
     if noise is not None:
         groups = (runs * dim) // noise.shape[1]
     # a diverging run overflows; that is reported through its residuals
@@ -126,16 +128,25 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
         for k in range(iters):
             u = c_row * state if per_column else c_row @ state
             if k >= first:
-                xs[k - first] = u
-            v = plant(u.reshape(points))
-            if noise is not None:
-                v = v.reshape(groups, -1) + noise[k]
+                rows.append(u)
+            if single:
+                v = plant(u)
+                if noise is not None:
+                    v = v + noise[k]
+            else:
+                v = plant(u.reshape(runs, dim))
+                if noise is not None:
+                    v = v.reshape(groups, -1) + noise[k]
+                v = v.ravel()
             state = a_mat @ state
-            state[0] += v.ravel()
-        xs[-1] = c_row * state if per_column else c_row @ state
-        xs += np.tile(xstar, runs)
-        xs = xs.reshape(keep, runs, dim)
-        residuals = np.linalg.norm(xs - xstar, axis=-1)
+            state[0] += v
+        rows.append(c_row * state if per_column else c_row @ state)
+        xs = np.concatenate(rows).reshape(keep, runs, dim)
+        del rows  # the residuals need the block, not its rows too
+        xs += xstar
+        d = xs - xstar
+        d *= d
+        residuals = np.sqrt(np.add.reduce(d, -1))
     return xs, residuals
 
 

@@ -245,10 +245,17 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+SEPARABLE_ORACLE_JSON = {"kind": "separable", "components": [
+    {"kind": "pwl", "breakpoints": [0, 0.5, 2], "slopes": [1, 4, 10]},
+    {"kind": "pwl", "breakpoints": [0, 1], "slopes": [2, 5]},
+    {"kind": "quadratic", "eigenvalues": [3]}]}
+
+
 # Catalog-only certificate commands, none of which loads numpy, and the exact
 # bytes they write.  A refactor that keeps every verdict and rate keeps these
 # files.  peak_frequency comes from libm's acos, so the bytes are those of
-# Linux/glibc.
+# Linux/glibc.  The simulations pin every residual of a run on a scalar and a
+# separable piecewise-linear oracle; a dict in argv is a config file's contents.
 @pytest.mark.parametrize("name, argv", [
     ("certify-nesterov-0.97.json",
      ["certify", "--method", "nesterov:preset", "--m", "1", "--L", "10", "--rho", "0.97", "--json"]),
@@ -265,8 +272,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("certify-heavyball-0.9.json",
      ["certify", "--method", "heavyball:alpha=0.06,beta=0.3", "--m", "1", "--L", "10",
       "--rho", "0.9", "--json"]),
+    ("simulate-pwl.csv",
+     ["simulate", "--method", "nesterov:preset", "--m", "1", "--L", "10",
+      "--oracle", "pwl:0:1,0.5:4,2:10", "--x0", "3", "--iters", "300", "--csv"]),
+    ("simulate-separable.csv",
+     ["simulate", "--method", "heavyball:alpha=0.1,beta=0.3",
+      "--config", {"oracle_json": SEPARABLE_ORACLE_JSON},
+      "--x0", "1.5,-2,0.7", "--iters", "200", "--csv"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_artifacts_match_golden_bytes(tmp_path, name, argv):
+    config = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
     out = tmp_path / name
     assert main(argv + [str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
@@ -470,17 +489,16 @@ def test_report_nesterov_preset_without_certificate(tmp_path):
 
 
 def test_report_on_a_sector_too_wide_for_the_nesterov_preset(tmp_path, capsys):
-    # the preset's momentum rounds to 1 on S(1, 1e32): its row is unavailable data
+    # on S(1, 1e32) the threshold (L+m)/(L-m) rounds to 1: a usage error that
+    # names the rounding, before any search runs or any file is written
     out = tmp_path / "wide.json"
-    assert main(["report", "--m", "1", "--L", "1e32", "--json", str(out)]) == 0
-    assert "0/4 presets certified" in capsys.readouterr().out
-    nesterov = next(p for p in json.loads(out.read_text())["presets"] if p["family"] == "nesterov")
-    assert nesterov["available"] is False and "rounds to 1" in nesterov["note"]
-    # as a method of its own it stays a usage error, naming the cause
-    with pytest.raises(SystemExit) as err:
-        main(["rate", "--method", "nesterov:preset", "--m", "1", "--L", "1e32"])
-    assert err.value.code == 2
-    assert "momentum (sqrt(L)-sqrt(m))/(sqrt(L)+sqrt(m)) rounds to 1" in capsys.readouterr().err
+    for argv in (["report", "--m", "1", "--L", "1e32", "--json", str(out)],
+                 ["rate", "--method", "nesterov:preset", "--m", "1", "--L", "1e32"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "threshold (L+m)/(L-m) rounds to 1.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_at_a_rate_whose_power_underflows_exits_one(tmp_path, capsys):

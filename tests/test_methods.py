@@ -73,9 +73,10 @@ def test_heavy_ball_preset_rejected_with_message():
 
 
 def test_nesterov_preset_whose_momentum_rounds_to_one_is_unsupported():
-    # (sqrt(L) - sqrt(m)) / (sqrt(L) + sqrt(m)) is exactly 1.0 on S(1, 1e32)
-    assert preset(Family.NESTEROV, 1.0, 3e31).beta < 1.0
-    with pytest.raises(UnsupportedPresetError, match="rounds to 1"):
+    # (sqrt(L) - sqrt(m)) / (sqrt(L) + sqrt(m)) is exactly 1.0 on S(1, 1e32),
+    # a sector whose threshold rounds to 1 long before: it is rejected itself
+    assert preset(Family.NESTEROV, 1.0, 2.0**53).beta < 1.0
+    with pytest.raises(InvalidParameterError, match="rounds to 1.0"):
         preset(Family.NESTEROV, 1.0, 1e32)
 
 

@@ -1,4 +1,5 @@
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ def test_sector_rejects_degenerate_bounds():
         SectorClass(2.0, 1.0)
     with pytest.raises(InvalidParameterError):
         SectorClass(1.0, 1.0)
+
+
+def test_sector_whose_threshold_rounds_to_one_is_rejected():
+    # at L = 2**53, L - 1 is exact and L + 1 rounds to L, so (L+m)/(L-m) stays
+    # above 1; at 1.5 * 2**53 the spacing is 2 and both L + 1 and L - 1 round to L
+    wide = SectorClass(1.0, 2.0**53)
+    assert wide.threshold > 1.0 and wide.sector_gain < 1.0
+    with pytest.raises(InvalidParameterError, match=r"threshold \(L\+m\)/\(L-m\) rounds to 1.0"):
+        SectorClass(1.0, 1.5 * 2.0**53)
 
 
 def test_sector_check_arithmetic():
@@ -207,6 +217,39 @@ def test_batched_pwl_matches_scalar_formula(parts, extra):
     assert SeparableOracle(comps).centered_grad(u).tolist() == want
 
 
+def _same_float(got, want, u) -> bool:
+    """Equal, NaN for NaN, and a zero keeps the sign of its input."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and (got != 0.0 or math.copysign(1.0, got) == math.copysign(1.0, u))
+
+
+def test_piecewise_evaluator_special_values_and_batches():
+    outer, inner = ([0.0, 0.5, 2.0], [1.0, 4.0, 10.0]), ([0.0, 1.0], [2.0, 5.0])
+    # a scalar quadratic is the one piece at 0 with slope lambda
+    cases = [
+        (PiecewiseLinearOracle(*outer), [outer]),
+        (SeparableOracle([PiecewiseLinearOracle(*outer),
+                          SeparableOracle([PiecewiseLinearOracle(*inner)]),
+                          QuadraticOracle([3.0])]),
+         [outer, inner, ([0.0], [3.0])]),
+    ]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -5e-324]
+    for oracle, parts in cases:
+        probes = [special + [s * b for b in bps for s in (1.0, -1.0)] for bps, _ in parts]
+        # every coordinate meets each of its probes in some row, in batches of (2, 3, dim)
+        rows = -(-max(map(len, probes)) // 6) * 6
+        u = np.array([[p[r % len(p)] for p in probes] for r in range(rows)])
+        batches = u.reshape(-1, 2, 3, oracle.dim)
+        for got_all in (oracle.centered_grad(batches),
+                        np.array([oracle.centered_grad(b) for b in batches]),
+                        np.array([oracle.centered_grad(x) for x in u]).reshape(batches.shape)):
+            assert got_all.shape == batches.shape
+            for got_row, u_row in zip(got_all.reshape(-1, oracle.dim).tolist(), u.tolist()):
+                for got, x, (bps, slopes) in zip(got_row, u_row, parts):
+                    assert _same_float(got, _g_reference(bps, slopes, x), x), (x, got)
+
+
 def test_separable_scalar_quadratic_components_are_exact():
     u = np.random.default_rng(5).normal(size=(50, 3)) * 10.0 ** np.arange(-3, 3, 2)
     comps = [QuadraticOracle([3.7]), QuadraticOracle([0.3], rotation=[[-1.0]]),
@@ -246,6 +289,12 @@ def test_dimension_mismatch_errors():
         shifted_plant_apply(oracle, SectorClass(1, 2), [1.0, 2.0, 3.0])
     with pytest.raises(InvalidParameterError):
         sector_check([1.0], [1.0, 2.0], SectorClass(1, 2))
+    # a piecewise-linear oracle reads the last axis as the coordinate
+    separable = SeparableOracle([PiecewiseLinearOracle([0.0], [1.0]), QuadraticOracle([2.0])])
+    for oracle, u in ((separable, np.ones((2, 1))), (separable, np.ones(4)),
+                      (PiecewiseLinearOracle([0.0], [1.0]), np.ones(2))):
+        with pytest.raises(InvalidParameterError, match=r"expected shape \(\.\.\., \d\)"):
+            oracle.centered_grad(u)
 
 
 @pytest.mark.parametrize("call, match", [
