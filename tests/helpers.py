@@ -118,9 +118,13 @@ def _reference_chebyshev_roots(c: list[float]) -> list[complex]:
 def reference_level_crossings(g: _CircleGains, level: float) -> LevelCrossing:
     """``lti._level_crossings`` as it was before it evaluated each distinct
     point once: every root's clipped real part, +-1 and every midpoint
-    between neighbours, repeats included.  The reference of its answers."""
+    between neighbours, repeats included.  The reference of its answers,
+    with the same overflow reading: a level series that is not finite gives
+    an infinite gain at a NaN angle."""
     level2 = level * level
     series = [a - level2 * b for a, b in zip(g.num_series, g.den_series)]
+    if not all(map(math.isfinite, series)):
+        return LevelCrossing(level, math.inf, math.nan, g)
     xs = sorted([-1.0, 1.0] + [min(1.0, max(-1.0, r.real))
                                for r in _reference_chebyshev_roots(series)])
     best, best_x = -1.0, 1.0
