@@ -66,7 +66,12 @@ def _point(value, dim: int, name: str) -> np.ndarray:
 
 
 def _as_xstar(xstar, dim: int) -> np.ndarray:
-    return np.zeros(dim) if xstar is None else _point(xstar, dim, "xstar")
+    if xstar is None:
+        return np.zeros(dim)
+    out = _point(xstar, dim, "xstar")
+    if not np.all(np.isfinite(out)):
+        raise InvalidParameterError(f"xstar must be finite, got {xstar!r}")
+    return out
 
 
 class QuadraticOracle(GradientOracle):
@@ -125,17 +130,19 @@ def _piecewise_grad(u: np.ndarray, pieces) -> np.ndarray:
     0, and values are the gradient at each breakpoint.  The piece holding |u|
     is the count of ``upper`` at or below it, and the result is
     copysign(values[i] + slopes[i] (|u| - breakpoints[i]), u), so -0.0 maps to
-    -0.0, +-inf to +-inf and NaN to NaN.
+    -0.0, +-inf to +-inf and NaN to NaN.  A single point, shape (dim,), is
+    read and built as it is; a batch goes through rows of shape (-1, dim).
     """
     if u.shape[-1:] != (len(pieces),):
         raise InvalidParameterError(f"expected shape (..., {len(pieces)}), got {u.shape}")
+    single = u.ndim == 1
     out = []
-    for row in u.reshape(-1, len(pieces)).tolist():
+    for row in [u.tolist()] if single else u.reshape(-1, len(pieces)).tolist():
         for x, (upper, bp, vals, slopes) in zip(row, pieces):
             a = abs(x)
             i = bisect_right(upper, a)
             out.append(copysign(vals[i] + slopes[i] * (a - bp[i]), x))
-    return np.array(out).reshape(u.shape)
+    return np.array(out) if single else np.array(out).reshape(u.shape)
 
 
 class PiecewiseLinearOracle(GradientOracle):
@@ -264,23 +271,27 @@ def oracle_from_json(obj: dict) -> GradientOracle:
     Schemas: {"kind": "quadratic", "eigenvalues": [..], "xstar": [..]?,
     "rotation_seed": int?}, {"kind": "pwl", "breakpoints": [..],
     "slopes": [..], "xstar": num?}, and {"kind": "separable",
-    "components": [..], "xstar": [..]?}; any other key is an error.
+    "components": [..], "xstar": [..]?}; any other key is an error, and
+    ``xstar``, like every other number, must be a finite JSON number.
     """
     with json_block(obj, "oracle_json block"):
         kind = obj.get("kind")
         if kind in _ORACLE_KEYS:
             json_keys(obj, _ORACLE_KEYS[kind], f"a {kind} oracle_json block")
+        xstar = obj.get("xstar")
+        if xstar is not None:
+            xstar = (json_number if kind == "pwl" else json_numbers)(xstar, "xstar")
         if kind == "quadratic":
             eigs = json_numbers(obj["eigenvalues"], "eigenvalues")
             rotation = None
             if "rotation_seed" in obj:
                 seed = json_number(obj["rotation_seed"], "rotation_seed", int)
                 rotation = random_rotation(len(eigs), seed)
-            return QuadraticOracle(eigs, rotation, obj.get("xstar"))
+            return QuadraticOracle(eigs, rotation, xstar)
         if kind == "pwl":
             return PiecewiseLinearOracle(json_numbers(obj["breakpoints"], "breakpoints"),
-                                         json_numbers(obj["slopes"], "slopes"), obj.get("xstar"))
+                                         json_numbers(obj["slopes"], "slopes"), xstar)
         if kind == "separable":
             comps = [oracle_from_json(c) for c in obj["components"]]
-            return SeparableOracle(comps, obj.get("xstar"))
+            return SeparableOracle(comps, xstar)
         raise InvalidParameterError(f"unknown oracle kind {kind!r}")

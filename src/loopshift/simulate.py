@@ -92,31 +92,34 @@ def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarr
     return noise
 
 
-def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
+def _closed_loop(matrices, plant, x0: np.ndarray, xstar: np.ndarray, iters: int,
                  noise: np.ndarray | None, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``runs`` copies of the loop
 
         u[k] = c s[k],   s[k+1] = A s[k] + e_1 (plant(u[k]) + noise[k])
 
     at once, the controller replicated per coordinate and per run (state
-    shape (order, runs*dim)), from the centered start points ``u0`` of shape
-    (runs, dim).  ``c`` is one row of shape (order,), or for order-1
-    controllers that share A, one output per state column, shape
-    (1, runs*dim): each u entry is then the single product the matmul forms.
-    ``noise`` has shape (iters, width) with width dividing runs*dim; the run
-    groups of that width all add the same noise, so runs that share a noise
-    stream need no copy of it.  The kept rows are collected and joined once.
-    Returns the iterates x[k] = u[k] + xstar of the last ``keep`` steps,
-    shape (keep, runs, dim), and their residuals ||x[k] - xstar||, shape
+    shape (order, runs*dim)), from the start points ``x0`` of shape
+    (runs, dim), centered as u[0] = x0 - xstar.  ``c`` is one row of shape
+    (order,), or for order-1 controllers that share A, one output per state
+    column, shape (1, runs*dim): each u entry is then the single product the
+    matmul forms.  An integrator, A = [[1]], steps its state in place: BLAS
+    forms the product 1 s as 0 + 1 s, which differs from s only in turning
+    -0.0 into +0.0, and a -0.0 state arises only from a zero centered start,
+    whose next gradient is +0.0 or noise, so no iterate changes.  ``noise`` has
+    shape (iters, width) with width dividing runs*dim; the run groups of that
+    width all add the same noise, so runs that share a noise stream need no
+    copy of it.  The kept rows are collected and joined once.  Returns the
+    iterates x[k] = u[k] + xstar of the last ``keep`` steps, shape
+    (keep, runs, dim), and their residuals ||x[k] - xstar||, shape
     (keep, runs), formed as ``np.linalg.norm`` forms them but with one
-    temporary.
+    temporary.  A start whose centered or scaled state overflows reads as
+    non-finite from step 0.
     """
     a_mat, c_row = matrices
-    runs, dim = u0.shape
+    runs, dim = x0.shape
     per_column = c_row.ndim == 2
-    # Equal delayed states scaled to produce u[0]; this is the cold start
-    # x[-1] = x[0] for the order-2 catalog methods.
-    state = np.tile(u0.ravel() / c_row.sum(axis=0), (a_mat.shape[0], 1))
+    integrator = a_mat.shape == (1, 1) and a_mat[0, 0] == 1.0
     first = iters + 1 - keep
     rows = []
     # a single run hands the plant its point as the matmul forms it, shape (dim,)
@@ -125,6 +128,9 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
         groups = (runs * dim) // noise.shape[1]
     # a diverging run overflows; that is reported through its residuals
     with np.errstate(over="ignore", invalid="ignore"):
+        # Equal delayed states scaled to produce u[0]; this is the cold start
+        # x[-1] = x[0] for the order-2 catalog methods.
+        state = np.tile((x0 - xstar).ravel() / c_row.sum(axis=0), (a_mat.shape[0], 1))
         for k in range(iters):
             u = c_row * state if per_column else c_row @ state
             if k >= first:
@@ -138,7 +144,8 @@ def _closed_loop(matrices, plant, u0: np.ndarray, xstar: np.ndarray, iters: int,
                 if noise is not None:
                     v = v.reshape(groups, -1) + noise[k]
                 v = v.ravel()
-            state = a_mat @ state
+            if not integrator:
+                state = a_mat @ state
             state[0] += v
         rows.append(c_row * state if per_column else c_row @ state)
         xs = np.concatenate(rows).reshape(keep, runs, dim)
@@ -167,7 +174,7 @@ def simulate_run(spec: MethodSpec, oracle: GradientOracle, x0, iters: int,
     noise = _gradient_noise(noise_sigma, (seed,), iters, oracle.dim)
     x0 = _point(x0, oracle.dim, "x0")
     xs, residuals = _closed_loop(_feedback_matrices(build_controller(spec)), oracle.centered_grad,
-                                 (x0 - oracle.xstar)[None], oracle.xstar, iters, noise, iters + 1)
+                                 x0[None], oracle.xstar, iters, noise, iters + 1)
     return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), seed)
 
 
@@ -185,7 +192,7 @@ def simulate_shifted_run(spec: MethodSpec, oracle: GradientOracle,
     x0 = _point(x0, oracle.dim, "x0")
     matrices = _feedback_matrices(loop_shift(build_controller(spec), sector))
     xs, residuals = _closed_loop(matrices, lambda u: shifted_plant_apply(oracle, sector, u),
-                                 (x0 - oracle.xstar)[None], oracle.xstar, iters, None, iters + 1)
+                                 x0[None], oracle.xstar, iters, None, iters + 1)
     return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), None)
 
 
@@ -298,10 +305,9 @@ def noise_robustness_experiment(sector: SectorClass, oracle: GradientOracle,
     a_mat, c_std = _feedback_matrices(build_controller(standard))
     c_opt = _feedback_matrices(build_controller(optimal))[1]
     c_cols = np.repeat(np.concatenate((c_std, c_opt)), len(seeds) * oracle.dim)[None]
-    # the start xstar + 1 centered as simulate_run centers it, bit for bit
-    u0 = np.tile((oracle.xstar + 1.0) - oracle.xstar, (2 * len(seeds), 1))
+    x0 = np.tile(oracle.xstar + 1.0, (2 * len(seeds), 1))
     tail = max(1, (iters + 1) // 10)
-    _, residuals = _closed_loop((a_mat, c_cols), oracle.centered_grad, u0, oracle.xstar,
+    _, residuals = _closed_loop((a_mat, c_cols), oracle.centered_grad, x0, oracle.xstar,
                                 iters, noise, tail)
     steady = [float(r) for r in _median(residuals)]
     ss_std = tuple(steady[:len(seeds)])

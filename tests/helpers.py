@@ -256,9 +256,10 @@ def reference_run(spec, oracle, x0, iters: int, noise_sigma: float = 0.0,
     xstar = oracle.xstar
     noise = (np.random.default_rng(seed).normal(0.0, noise_sigma, (iters, oracle.dim))
              if noise_sigma else None)
-    s = np.tile((np.asarray(x0, dtype=float) - xstar) / float(c_row.sum()), (a_mat.shape[0], 1))
     xs = np.empty((iters + 1, oracle.dim))
     with np.errstate(over="ignore", invalid="ignore"):
+        s = np.tile((np.asarray(x0, dtype=float) - xstar) / float(c_row.sum()),
+                    (a_mat.shape[0], 1))
         for k in range(iters):
             u = c_row @ s
             xs[k] = u + xstar

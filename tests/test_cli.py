@@ -255,7 +255,8 @@ SEPARABLE_ORACLE_JSON = {"kind": "separable", "components": [
 # bytes they write.  A refactor that keeps every verdict and rate keeps these
 # files.  peak_frequency comes from libm's acos, so the bytes are those of
 # Linux/glibc.  The simulations pin every residual of a run on a scalar and a
-# separable piecewise-linear oracle; a dict in argv is a config file's contents.
+# separable piecewise-linear oracle and of two integrator loops; a dict in argv
+# is a config file's contents.
 @pytest.mark.parametrize("name, argv", [
     ("certify-nesterov-0.97.json",
      ["certify", "--method", "nesterov:preset", "--m", "1", "--L", "10", "--rho", "0.97", "--json"]),
@@ -279,6 +280,15 @@ SEPARABLE_ORACLE_JSON = {"kind": "separable", "components": [
      ["simulate", "--method", "heavyball:alpha=0.1,beta=0.3",
       "--config", {"oracle_json": SEPARABLE_ORACLE_JSON},
       "--x0", "1.5,-2,0.7", "--iters", "200", "--csv"]),
+    # integrator loops: a gradient run whose x_1 is exactly 0 from step 1, and
+    # the noise experiment's per-column batch
+    ("simulate-gradient.csv",
+     ["simulate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10",
+      "--oracle", "quadratic:1,10", "--x0", "1,-2", "--iters", "200", "--include-iterates",
+      "--csv"]),
+    ("robustness.json",
+     ["robustness", "--m", "0.01", "--L", "1", "--oracle", "quadratic:0.01,1", "--sigma", "1e-3",
+      "--seeds", "3", "--iters", "1000", "--json"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_artifacts_match_golden_bytes(tmp_path, name, argv):
     config = tmp_path / "config.json"
@@ -558,6 +568,14 @@ def test_report_without_any_rate_fit_says_unchecked(tmp_path, capsys):
     {"csv_out": "r.csv"},
     {"svg_out": "r.svg"},
     {"json_out": ""},
+    # a minimizer that is not a finite JSON number once built an oracle
+    {"oracle_json": {"kind": "pwl", "breakpoints": [0, 1], "slopes": [1, 10], "xstar": "3"}},
+    {"oracle_json": {"kind": "pwl", "breakpoints": [0, 1], "slopes": [1, 10], "xstar": True}},
+    {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "xstar": ["1", "2"]}},
+    {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "xstar": [True, 0]}},
+    {"oracle_json": {"kind": "quadratic", "eigenvalues": [1, 10], "xstar": [float("nan"), 0]}},
+    {"oracle_json": {"kind": "separable", "components": [{"kind": "quadratic", "eigenvalues": [1]}],
+                     "xstar": [float("inf")]}},
 ])
 def test_malformed_config_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

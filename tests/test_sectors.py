@@ -308,9 +308,17 @@ def test_dimension_mismatch_errors():
     (lambda: SeparableOracle([]), "at least one component"),
     (lambda: SeparableOracle([object()]), "quadratic, pwl or separable"),
     (lambda: oracle_from_json({"kind": "separable", "components": 5}), "malformed"),
+    (lambda: QuadraticOracle([1.0, 2.0], xstar=[math.nan, 0.0]), "xstar must be finite"),
+    (lambda: PiecewiseLinearOracle([0.0], [1.0], xstar=math.inf), "xstar must be finite"),
+    (lambda: SeparableOracle([QuadraticOracle([1.0])], xstar=[-math.inf]), "xstar must be finite"),
+    (lambda: oracle_from_json({"kind": "pwl", "breakpoints": [0], "slopes": [1], "xstar": "3"}),
+     "xstar must be a finite number"),
+    (lambda: oracle_from_json({"kind": "quadratic", "eigenvalues": [1], "xstar": [True]}),
+     "xstar must be a finite number"),
 ], ids=["xstar-shape", "grad-shape", "no-eigenvalues", "rotation-shape", "rotation-skew",
         "slope-short", "component-2d", "separable-empty", "component-not-oracle",
-        "components-not-list"])
+        "components-not-list", "xstar-nan", "xstar-inf", "separable-xstar-inf",
+        "json-xstar-string", "json-xstar-bool"])
 def test_oracle_input_checks_raise(call, match):
     with pytest.raises(InvalidParameterError, match=match):
         call()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopshift import (
@@ -165,15 +165,28 @@ def _points(dim):
     return st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)
 
 
+# The examples start a gradient run, whose integrator steps in place, at its
+# minimizer (the start state is then a signed zero) and where the start state
+# overflows; the signs of zeros must match the reference's too.
 @settings(deadline=None, max_examples=60)
 @given(_specs(), _oracles(), st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-3]),
        st.integers(0, 2**16), st.integers(1, 60))
+@example(MethodSpec(Family.GRADIENT, alpha=0.1), QuadraticOracle([1.0, 10.0], xstar=[0.5, -1.0]),
+         0.0, 0.0, 0, 20)
+@example(MethodSpec(Family.GRADIENT, alpha=0.1), QuadraticOracle([1.0, 10.0], xstar=[0.5, -1.0]),
+         -0.0, 1e-3, 3, 20)
+@example(MethodSpec(Family.GRADIENT, alpha=0.1), PiecewiseLinearOracle([0.0, 1.0], [1.0, 10.0]),
+         -0.0, 0.0, 0, 20)
+@example(MethodSpec(Family.GRADIENT, alpha=0.1), PiecewiseLinearOracle([0.0, 1.0], [1.0, 10.0]),
+         1e308, 0.0, 0, 20)
 def test_single_run_is_bit_identical_to_reference_loop(spec, oracle, offset, sigma, seed, iters):
     x0 = oracle.xstar + offset * np.linspace(1.0, -0.5, oracle.dim)
     want_x, want_r = reference_run(spec, oracle, x0, iters, sigma, seed)
     traj = simulate_run(spec, oracle, x0, iters, sigma, seed)
     assert np.array_equal(traj.iterates, want_x, equal_nan=True)
     assert np.array_equal(traj.residuals, want_r, equal_nan=True)
+    assert np.array_equal(np.signbit(traj.iterates), np.signbit(want_x))
+    assert np.array_equal(np.signbit(traj.residuals), np.signbit(want_r))
 
 
 def test_simulate_validates_inputs():
@@ -288,7 +301,10 @@ def test_noise_robustness_sigma_zero_converges():
     (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 1e-3),
     (QuadraticOracle([0.01, 1.0], xstar=[0.75, -2.0]), 0.0),
     (QuadraticOracle([0.01, 0.2, 1.0], random_rotation(3, 5), xstar=[1.0, -0.5, 2.0]), 1e-3),
-], ids=["noisy", "sigma-zero", "rotated-3d"])
+    # xstar + 1 rounds to xstar: the centered start is 0
+    (QuadraticOracle([0.01, 1.0], xstar=[1e17, 1e17]), 0.0),
+    (QuadraticOracle([0.01, 1.0], xstar=[1e17, 1e17]), 1e-3),
+], ids=["noisy", "sigma-zero", "rotated-3d", "zero-start", "zero-start-noisy"])
 def test_noise_robustness_batch_equals_per_seed_runs(oracle, sigma):
     sec = SectorClass(0.01, 1.0)
     seeds, iters = (4, 9, 11), 700

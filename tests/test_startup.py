@@ -94,6 +94,30 @@ def test_bode_of_an_overflowing_gain_warns_nothing(tmp_path):
     assert proc.stderr == ""
 
 
+def test_simulate_from_an_overflowing_start_warns_nothing(tmp_path):
+    # the start state x0 / c, and the centered start x0 - x*, overflowed
+    # outside the loop's errstate: numpy's warning reached stderr, and under
+    # -W error::RuntimeWarning the library raised instead of returning the
+    # diverged run
+    proc = _fresh("import warnings\n"
+                  "from loopshift import PiecewiseLinearOracle, parse_method, parse_oracle, "
+                  "simulate_run\n"
+                  "from loopshift.cli import main\n"
+                  "spec = parse_method('gradient:alpha=0.1')\n"
+                  "with warnings.catch_warnings():\n"
+                  "    warnings.simplefilter('error', RuntimeWarning)\n"
+                  "    quad = parse_oracle('quadratic:1,10')\n"
+                  "    traj = simulate_run(spec, quad, [1e308, 1e308], 50)\n"
+                  "    assert traj.first_nonfinite == 0, traj.residuals\n"
+                  "    moved = PiecewiseLinearOracle([0.0, 1.0], [1.0, 10.0], xstar=1e308)\n"
+                  "    assert simulate_run(spec, moved, -1e308, 50).first_nonfinite == 0\n"
+                  "assert main(['simulate', '--method', 'gradient:alpha=0.1', '--oracle', "
+                  "'pwl:0:1,1:10', '--x0', '1e308', '--iters', '20']) == 0",
+                  tmp_path)
+    assert proc.stderr == ""
+    assert "diverged (non-finite from step 0)" in proc.stdout
+
+
 def test_overflowing_scaled_numerator_is_not_certified(tmp_path):
     # at rho = 0.5 the scaled shifted numerator is (inf, -inf, inf, -inf, 3.0):
     # the level test read gain -1.0, "does not reach", and the climb from
