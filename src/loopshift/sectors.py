@@ -12,7 +12,9 @@ need not look anything like a convex quadratic).
 Scalar and separable piecewise-linear oracles share one evaluator,
 :func:`_piecewise_grad`, which takes a point's coordinates one Python float at
 a time: the simulator hands it one point per step, where numpy's per-call cost
-on a few elements outweighs the arithmetic.
+on a few elements outweighs the arithmetic.  A single integrator run in
+:mod:`simulate` steps wholly in Python floats and reads these oracles'
+``_pieces`` inline, with the same arithmetic as :func:`_piecewise_grad`.
 """
 
 from __future__ import annotations

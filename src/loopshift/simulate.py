@@ -11,13 +11,19 @@ state column, so a noise experiment runs both gradient tunings in one batch;
 run groups that share a noise stream add the same noise rows, never a copy.
 Controller states start equal, scaled so the first produced point is x0; for
 second-order methods that equals the conventional cold start where the
-pre-initial iterate coincides with x0.
+pre-initial iterate coincides with x0.  A single run of an integrator
+(A = [[1]]) on a scalar or separable piecewise-linear oracle of up to 64
+coordinates steps in Python floats instead, one pass per coordinate per step,
+bit for bit as the numpy loop would.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import copysign
 
 import numpy as np
 
@@ -25,12 +31,19 @@ from .certify import loop_shift
 from .errors import InsufficientDataError, InvalidParameterError
 from .lti import RationalTF
 from .methods import GRADIENT_PRESETS, Family, MethodSpec, build_controller, preset
-from .sectors import GradientOracle, SectorClass, _point, shifted_plant_apply
+from .sectors import (GradientOracle, PiecewiseLinearOracle, SectorClass, SeparableOracle, _point,
+                      shifted_plant_apply)
 
 # Residuals at or below this are machine-precision noise; rate fits skip them.
 RESIDUAL_FLOOR = 1e-12
 
 DIVERGENCE_FACTOR = 1e6
+
+# Widest oracle whose integrator runs step in Python floats.  Each noise value
+# read there is a Python float and a sum, where numpy adds a whole row at once:
+# on a 2-vCPU VM, 300-step runs with noise broke even at 128 coordinates and
+# were 10% slower than the numpy loop at 256.
+_FLOAT_LOOP_MAX_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +86,17 @@ def _feedback_matrices(controller: RationalTF) -> tuple[np.ndarray, np.ndarray]:
     return a_mat, c_row
 
 
+def _is_integrator(a_mat: np.ndarray) -> bool:
+    """Whether the controller's state matrix is exactly A = [[1]]."""
+    return a_mat.shape == (1, 1) and a_mat[0, 0] == 1.0
+
+
 def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarray | None:
     """Gradient noise for runs side by side, shape (iters, runs*dim), or None
     without noise.  Each seed's block is one draw of shape (iters, dim): the
     same stream as one draw of ``dim`` values per step.  A seed is None
-    (fresh entropy) or a non-negative integer."""
+    (fresh entropy) or a non-negative integer.  An iteration count whose noise
+    cannot be allocated raises InvalidParameterError naming it."""
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise InvalidParameterError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     for seed in seeds:
@@ -85,7 +104,11 @@ def _gradient_noise(noise_sigma: float, seeds, iters: int, dim: int) -> np.ndarr
             raise InvalidParameterError(f"seeds must be >= 0, got {seed}")
     if noise_sigma == 0.0:
         return None
-    noise = np.empty((iters, len(seeds) * dim))
+    try:
+        noise = np.empty((iters, len(seeds) * dim))
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index holds
+        raise InvalidParameterError(
+            f"gradient noise for {iters} iterations cannot be allocated: {exc}") from exc
     for run, seed in enumerate(seeds):
         noise[:, run * dim:(run + 1) * dim] = np.random.default_rng(seed).normal(
             0.0, noise_sigma, (iters, dim))
@@ -98,7 +121,7 @@ def _closed_loop(matrices, plant, x0: np.ndarray, xstar: np.ndarray, iters: int,
 
         u[k] = c s[k],   s[k+1] = A s[k] + e_1 (plant(u[k]) + noise[k])
 
-    at once, the controller replicated per coordinate and per run (state
+    at once in numpy, the controller replicated per coordinate and per run (state
     shape (order, runs*dim)), from the start points ``x0`` of shape
     (runs, dim), centered as u[0] = x0 - xstar.  ``c`` is one row of shape
     (order,), or for order-1 controllers that share A, one output per state
@@ -112,14 +135,17 @@ def _closed_loop(matrices, plant, x0: np.ndarray, xstar: np.ndarray, iters: int,
     copy of it.  The kept rows are collected and joined once.  Returns the
     iterates x[k] = u[k] + xstar of the last ``keep`` steps, shape
     (keep, runs, dim), and their residuals ||x[k] - xstar||, shape
-    (keep, runs), formed as ``np.linalg.norm`` forms them but with one
-    temporary.  A start whose centered or scaled state overflows reads as
-    non-finite from step 0.
+    (keep, runs), by :func:`_iterates_and_residuals`.  A start whose centered
+    or scaled state overflows reads as non-finite from step 0.  Single
+    integrator runs on piecewise-linear oracles of up to 64 coordinates take
+    :func:`_integrator_run` instead; this loop serves order 2 and up, batches,
+    quadratic oracles (which numpy evaluates for the whole vector at once),
+    wider oracles and any oracle subclass.
     """
     a_mat, c_row = matrices
     runs, dim = x0.shape
     per_column = c_row.ndim == 2
-    integrator = a_mat.shape == (1, 1) and a_mat[0, 0] == 1.0
+    integrator = _is_integrator(a_mat)
     first = iters + 1 - keep
     rows = []
     # a single run hands the plant its point as the matmul forms it, shape (dim,)
@@ -148,13 +174,65 @@ def _closed_loop(matrices, plant, x0: np.ndarray, xstar: np.ndarray, iters: int,
                 state = a_mat @ state
             state[0] += v
         rows.append(c_row * state if per_column else c_row @ state)
-        xs = np.concatenate(rows).reshape(keep, runs, dim)
+        us = np.concatenate(rows).reshape(keep, runs, dim)
         del rows  # the residuals need the block, not its rows too
-        xs += xstar
-        d = xs - xstar
-        d *= d
-        residuals = np.sqrt(np.add.reduce(d, -1))
-    return xs, residuals
+        return _iterates_and_residuals(us, xstar)
+
+
+def _iterates_and_residuals(us: np.ndarray, xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The iterates x = u + xstar of a block of outputs ``us`` (in place) and
+    their residuals ||x - xstar|| over the last axis, formed as
+    ``np.linalg.norm`` forms them but with one temporary.  Run under an
+    ``np.errstate`` that ignores overflow."""
+    us += xstar
+    d = us - xstar
+    d *= d
+    return us, np.sqrt(np.add.reduce(d, -1))
+
+
+def _integrator_run(c: float, pieces, x0: np.ndarray, xstar: np.ndarray, iters: int,
+                    noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One run of an integrator, A = [[1]] and c = [c], on an odd
+    piecewise-linear oracle given by its ``pieces`` (as
+    :func:`loopshift.sectors._piecewise_grad` takes them), stepped in Python
+    floats with one pass per coordinate per step:
+
+        u = 0.0 + c s,   g = copysign(vals[i] + slopes[i] (|u| - bp[i]), u),
+        g += noise[k][j],   s += g.
+
+    This is bit for bit what :func:`_closed_loop` computes for the run: each
+    numpy or BLAS operation it replaces is one IEEE product or sum.  The
+    length-1 product ``c_row @ state`` is one rounded product added to 0,
+    which turns -0.0 into +0.0 as ``0.0 +`` does; the oracle evaluates its
+    pieces in Python floats itself; the noise and the in-place state update
+    are one sum each.  On a few coordinates per step, numpy's per-call cost
+    outweighs that arithmetic many times over.  The states are kept in one
+    ``array('d')`` and turned into the outputs 0.0 + c s at the end, the same
+    product and sum elementwise in numpy; the noise is read one row per step.
+    The iterates and residuals, of shapes (iters+1, 1, dim) and (iters+1, 1),
+    come from the same numpy tail as :func:`_closed_loop`'s.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = ((x0 - xstar) / c).tolist()
+        states = array("d")
+        coords = tuple(enumerate(pieces))
+        for k in range(iters):
+            states.extend(s)
+            row = None if noise is None else noise[k].tolist()
+            for j, (upper, bp, vals, slopes) in coords:
+                x = s[j]
+                u = 0.0 + c * x
+                a = abs(u)
+                i = bisect_right(upper, a)
+                g = copysign(vals[i] + slopes[i] * (a - bp[i]), u)
+                if row is not None:
+                    g += row[j]
+                s[j] = x + g
+        states.extend(s)
+        us = np.frombuffer(states).reshape(iters + 1, 1, len(s))
+        us *= c
+        us += 0.0
+        return _iterates_and_residuals(us, xstar)
 
 
 def _check_iters(iters: int) -> None:
@@ -173,8 +251,15 @@ def simulate_run(spec: MethodSpec, oracle: GradientOracle, x0, iters: int,
     _check_iters(iters)
     noise = _gradient_noise(noise_sigma, (seed,), iters, oracle.dim)
     x0 = _point(x0, oracle.dim, "x0")
-    xs, residuals = _closed_loop(_feedback_matrices(build_controller(spec)), oracle.centered_grad,
-                                 x0[None], oracle.xstar, iters, noise, iters + 1)
+    a_mat, c_row = matrices = _feedback_matrices(build_controller(spec))
+    # the exact class: a subclass may override centered_grad
+    if (_is_integrator(a_mat) and type(oracle) in (PiecewiseLinearOracle, SeparableOracle)
+            and oracle.dim <= _FLOAT_LOOP_MAX_DIM):
+        xs, residuals = _integrator_run(float(c_row[0]), oracle._pieces, x0, oracle.xstar,
+                                        iters, noise)
+    else:
+        xs, residuals = _closed_loop(matrices, oracle.centered_grad, x0[None], oracle.xstar,
+                                     iters, noise, iters + 1)
     return Trajectory(xs[:, 0], residuals[:, 0], spec, oracle.describe(), seed)
 
 

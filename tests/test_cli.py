@@ -167,6 +167,24 @@ def test_computation_error_exits_one(tmp_path, capsys):
     assert payload["error"] == "InvalidParameterError"
 
 
+# The noise of 10**15 steps needs 7.1 PiB (one coordinate) and 42.6 PiB (three
+# seeds of two coordinates): the allocation fails at once, touching no memory.
+# The same count without noise would loop, so it is never run here.
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--method", "gradient:alpha=0.1", "--oracle", "pwl:0:1,1:10", "--x0", "1",
+     "--noise-sigma", "0.1", "--seed", "0"],
+    ["robustness", "--m", "0.01", "--L", "1", "--oracle", "quadratic:0.01,1", "--sigma", "1e-3",
+     "--seeds", "3"],
+], ids=["simulate", "robustness"])
+def test_noise_too_large_to_allocate_exits_one(capsys, argv):
+    assert main(argv + ["--iters", str(10**15)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParameterError"
+    assert f"gradient noise for {10**15} iterations cannot be allocated" in payload["message"]
+
+
 @pytest.mark.parametrize("argv, directory", [
     (["rate", "--method", "gradient:alpha=0.1", "--m", "1", "--L", "10", "--json", "{tmp}/adir"],
      "adir"),
@@ -255,8 +273,8 @@ SEPARABLE_ORACLE_JSON = {"kind": "separable", "components": [
 # bytes they write.  A refactor that keeps every verdict and rate keeps these
 # files.  peak_frequency comes from libm's acos, so the bytes are those of
 # Linux/glibc.  The simulations pin every residual of a run on a scalar and a
-# separable piecewise-linear oracle and of two integrator loops; a dict in argv
-# is a config file's contents.
+# separable piecewise-linear oracle and of four integrator loops; a dict in
+# argv is a config file's contents.
 @pytest.mark.parametrize("name, argv", [
     ("certify-nesterov-0.97.json",
      ["certify", "--method", "nesterov:preset", "--m", "1", "--L", "10", "--rho", "0.97", "--json"]),
@@ -289,6 +307,17 @@ SEPARABLE_ORACLE_JSON = {"kind": "separable", "components": [
     ("robustness.json",
      ["robustness", "--m", "0.01", "--L", "1", "--oracle", "quadratic:0.01,1", "--sigma", "1e-3",
       "--seeds", "3", "--iters", "1000", "--json"]),
+    # gradient runs with noise on a scalar and a separable piecewise-linear
+    # oracle, which step in Python floats
+    ("simulate-gradient-pwl.csv",
+     ["simulate", "--method", "gradient:preset", "--m", "1", "--L", "10",
+      "--oracle", "pwl:0:1,0.5:4,2:10", "--x0", "3", "--noise-sigma", "1e-3", "--seed", "3",
+      "--iters", "300", "--csv"]),
+    ("simulate-gradient-separable.csv",
+     ["simulate", "--method", "gradient:preset", "--m", "1", "--L", "10",
+      "--config", {"oracle_json": SEPARABLE_ORACLE_JSON},
+      "--x0", "1.5,-2,0.7", "--noise-sigma", "1e-3", "--seed", "5", "--iters", "200",
+      "--include-iterates", "--csv"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_artifacts_match_golden_bytes(tmp_path, name, argv):
     config = tmp_path / "config.json"

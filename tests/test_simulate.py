@@ -25,6 +25,7 @@ from loopshift import (
     simulate_shifted_run,
     trajectory_csv_text,
 )
+from loopshift import simulate as simulate_module
 from loopshift.simulate import _feedback_matrices, _median
 
 from helpers import custom_controller, reference_run
@@ -181,12 +182,126 @@ def _points(dim):
          1e308, 0.0, 0, 20)
 def test_single_run_is_bit_identical_to_reference_loop(spec, oracle, offset, sigma, seed, iters):
     x0 = oracle.xstar + offset * np.linspace(1.0, -0.5, oracle.dim)
+    _assert_run_is_reference_run(spec, oracle, x0, iters, sigma, seed)
+
+
+def _assert_run_is_reference_run(spec, oracle, x0, iters, sigma, seed):
     want_x, want_r = reference_run(spec, oracle, x0, iters, sigma, seed)
     traj = simulate_run(spec, oracle, x0, iters, sigma, seed)
     assert np.array_equal(traj.iterates, want_x, equal_nan=True)
     assert np.array_equal(traj.residuals, want_r, equal_nan=True)
     assert np.array_equal(np.signbit(traj.iterates), np.signbit(want_x))
     assert np.array_equal(np.signbit(traj.residuals), np.signbit(want_r))
+
+
+def _integrator(alpha, scale=None):
+    """Gradient descent at ``alpha``, or with a ``scale`` the custom
+    controller -alpha scale / (scale z - scale): both realize as A = [[1]]."""
+    if scale is None:
+        return MethodSpec(Family.GRADIENT, alpha=alpha)
+    return MethodSpec(Family.CUSTOM, custom_tf=RationalTF((-alpha * scale,), (-scale, scale)))
+
+
+@st.composite
+def _integrator_specs(draw):
+    return _integrator(draw(st.floats(0.01, 0.25)),
+                       draw(st.sampled_from([None, 1.0, 0.5, 3.0])))
+
+
+def _xstars(dim):
+    return st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+                    min_size=dim, max_size=dim)
+
+
+@st.composite
+def _piecewise_oracles(draw):
+    """A scalar pwl oracle, or a separable one whose components are pwl,
+    scalar quadratic or separable around a pwl."""
+    if draw(st.booleans()):
+        return draw(_scalar_pwl(draw(_xstars(1))))
+    comps = draw(st.lists(st.one_of(
+        _scalar_pwl(),
+        st.floats(0.5, 10.0).map(lambda e: QuadraticOracle([e])),
+        _scalar_pwl().map(lambda c: SeparableOracle([c]))), min_size=1, max_size=4))
+    return SeparableOracle(comps, draw(_xstars(len(comps))))
+
+
+def _start(oracle, offset):
+    """x* plus ``offset`` spread over the coordinates, or for an integer
+    offset x* plus, per coordinate, that breakpoint of its pieces (the last
+    one if there are fewer), with alternating signs."""
+    if isinstance(offset, int):
+        bps = [bp[min(offset, len(bp) - 1)] for _, bp, _, _ in oracle._pieces]
+        return oracle.xstar + np.array(bps) * np.resize([1.0, -1.0], oracle.dim)
+    return oracle.xstar + offset * np.linspace(1.0, -0.5, oracle.dim)
+
+
+# Integrator runs on piecewise-linear oracles step in Python floats; they must
+# keep every bit of the numpy loop, signs of zeros included, from the
+# minimizer (+-0.0), next to it (+-1e-320), on a breakpoint and where the
+# scaled start state overflows (1e308).  A power-of-two stepsize makes the
+# first output exactly the start's breakpoint.
+_PWL = PiecewiseLinearOracle([0.0, 0.5, 2.0], [1.0, 4.0, 10.0])
+_SEP = SeparableOracle([PiecewiseLinearOracle([0.0, 1.0], [2.0, 5.0]),
+                        SeparableOracle([PiecewiseLinearOracle([0.0, 0.25], [9.0, 1.0])]),
+                        QuadraticOracle([3.0])])
+
+
+@settings(deadline=None, max_examples=200)
+@given(_integrator_specs(), _piecewise_oracles(),
+       st.one_of(st.floats(-3.0, 3.0), st.integers(0, 3),
+                 st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 1e308, -1e308])),
+       st.sampled_from([0.0, 1e-3]), st.integers(0, 2**16), st.integers(1, 60))
+@example(_integrator(0.125), _PWL, 1, 0.0, 0, 30)
+@example(_integrator(0.125, 2.0), _SEP, 1, 1e-3, 5, 30)
+@example(_integrator(0.1), _SEP, 0.0, 0.0, 0, 20)
+@example(_integrator(0.1, 3.0), _SEP, -0.0, 1e-3, 2, 20)
+@example(_integrator(0.1), _PWL, 1e-320, 0.0, 0, 20)
+@example(_integrator(0.1, 0.5), _SEP, -1e-320, 1e-3, 1, 20)
+@example(_integrator(0.1), _PWL, 1e308, 1e-3, 3, 20)
+@example(_integrator(0.1, 1.0), _SEP, 1e308, 0.0, 0, 20)
+def test_integrator_run_is_bit_identical_to_reference_loop(spec, oracle, offset, sigma, seed,
+                                                          iters):
+    _assert_run_is_reference_run(spec, oracle, _start(oracle, offset), iters, sigma, seed)
+
+
+class _DoubledPwl(PiecewiseLinearOracle):
+    def centered_grad(self, u):
+        return 2.0 * super().centered_grad(u)
+
+
+def test_integrator_runs_on_piecewise_oracles_take_the_float_loop(monkeypatch):
+    calls = []
+    for name in ("_integrator_run", "_closed_loop"):
+        real = getattr(simulate_module, name)
+        monkeypatch.setattr(simulate_module, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+
+    def loop_of(run, *args):
+        calls.clear()
+        run(*args)
+        assert len(calls) == 1
+        return calls[0]
+
+    def wide(dim):
+        return SeparableOracle([PiecewiseLinearOracle([0.0, 1.0], [1.0, 2.0])] * dim)
+
+    floats, numpy_loop = "_integrator_run", "_closed_loop"
+    assert loop_of(simulate_run, _integrator(0.1), _PWL, 3.0, 20, 1e-3, 0) == floats
+    assert loop_of(simulate_run, _integrator(0.1, 2.0), _SEP, [1.0, -2.0, 0.5], 20) == floats
+    assert loop_of(simulate_run, _integrator(0.1), wide(64), np.ones(64), 5, 1e-3, 0) == floats
+    # order 2, a quadratic, the noise experiment's batch, a wider oracle and an
+    # oracle subclass keep the numpy loop
+    heavy_ball = MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5)
+    assert loop_of(simulate_run, heavy_ball, _PWL, 3.0, 20) == numpy_loop
+    rotated = QuadraticOracle([1.0, 10.0], random_rotation(2, 0))
+    assert loop_of(simulate_run, _integrator(0.1), rotated, [1.0, 1.0], 20) == numpy_loop
+    assert loop_of(noise_robustness_experiment, SectorClass(0.01, 1.0),
+                   QuadraticOracle([0.01, 1.0]), 1e-3, (1, 2), 50) == numpy_loop
+    assert loop_of(simulate_run, _integrator(0.1), wide(65), np.ones(65), 5, 1e-3, 0) == numpy_loop
+    doubled = _DoubledPwl([0.0, 1.0], [1.0, 2.0])
+    assert loop_of(simulate_run, _integrator(0.1), doubled, 0.5, 1) == numpy_loop
+    assert simulate_run(_integrator(0.1), doubled, 0.5, 1).iterates[1, 0] == 0.5 - 0.1 * 2.0 * 0.5
 
 
 def test_simulate_validates_inputs():
