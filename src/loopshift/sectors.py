@@ -12,14 +12,15 @@ need not look anything like a convex quadratic).
 Scalar and separable piecewise-linear oracles share one evaluator,
 :func:`_piecewise_grad`, which takes a point's coordinates one Python float at
 a time: the simulator hands it one point per step, where numpy's per-call cost
-on a few elements outweighs the arithmetic.  A single integrator run in
-:mod:`simulate` steps wholly in Python floats and reads these oracles'
-``_pieces`` inline, with the same arithmetic as :func:`_piecewise_grad`.
+on a few elements outweighs the arithmetic.  Beside it,
+:func:`_integrator_states` steps a whole integrator run on these oracles in
+Python floats with the same arithmetic, for the simulator's single runs.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_right
 from math import copysign
 
@@ -145,6 +146,40 @@ def _piecewise_grad(u: np.ndarray, pieces) -> np.ndarray:
             i = bisect_right(upper, a)
             out.append(copysign(vals[i] + slopes[i] * (a - bp[i]), x))
     return np.array(out) if single else np.array(out).reshape(u.shape)
+
+
+def _integrator_states(oracle: GradientOracle, c: float, s0: list, iters: int,
+                       noise: np.ndarray | None) -> array:
+    """The states s[0..iters] of one run of an integrator with output gain
+    ``c`` on a :class:`PiecewiseLinearOracle` or :class:`SeparableOracle`,
+    from the start state ``s0`` (a list, one float per coordinate), in one
+    ``array('d')`` of (iters+1)*dim floats.  Each step makes one pass per
+    coordinate in Python floats:
+
+        u = 0.0 + c s,   g = copysign(vals[i] + slopes[i] (|u| - bp[i]), u),
+        g += noise[k][j],   s += g,
+
+    the gradient being :func:`_piecewise_grad`'s arithmetic for that
+    coordinate.  The noise, shape (iters, dim) or None, is read one row per
+    step.
+    """
+    s = list(s0)
+    states = array("d")
+    coords = tuple(enumerate(oracle._pieces))
+    for k in range(iters):
+        states.extend(s)
+        row = None if noise is None else noise[k].tolist()
+        for j, (upper, bp, vals, slopes) in coords:
+            x = s[j]
+            u = 0.0 + c * x
+            a = abs(u)
+            i = bisect_right(upper, a)
+            g = copysign(vals[i] + slopes[i] * (a - bp[i]), u)
+            if row is not None:
+                g += row[j]
+            s[j] = x + g
+    states.extend(s)
+    return states
 
 
 class PiecewiseLinearOracle(GradientOracle):

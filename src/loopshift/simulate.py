@@ -12,18 +12,15 @@ run groups that share a noise stream add the same noise rows, never a copy.
 Controller states start equal, scaled so the first produced point is x0; for
 second-order methods that equals the conventional cold start where the
 pre-initial iterate coincides with x0.  A single run of an integrator
-(A = [[1]]) on a scalar or separable piecewise-linear oracle of up to 64
-coordinates steps in Python floats instead, one pass per coordinate per step,
-bit for bit as the numpy loop would.
+(A = [[1]]) on a scalar or separable piecewise-linear oracle steps in Python
+floats instead, one pass per coordinate per step, bit for bit as the numpy
+loop would.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from math import copysign
 
 import numpy as np
 
@@ -31,19 +28,13 @@ from .certify import loop_shift
 from .errors import InsufficientDataError, InvalidParameterError
 from .lti import RationalTF
 from .methods import GRADIENT_PRESETS, Family, MethodSpec, build_controller, preset
-from .sectors import (GradientOracle, PiecewiseLinearOracle, SectorClass, SeparableOracle, _point,
-                      shifted_plant_apply)
+from .sectors import (GradientOracle, PiecewiseLinearOracle, SectorClass, SeparableOracle,
+                      _integrator_states, _point, shifted_plant_apply)
 
 # Residuals at or below this are machine-precision noise; rate fits skip them.
 RESIDUAL_FLOOR = 1e-12
 
 DIVERGENCE_FACTOR = 1e6
-
-# Widest oracle whose integrator runs step in Python floats.  Each noise value
-# read there is a Python float and a sum, where numpy adds a whole row at once:
-# on a 2-vCPU VM, 300-step runs with noise broke even at 128 coordinates and
-# were 10% slower than the numpy loop at 256.
-_FLOAT_LOOP_MAX_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +128,10 @@ def _closed_loop(matrices, plant, x0: np.ndarray, xstar: np.ndarray, iters: int,
     (keep, runs, dim), and their residuals ||x[k] - xstar||, shape
     (keep, runs), by :func:`_iterates_and_residuals`.  A start whose centered
     or scaled state overflows reads as non-finite from step 0.  Single
-    integrator runs on piecewise-linear oracles of up to 64 coordinates take
-    :func:`_integrator_run` instead; this loop serves order 2 and up, batches,
-    quadratic oracles (which numpy evaluates for the whole vector at once),
-    wider oracles and any oracle subclass.
+    integrator runs on piecewise-linear oracles take :func:`_integrator_run`
+    instead; this loop serves order 2 and up, batches, quadratic oracles
+    (which numpy evaluates for the whole vector at once) and any oracle
+    subclass.
     """
     a_mat, c_row = matrices
     runs, dim = x0.shape
@@ -190,15 +181,12 @@ def _iterates_and_residuals(us: np.ndarray, xstar: np.ndarray) -> tuple[np.ndarr
     return us, np.sqrt(np.add.reduce(d, -1))
 
 
-def _integrator_run(c: float, pieces, x0: np.ndarray, xstar: np.ndarray, iters: int,
+def _integrator_run(c: float, oracle: GradientOracle, x0: np.ndarray, iters: int,
                     noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """One run of an integrator, A = [[1]] and c = [c], on an odd
-    piecewise-linear oracle given by its ``pieces`` (as
-    :func:`loopshift.sectors._piecewise_grad` takes them), stepped in Python
-    floats with one pass per coordinate per step:
-
-        u = 0.0 + c s,   g = copysign(vals[i] + slopes[i] (|u| - bp[i]), u),
-        g += noise[k][j],   s += g.
+    """One run of an integrator, A = [[1]] and c = [c], on a
+    :class:`PiecewiseLinearOracle` or :class:`SeparableOracle`, stepped in
+    Python floats by :func:`loopshift.sectors._integrator_states`, one pass
+    per coordinate per step.
 
     This is bit for bit what :func:`_closed_loop` computes for the run: each
     numpy or BLAS operation it replaces is one IEEE product or sum.  The
@@ -206,30 +194,15 @@ def _integrator_run(c: float, pieces, x0: np.ndarray, xstar: np.ndarray, iters: 
     which turns -0.0 into +0.0 as ``0.0 +`` does; the oracle evaluates its
     pieces in Python floats itself; the noise and the in-place state update
     are one sum each.  On a few coordinates per step, numpy's per-call cost
-    outweighs that arithmetic many times over.  The states are kept in one
-    ``array('d')`` and turned into the outputs 0.0 + c s at the end, the same
-    product and sum elementwise in numpy; the noise is read one row per step.
-    The iterates and residuals, of shapes (iters+1, 1, dim) and (iters+1, 1),
-    come from the same numpy tail as :func:`_closed_loop`'s.
+    outweighs that arithmetic many times over.  The kept states become the
+    outputs 0.0 + c s at the end, the same product and sum elementwise in
+    numpy.  The iterates and residuals, of shapes (iters+1, 1, dim) and
+    (iters+1, 1), come from the same numpy tail as :func:`_closed_loop`'s.
     """
+    xstar = oracle.xstar
     with np.errstate(over="ignore", invalid="ignore"):
-        s = ((x0 - xstar) / c).tolist()
-        states = array("d")
-        coords = tuple(enumerate(pieces))
-        for k in range(iters):
-            states.extend(s)
-            row = None if noise is None else noise[k].tolist()
-            for j, (upper, bp, vals, slopes) in coords:
-                x = s[j]
-                u = 0.0 + c * x
-                a = abs(u)
-                i = bisect_right(upper, a)
-                g = copysign(vals[i] + slopes[i] * (a - bp[i]), u)
-                if row is not None:
-                    g += row[j]
-                s[j] = x + g
-        states.extend(s)
-        us = np.frombuffer(states).reshape(iters + 1, 1, len(s))
+        states = _integrator_states(oracle, c, ((x0 - xstar) / c).tolist(), iters, noise)
+        us = np.frombuffer(states).reshape(iters + 1, 1, oracle.dim)
         us *= c
         us += 0.0
         return _iterates_and_residuals(us, xstar)
@@ -253,10 +226,8 @@ def simulate_run(spec: MethodSpec, oracle: GradientOracle, x0, iters: int,
     x0 = _point(x0, oracle.dim, "x0")
     a_mat, c_row = matrices = _feedback_matrices(build_controller(spec))
     # the exact class: a subclass may override centered_grad
-    if (_is_integrator(a_mat) and type(oracle) in (PiecewiseLinearOracle, SeparableOracle)
-            and oracle.dim <= _FLOAT_LOOP_MAX_DIM):
-        xs, residuals = _integrator_run(float(c_row[0]), oracle._pieces, x0, oracle.xstar,
-                                        iters, noise)
+    if _is_integrator(a_mat) and type(oracle) in (PiecewiseLinearOracle, SeparableOracle):
+        xs, residuals = _integrator_run(float(c_row[0]), oracle, x0, iters, noise)
     else:
         xs, residuals = _closed_loop(matrices, oracle.centered_grad, x0[None], oracle.xstar,
                                      iters, noise, iters + 1)

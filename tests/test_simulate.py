@@ -239,12 +239,14 @@ def _start(oracle, offset):
 # Integrator runs on piecewise-linear oracles step in Python floats; they must
 # keep every bit of the numpy loop, signs of zeros included, from the
 # minimizer (+-0.0), next to it (+-1e-320), on a breakpoint and where the
-# scaled start state overflows (1e308).  A power-of-two stepsize makes the
-# first output exactly the start's breakpoint.
+# scaled start state overflows (1e308), and on a 100-coordinate oracle.  A
+# power-of-two stepsize makes the first output exactly the start's breakpoint.
 _PWL = PiecewiseLinearOracle([0.0, 0.5, 2.0], [1.0, 4.0, 10.0])
 _SEP = SeparableOracle([PiecewiseLinearOracle([0.0, 1.0], [2.0, 5.0]),
                         SeparableOracle([PiecewiseLinearOracle([0.0, 0.25], [9.0, 1.0])]),
                         QuadraticOracle([3.0])])
+_WIDE = SeparableOracle([PiecewiseLinearOracle([0.0, 0.5 + k / 200], [1.0 + k % 3, 10.0])
+                         for k in range(100)], np.linspace(-1.0, 1.0, 100))
 
 
 @settings(deadline=None, max_examples=200)
@@ -260,6 +262,7 @@ _SEP = SeparableOracle([PiecewiseLinearOracle([0.0, 1.0], [2.0, 5.0]),
 @example(_integrator(0.1, 0.5), _SEP, -1e-320, 1e-3, 1, 20)
 @example(_integrator(0.1), _PWL, 1e308, 1e-3, 3, 20)
 @example(_integrator(0.1, 1.0), _SEP, 1e308, 0.0, 0, 20)
+@example(_integrator(0.1), _WIDE, 3.0, 1e-3, 4, 20)
 def test_integrator_run_is_bit_identical_to_reference_loop(spec, oracle, offset, sigma, seed,
                                                           iters):
     _assert_run_is_reference_run(spec, oracle, _start(oracle, offset), iters, sigma, seed)
@@ -289,16 +292,15 @@ def test_integrator_runs_on_piecewise_oracles_take_the_float_loop(monkeypatch):
     floats, numpy_loop = "_integrator_run", "_closed_loop"
     assert loop_of(simulate_run, _integrator(0.1), _PWL, 3.0, 20, 1e-3, 0) == floats
     assert loop_of(simulate_run, _integrator(0.1, 2.0), _SEP, [1.0, -2.0, 0.5], 20) == floats
-    assert loop_of(simulate_run, _integrator(0.1), wide(64), np.ones(64), 5, 1e-3, 0) == floats
-    # order 2, a quadratic, the noise experiment's batch, a wider oracle and an
-    # oracle subclass keep the numpy loop
+    assert loop_of(simulate_run, _integrator(0.1), wide(256), np.ones(256), 5, 1e-3, 0) == floats
+    # order 2, a quadratic, the noise experiment's batch and an oracle subclass
+    # keep the numpy loop
     heavy_ball = MethodSpec(Family.HEAVY_BALL, alpha=0.05, beta=0.5)
     assert loop_of(simulate_run, heavy_ball, _PWL, 3.0, 20) == numpy_loop
     rotated = QuadraticOracle([1.0, 10.0], random_rotation(2, 0))
     assert loop_of(simulate_run, _integrator(0.1), rotated, [1.0, 1.0], 20) == numpy_loop
     assert loop_of(noise_robustness_experiment, SectorClass(0.01, 1.0),
                    QuadraticOracle([0.01, 1.0]), 1e-3, (1, 2), 50) == numpy_loop
-    assert loop_of(simulate_run, _integrator(0.1), wide(65), np.ones(65), 5, 1e-3, 0) == numpy_loop
     doubled = _DoubledPwl([0.0, 1.0], [1.0, 2.0])
     assert loop_of(simulate_run, _integrator(0.1), doubled, 0.5, 1) == numpy_loop
     assert simulate_run(_integrator(0.1), doubled, 0.5, 1).iterates[1, 0] == 0.5 - 0.1 * 2.0 * 0.5
